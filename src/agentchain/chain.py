@@ -11,6 +11,7 @@ from public material alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import canonical
 from .canonical import EncodingError, Reader, Writer
@@ -80,6 +81,11 @@ class DnaDocument:
         )
         params = self.params.items() if isinstance(self.params, dict) else self.params
         object.__setattr__(self, "params", tuple(sorted((str(k), str(v)) for k, v in params)))
+
+    @cached_property
+    def network_id(self) -> bytes:
+        """Digest of the canonical encoding, computed once per document."""
+        return hash_bytes(encode_dna(self))
 
     def entry_type(self, name: str) -> EntryTypeDef | None:
         for etd in self.entry_type_defs:
@@ -344,7 +350,7 @@ class SourceChain:
 
     @property
     def dna_hash(self) -> bytes:
-        return hash_bytes(encode_dna(self.dna))
+        return self.dna.network_id
 
     def __len__(self) -> int:
         return len(self.records)
@@ -392,10 +398,9 @@ def init_chain(
     """Bootstrap a chain: blueprint first, then the genesis self-binding."""
     validate_dna(dna)
     chain = SourceChain(owner=owner, dna=dna)
-    dna_payload = encode_dna(dna)
-    _append_raw(chain, DNA_TYPE, dna_payload, clock)
+    _append_raw(chain, DNA_TYPE, encode_dna(dna), clock)
     genesis = GenesisRecord(
-        dna_hash=hash_bytes(dna_payload),
+        dna_hash=dna.network_id,
         agent_id=owner.public_key,
         membrane_proof=membrane_proof,
     )

@@ -116,7 +116,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
-    rows = compare_sweep(sizes=sizes, m=args.entries, r=args.redundancy, seed=args.seed or 7)
+    seed = _resolve_seed(args.seed)
+    if seed is None:
+        seed = 7
+    rows = compare_sweep(sizes=sizes, m=args.entries, r=args.redundancy, seed=seed)
     csv_text = sweep_to_csv(rows)
     if args.out:
         _atomic_write(args.out, csv_text)

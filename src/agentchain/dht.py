@@ -15,18 +15,18 @@ offender exactly one penalty at every honest peer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .canonical import Writer
+from .canonical import EncodingError, Writer
 from .chain import (
     DnaDocument,
     Record,
     SourceChain,
     decode_record,
-    encode_dna,
     encode_record,
     init_chain,
     record_key,
@@ -159,9 +159,12 @@ class StoredRecord:
     key: bytes
 
 
-@dataclass
+@dataclass(eq=False)
 class Agent:
-    """One network participant: identity, chain, shard, scores, news."""
+    """One network participant: identity, chain, shard, scores, news.
+
+    Agents compare by identity, so ``agent in targets`` is a pointer compare.
+    """
 
     index: int
     keys: KeyPair
@@ -174,7 +177,6 @@ class Agent:
     published: set[bytes] = field(default_factory=set)
     chain_keys: dict[bytes, int] = field(default_factory=dict)
     receipts: dict[bytes, list[Receipt]] = field(default_factory=dict)
-    inbox: list = field(default_factory=list)  # app-level deliveries (access results)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     adversary: str | None = None
     node_id: int = 0
@@ -244,10 +246,6 @@ def agent_seed(run_seed: int, index: int) -> bytes:
 # ---------------------------------------------------------------------------
 # the network
 
-def xor_distance(node_id: int, key: bytes) -> int:
-    return node_id ^ int.from_bytes(key, "big")
-
-
 class Network:
     """All peers sharing one blueprint, plus the shared metrics sink."""
 
@@ -264,7 +262,7 @@ class Network:
         register: bool = True,
     ) -> None:
         self.dna = dna
-        self.network_id = hash_bytes(encode_dna(dna))
+        self.network_id = dna.network_id
         if register:
             marketplace.register(dna)
         self.marketplace = marketplace
@@ -280,11 +278,14 @@ class Network:
         self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
         self._restricted = tuple(p for p in dna.param(RESTRICTED_PREFIX_PARAM).split(",") if p)
         self.current_tick = 0
+        # key -> every member, nearest first; see _ranking
+        self._rankings: dict[bytes, list[Agent]] = {}
 
     def join(self, agent: Agent) -> None:
         if agent.dna_hash != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
         self.agents.append(agent)
+        self._rankings.clear()
 
     def begin_tick(self, tick: int | None = None) -> None:
         if tick is not None:
@@ -294,11 +295,30 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
+    def _ranking(self, key: bytes) -> list[Agent]:
+        """Every member, nearest to key first by XOR over node ids; ties
+        keep join order.
+
+        The ranking depends on the key and on membership only, so it is
+        computed once per key and dropped when an agent joins. Presence is
+        not part of it: readers skip offline agents as they walk it, which
+        is why flipping ``agent.online`` needs no invalidation.
+        """
+        ranking = self._rankings.get(key)
+        if ranking is None:
+            k = int.from_bytes(key, "big")
+            ranking = sorted(self.agents, key=lambda a: a.node_id ^ k)
+            self._rankings[key] = ranking
+        return ranking
+
     def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
-        """The min(r, n) agents nearest to key, online or not, stable order."""
+        """The min(r, n) agents nearest to key, online or not, stable order.
+
+        A prefix of the key's memoized ranking: it changes only when an
+        agent joins, never with presence.
+        """
         r = self.redundancy if r is None else r
-        ranked = sorted(self.agents, key=lambda a: xor_distance(a.node_id, key))
-        return ranked[: max(0, min(r, len(ranked)))]
+        return self._ranking(key)[: max(0, r)]
 
     def is_restricted(self, entry_type: str) -> bool:
         return any(entry_type.startswith(p) for p in self._restricted)
@@ -310,13 +330,15 @@ class Network:
         Everything else re-targets the nearest currently-online peers, with
         headroom over the bare redundancy target so flapping holders do not
         leave a record unreachable.
+
+        The ranking is memoized per key and depends on membership only;
+        presence is applied here, at read time, by skipping offline agents.
         """
         if self.is_restricted(record.header.entry_type):
             return self.neighborhood(key)
-        online = [a for a in self.agents if a.online]
-        online.sort(key=lambda a: xor_distance(a.node_id, key))
-        want = min(len(online), math.ceil(self.redundancy * self.backup_factor))
-        return online[:want]
+        want = math.ceil(self.redundancy * self.backup_factor)
+        online = (a for a in self._ranking(key) if a.online)
+        return list(itertools.islice(online, max(0, want)))
 
     # -- reputation plumbing ------------------------------------------------
 
@@ -431,7 +453,7 @@ class Network:
             return None
         try:
             app_id, record = self._parse_publish_payload(envelope.payload)
-        except Exception:
+        except EncodingError:
             self.metrics.rejections += 1
             return None
         key = record_key(record)
@@ -487,8 +509,7 @@ class Network:
         local = requester.lookup(key)
         if local is not None:
             return local
-        ranked = sorted(self.agents, key=lambda a: xor_distance(a.node_id, key))
-        for holder in ranked:
+        for holder in self._ranking(key):
             if holder is requester:
                 continue
             if count_messages:

@@ -24,7 +24,6 @@ from .chain import (
     DnaDocument,
     EntryTypeDef,
     Record,
-    encode_dna,
     header_signing_bytes,
 )
 from .crypto import hash_bytes, verify
@@ -32,7 +31,7 @@ from .crypto import hash_bytes, verify
 
 def dna_hash(dna: DnaDocument) -> bytes:
     """Network id: digest of the blueprint's canonical encoding."""
-    return hash_bytes(encode_dna(dna))
+    return dna.network_id
 
 
 class Reason(enum.Enum):

@@ -242,6 +242,22 @@ def test_any_dna_edit_changes_identity():
     assert len(seen) == 10  # all mutations distinct from base and each other
 
 
+def test_network_id_is_encoded_once_and_shared_by_every_reader(monkeypatch):
+    from agentchain import chain as chain_module
+    from agentchain.validation import dna_hash
+
+    real = chain_module.encode_dna
+    encoded = []
+    monkeypatch.setattr(chain_module, "encode_dna", lambda dna: encoded.append(dna) or real(dna))
+    dna = healthcare_dna()
+    chain = init_chain(_keys(), dna)
+    for _ in range(3):
+        assert chain.dna_hash.hex() == GOLDEN_NETWORK_ID
+    assert dna.network_id == dna_hash(dna) == chain.dna_hash
+    assert len(encoded) == 2  # the DNA record's payload, then the id
+    assert dataclasses.replace(dna, description="fork").network_id != dna.network_id
+
+
 @given(st.lists(st.dictionaries(st.sampled_from(["text"]), st.text(min_size=1, max_size=30), min_size=1, max_size=1), min_size=0, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_chain_stays_verifiable_under_appends(payloads):

@@ -192,6 +192,23 @@ def test_bench_stdout(capsys):
     assert capsys.readouterr().out.startswith(SWEEP_HEADER)
 
 
+def test_bench_seed_is_flag_then_env_then_7(capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(
+        "agentchain.cli.compare_sweep", lambda sizes, m, r, seed: seeds.append(seed) or []
+    )
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    assert main(["bench", "--seed", "0"]) == 0
+    assert main(["bench"]) == 0
+    monkeypatch.setenv(SEED_ENV, "0")
+    assert main(["bench"]) == 0
+    monkeypatch.setenv(SEED_ENV, "5")
+    assert main(["bench", "--seed", "3"]) == 0
+    assert seeds == [0, 7, 0, 3]
+    monkeypatch.setenv(SEED_ENV, "not-a-number")
+    assert main(["bench"]) == 2
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "agentchain.cli", "bench", "--entries", "5", "--sizes", "8"],

@@ -2,10 +2,14 @@
 
 The neighborhood oracle recomputes XOR ranking from scratch with hashlib so
 the production ranking is checked against an independent implementation.
+The ``oracle_*`` functions are brute-force references that re-sort the
+whole network on every call; the memoized lookups must return the same
+lists in the same order.
 """
 
 import hashlib
 import math
+import os
 import random
 
 import pytest
@@ -26,6 +30,7 @@ from agentchain.dht import (
 )
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, is_blacklisted, update_experience
+from agentchain.sim import export_all_chains, load_scenario, run_scenario
 from agentchain.validation import Marketplace
 
 
@@ -69,6 +74,99 @@ def test_neighborhood_matches_brute_force_oracle():
         )
         for r in (1, 4, 9, 25):
             assert net.neighborhood(key, r) == oracle[: min(r, 20)]
+
+
+def _xor_sorted(agents, key):
+    k = int.from_bytes(key, "big")
+    return sorted(agents, key=lambda a: a.node_id ^ k)
+
+
+def oracle_neighborhood(net, key, r=None):
+    r = net.redundancy if r is None else r
+    ranked = _xor_sorted(net.agents, key)
+    return ranked[: max(0, min(r, len(ranked)))]
+
+
+def oracle_backup_targets(net, key, record):
+    if net.is_restricted(record.header.entry_type):
+        return net.neighborhood(key)
+    online = _xor_sorted([a for a in net.agents if a.online], key)
+    want = min(len(online), math.ceil(net.redundancy * net.backup_factor))
+    return online[:want]
+
+
+def oracle_fetch(net, requester, key, count_messages=True):
+    local = requester.lookup(key)
+    if local is not None:
+        return local
+    for holder in _xor_sorted(net.agents, key):
+        if holder is requester:
+            continue
+        if count_messages:
+            net.metrics.messages += 1
+        if not holder.online:
+            continue
+        found = holder.lookup(key)
+        if found is not None:
+            return found
+    return None
+
+
+def _assert_lookups_match_oracle(net, rng, keys, records):
+    for key in keys:
+        for r in (None, 0, 1, 4, 9, 70):
+            assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
+    for record in records:
+        key = record_key(record)
+        assert net.backup_targets(key, record) == oracle_backup_targets(net, key, record)
+    for key in keys + [record_key(r) for r in records]:
+        requester = rng.choice(net.agents)
+        before = net.metrics.messages
+        found = net.fetch(requester, key)
+        used = net.metrics.messages - before
+        assert oracle_fetch(net, requester, key) is found
+        assert net.metrics.messages - before == 2 * used
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 64])
+def test_memoized_lookups_match_the_sorting_oracle_under_churn_and_late_joins(n):
+    net = _network(n=n, seed=n)
+    rng = random.Random(n)
+    records = []
+    for i, agent in enumerate(net.agents[:6]):
+        for entry_type, fields in (
+            ("report", {"text": f"note {i}"}),
+            ("vitals_pulse", _vitals_fields(agent, 60 + i)),
+        ):
+            record = agent.append(entry_type, fields, 10)
+            net.publish(agent, record)
+            records.append(record)
+    keys = [rng.randbytes(32) for _ in range(6)]
+    for _ in range(8):
+        for agent in net.agents:
+            if rng.random() < 0.3:
+                agent.online = not agent.online
+        _assert_lookups_match_oracle(net, rng, keys, records)
+    # a late joiner is nearest to its own node id, so every key ranked
+    # before it joined must be re-ranked with it in front
+    late = make_agent(n, agent_seed(n, 1000), net.dna)
+    own_key = late.node_id.to_bytes(32, "big")
+    assert late not in net.neighborhood(own_key)
+    net.join(late)
+    assert net.neighborhood(own_key)[0] is late
+    _assert_lookups_match_oracle(net, rng, keys + [own_key], records)
+
+
+@pytest.mark.parametrize("name", ["churn_availability", "holder_serve"])
+def test_scenarios_give_the_same_bytes_with_the_sorting_oracle(name, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json")
+    production = run_scenario(load_scenario(path))
+    monkeypatch.setattr(Network, "neighborhood", oracle_neighborhood)
+    monkeypatch.setattr(Network, "backup_targets", oracle_backup_targets)
+    monkeypatch.setattr(Network, "fetch", oracle_fetch)
+    oracle = run_scenario(load_scenario(path))
+    assert production.metrics_log.to_csv() == oracle.metrics_log.to_csv()
+    assert export_all_chains(production) == export_all_chains(oracle)
 
 
 def test_neighborhood_ignores_presence():
@@ -201,6 +299,16 @@ def test_relay_of_corrupted_record_blames_the_relay_not_the_author():
     assert net._deliver_publish(relay, validator, envelope) is None
     assert validator.experience.rows[relay.public_key].confidence == 0.25
     assert victim.public_key not in validator.experience.rows
+
+
+def test_signed_envelope_that_is_not_a_publish_encoding_is_rejected():
+    net = _network()
+    sender, validator = net.agents[0], net.agents[1]
+    envelope = make_envelope(sender.keys, "publish", b"not a publish payload")
+    assert envelope_valid(envelope)
+    assert net._deliver_publish(sender, validator, envelope) is None
+    assert net.metrics.rejections == 1
+    assert net.metrics.stores == 0
 
 
 def test_records_for_sibling_networks_are_refused_even_when_registered():
