@@ -10,6 +10,7 @@ from public material alone.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -165,53 +166,6 @@ def decode_dna(data: bytes) -> DnaDocument:
     alg = r.string()
     r.finish()
     return DnaDocument(app_name, description, tuple(defs), vfids, params, redundancy, rule, alg)
-
-
-def dna_to_dict(dna: DnaDocument) -> dict:
-    """JSON-compatible form, used by config files and fork tests."""
-    return {
-        "app_name": dna.app_name,
-        "description": dna.description,
-        "entry_types": [
-            {
-                "name": etd.type_name,
-                "schema": [[f, t] for f, t in etd.payload_schema],
-                "rules": list(etd.rule_ids),
-                "cost": etd.validation_cost_class,
-            }
-            for etd in dna.entry_type_defs
-        ],
-        "validation_function_ids": list(dna.validation_function_ids),
-        "params": {k: v for k, v in dna.params},
-        "dht": {"redundancy": dna.dht_redundancy, "neighborhood_rule": dna.dht_neighborhood_rule},
-        "hash_alg": dna.hash_alg_id,
-    }
-
-
-def dna_from_dict(doc: dict) -> DnaDocument:
-    try:
-        dna = DnaDocument(
-            app_name=doc["app_name"],
-            description=doc.get("description", ""),
-            entry_type_defs=tuple(
-                EntryTypeDef(
-                    type_name=et["name"],
-                    payload_schema=tuple((f, t) for f, t in et.get("schema", [])),
-                    rule_ids=tuple(et.get("rules", [])),
-                    validation_cost_class=et.get("cost", COST_STANDARD),
-                )
-                for et in doc["entry_types"]
-            ),
-            validation_function_ids=tuple(doc.get("validation_function_ids", [])),
-            params=tuple(sorted(doc.get("params", {}).items())),
-            dht_redundancy=int(doc.get("dht", {}).get("redundancy", 4)),
-            dht_neighborhood_rule=doc.get("dht", {}).get("neighborhood_rule", "xor-distance"),
-            hash_alg_id=doc.get("hash_alg", HASH_ALG_ID),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ChainError(f"bad DNA document: {exc}") from exc
-    validate_dna(dna)
-    return dna
 
 
 @dataclass(frozen=True)
@@ -375,14 +329,8 @@ def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int)
         prev_header_hash=prev,
         signature=b"\x00" * SIGNATURE_SIZE,
     )
-    signed = EntryHeader(
-        seq=unsigned.seq,
-        timestamp=unsigned.timestamp,
-        entry_type=unsigned.entry_type,
-        entry_hash=unsigned.entry_hash,
-        author=unsigned.author,
-        prev_header_hash=unsigned.prev_header_hash,
-        signature=sign(chain.owner, header_signing_bytes(unsigned)),
+    signed = dataclasses.replace(
+        unsigned, signature=sign(chain.owner, header_signing_bytes(unsigned))
     )
     record = Record(signed, bytes(payload))
     chain.records.append(record)
@@ -421,19 +369,6 @@ def append_entry(
     if isinstance(payload, dict):
         payload = canonical.encode_fields(payload)
     return _append_raw(chain, entry_type, payload, clock)
-
-
-def head(chain: SourceChain) -> bytes:
-    """Digest of the newest header."""
-    if not chain.records:
-        raise ChainError("empty chain has no head")
-    return header_hash(chain.records[-1].header)
-
-
-def get_record(chain: SourceChain, seq: int) -> Record:
-    if not 0 <= seq < len(chain.records):
-        raise IndexError(f"seq {seq} out of range 0..{len(chain.records) - 1}")
-    return chain.records[seq]
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,40 @@ class Network:
         self._note_violation(receiver, claim)
         return True
 
+    def _refused(self, receiver: Agent, sender_key: bytes) -> bool:
+        """The receiver's gate for anything a peer sends it: shunned
+        senders first, so they never reach the rate window, then the
+        flood limit. A refusal counts one rejection."""
+        if is_blacklisted(receiver.experience, sender_key) or self._rate_exceeded(
+            receiver, sender_key
+        ):
+            self.metrics.rejections += 1
+            return True
+        return False
+
+    def _store_if_valid(self, dst: Agent, record: Record, key: bytes, shipper: bytes) -> bool:
+        """Re-validate a delivered record against dst's own blueprint copy
+        and store it if it holds up. An invalid record is scored against
+        the shipper, not the claimed author: whoever pushes bytes owns
+        them. Returns whether the record was valid."""
+        verdict = authenticate_channel(
+            record, dst.chain.dna, self.marketplace, app_id=self.network_id,
+            ctx=self._rule_context(dst),
+        )
+        self.metrics.validations += 1
+        self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
+        if not verdict.valid:
+            self.metrics.rejections += 1
+            self._note_violation(
+                dst, misbehavior_claim(shipper, ObservationKind.INVALID_DATA, key)
+            )
+            return False
+        if key not in dst.shard:
+            dst.shard[key] = StoredRecord(record=record, key=key)
+            self.metrics.stores += 1
+            update_experience(dst.experience, record.header.author, ObservationKind.VALID_OK)
+        return True
+
     # -- publish / fetch -----------------------------------------------------
 
     def publish(self, author: Agent, record: Record) -> list[Receipt]:
@@ -438,11 +472,7 @@ class Network:
         payload = envelope.payload
         for hook in self.wire_hooks:
             payload = hook("publish", sender, validator, payload)
-        if is_blacklisted(validator.experience, envelope.sender):
-            self.metrics.rejections += 1
-            return None
-        if self._rate_exceeded(validator, envelope.sender):
-            self.metrics.rejections += 1
+        if self._refused(validator, envelope.sender):
             return None
         if payload is not envelope.payload:
             envelope = GossipMessage(envelope.kind, envelope.sender, payload, envelope.signature)
@@ -466,23 +496,8 @@ class Network:
                 validator, misbehavior_claim(envelope.sender, ObservationKind.INVALID_DATA, key)
             )
             return None
-        verdict = authenticate_channel(
-            record, validator.chain.dna, self.marketplace, app_id=app_id,
-            ctx=self._rule_context(validator),
-        )
-        self.metrics.validations += 1
-        self.metrics.validation_work += validation_work(validator.chain.dna, record.header.entry_type)
-        if not verdict.valid:
-            self.metrics.rejections += 1
-            # blame the proven shipper, not the claimed author: a relay
-            # pushing someone else's bytes owns what it sends
-            claim = misbehavior_claim(envelope.sender, ObservationKind.INVALID_DATA, key)
-            self._note_violation(validator, claim)
+        if not self._store_if_valid(validator, record, key, envelope.sender):
             return None
-        if key not in validator.shard:
-            validator.shard[key] = StoredRecord(record=record, key=key)
-            self.metrics.stores += 1
-            update_experience(validator.experience, record.header.author, ObservationKind.VALID_OK)
         return Receipt(
             holder=validator.public_key,
             key=key,
@@ -526,13 +541,7 @@ class Network:
     def send_claim(self, sender: Agent, receiver: Agent, claim: NewsClaim) -> bool:
         """Deliver one news claim directly (used to seed transfer witnesses)."""
         self.metrics.messages += 1
-        if not receiver.online:
-            return False
-        if is_blacklisted(receiver.experience, sender.public_key):
-            self.metrics.rejections += 1
-            return False
-        if self._rate_exceeded(receiver, sender.public_key):
-            self.metrics.rejections += 1
+        if not receiver.online or self._refused(receiver, sender.public_key):
             return False
         self._accept_claim(receiver, claim)
         return True
@@ -560,13 +569,7 @@ class Network:
         return len(contacts)
 
     def _exchange(self, a: Agent, b: Agent) -> None:
-        if is_blacklisted(a.experience, b.public_key) or is_blacklisted(
-            b.experience, a.public_key
-        ):
-            self.metrics.rejections += 1
-            return
-        if self._rate_exceeded(b, a.public_key) or self._rate_exceeded(a, b.public_key):
-            self.metrics.rejections += 1
+        if self._refused(b, a.public_key) or self._refused(a, b.public_key):
             return
         self._sync_claims(a, b)
         self._sync_claims(b, a)
@@ -586,25 +589,10 @@ class Network:
             record = src.lookup(key)
             if record is None:
                 continue
-            targets = self.backup_targets(key, record)
-            if dst not in targets:
+            if dst not in self.backup_targets(key, record):
                 continue
-            verdict = authenticate_channel(
-                record, dst.chain.dna, self.marketplace, app_id=self.network_id,
-                ctx=self._rule_context(dst),
-            )
-            self.metrics.validations += 1
-            self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
-            if not verdict.valid:
-                self.metrics.rejections += 1
-                # the forwarder shipped bad data
-                claim = misbehavior_claim(src.public_key, ObservationKind.INVALID_DATA, key)
-                self._note_violation(dst, claim)
-                continue
-            dst.shard[key] = StoredRecord(record=record, key=key)
-            self.metrics.stores += 1
-            self.metrics.backup_transfers += 1
-            update_experience(dst.experience, record.header.author, ObservationKind.VALID_OK)
+            if self._store_if_valid(dst, record, key, src.public_key):
+                self.metrics.backup_transfers += 1
 
     # -- integrity sweeps -------------------------------------------------------
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import canonical
 from .chain import Record, SourceChain, record_key
 from .crypto import ZERO_DIGEST, KeyPair, hash_bytes, sign, verify
 from .dht import Agent, CLAIM_TRANSFER, Network, NewsClaim, transfer_claim, misbehavior_claim
 from .reputation import ObservationKind, is_blacklisted
-from .validation import transfer_signing_fields
+from .validation import TRANSFER_BODY_FIELDS
 
 FUEL_TX_TYPE = "fuel_tx"
 SEED_GRANT_TYPE = "seed_grant"
@@ -31,8 +32,13 @@ class FuelError(ValueError):
 
 
 @dataclass(frozen=True)
-class PendingTransfer:
-    """A transfer the sender has signed but the receiver has not."""
+class FuelTransaction:
+    """One transfer, as it appears on both chains.
+
+    The sender signs the body first; the transfer is complete once the
+    receiver countersigns the same body. tx_id commits to the body only,
+    so it is the same before and after either signature.
+    """
 
     sender: bytes
     receiver: bytes
@@ -40,66 +46,26 @@ class PendingTransfer:
     sender_prior_balance: int
     sender_prev_tx: bytes
     timestamp: int
-    sender_sig: bytes
+    sender_sig: bytes = b""
+    receiver_sig: bytes = b""
 
     def body_fields(self) -> dict:
-        return {
-            "amount": self.amount,
-            "receiver": self.receiver,
-            "sender": self.sender,
-            "sender_prev_tx": self.sender_prev_tx,
-            "sender_prior_balance": self.sender_prior_balance,
-            "timestamp": self.timestamp,
-        }
+        return {name: getattr(self, name) for name in TRANSFER_BODY_FIELDS}
 
     def body_bytes(self) -> bytes:
         return canonical.encode_fields(self.body_fields())
 
-    @property
+    @cached_property
     def tx_id(self) -> bytes:
         return hash_bytes(self.body_bytes())
 
-
-@dataclass(frozen=True)
-class FuelTransaction:
-    """A fully co-signed transfer, as it appears on both chains."""
-
-    tx_id: bytes
-    sender: bytes
-    receiver: bytes
-    amount: int
-    sender_prior_balance: int
-    sender_prev_tx: bytes
-    timestamp: int
-    sender_sig: bytes
-    receiver_sig: bytes
-
     def to_fields(self) -> dict:
         return {
-            "amount": self.amount,
-            "receiver": self.receiver,
-            "sender": self.sender,
-            "sender_prev_tx": self.sender_prev_tx,
-            "sender_prior_balance": self.sender_prior_balance,
-            "timestamp": self.timestamp,
+            **self.body_fields(),
             "tx_id": self.tx_id,
             "sender_sig": self.sender_sig,
             "receiver_sig": self.receiver_sig,
         }
-
-
-def tx_from_fields(fields: dict) -> FuelTransaction:
-    return FuelTransaction(
-        tx_id=fields["tx_id"],
-        sender=fields["sender"],
-        receiver=fields["receiver"],
-        amount=fields["amount"],
-        sender_prior_balance=fields["sender_prior_balance"],
-        sender_prev_tx=fields["sender_prev_tx"],
-        timestamp=fields["timestamp"],
-        sender_sig=fields["sender_sig"],
-        receiver_sig=fields["receiver_sig"],
-    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +128,7 @@ def create_fuel_tx(
     amount: int,
     clock: int,
     credit_limit: int = 0,
-) -> PendingTransfer:
+) -> FuelTransaction:
     """Sender's half of a transfer: sign intent against current chain state."""
     if amount <= 0:
         raise FuelError(f"amount must be positive, got {amount}")
@@ -174,39 +140,27 @@ def create_fuel_tx(
     prior = balance(sender_chain)
     if prior - amount < -credit_limit:
         raise FuelError(f"balance {prior} cannot cover {amount} (limit {credit_limit})")
-    pending = PendingTransfer(
+    pending = FuelTransaction(
         sender=sender,
         receiver=receiver,
         amount=amount,
         sender_prior_balance=prior,
         sender_prev_tx=latest_fuel_key(sender_chain),
         timestamp=clock,
-        sender_sig=b"",
     )
     return dataclasses.replace(pending, sender_sig=sign(sender_chain.owner, pending.body_bytes()))
 
 
-def countersign(receiver_keys: KeyPair, pending: PendingTransfer) -> FuelTransaction:
-    if not verify(pending.sender, pending.body_bytes(), pending.sender_sig):
+def countersign(receiver_keys: KeyPair, pending: FuelTransaction) -> FuelTransaction:
+    body = pending.body_bytes()
+    if not verify(pending.sender, body, pending.sender_sig):
         raise FuelError("sender signature does not verify")
     if pending.receiver != receiver_keys.public_key:
         raise FuelError("transfer is not addressed to this receiver")
-    return FuelTransaction(
-        tx_id=pending.tx_id,
-        sender=pending.sender,
-        receiver=pending.receiver,
-        amount=pending.amount,
-        sender_prior_balance=pending.sender_prior_balance,
-        sender_prev_tx=pending.sender_prev_tx,
-        timestamp=pending.timestamp,
-        sender_sig=pending.sender_sig,
-        receiver_sig=sign(receiver_keys, pending.body_bytes()),
-    )
+    return dataclasses.replace(pending, receiver_sig=sign(receiver_keys, body))
 
 
-def audit_double_spend(
-    candidate: PendingTransfer | FuelTransaction, queried: list[Agent]
-) -> FuelVerdict:
+def audit_double_spend(candidate: FuelTransaction, queried: list[Agent]) -> FuelVerdict:
     """Ask each queried agent whether it witnessed another spend of the
     candidate's prior state. First conflicting announcement wins."""
     for agent in queried:
@@ -227,7 +181,7 @@ def audit_double_spend(
 
 def accept_fuel_tx(
     receiver: Agent,
-    pending: PendingTransfer,
+    pending: FuelTransaction,
     network: Network,
     clock: int,
     rng: random.Random,

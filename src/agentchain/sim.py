@@ -85,6 +85,46 @@ class AttackKind(enum.Enum):
     DOS_FLOOD = "dos_flood"
 
 
+# fields each script op's handler reads unconditionally; attacks are keyed
+# by kind. Checked when the script loads, so a malformed op never runs.
+_OP_FIELDS: dict[str, tuple[str, ...]] = {
+    "vitals": ("patient",),
+    "report": ("agent",),
+    "grant": ("patient", "grantee"),
+    "revoke": ("patient", "token"),
+    "access": ("patient", "requester", "token"),
+    "seed_fuel": ("agent", "amount"),
+    "transfer": ("sender", "receiver", "amount"),
+    "presence": ("agent", "online"),
+    "publish_seq": ("agent", "seq"),
+    "attack:tamper_own_history": ("agent",),
+    "attack:mitm_mutation": ("victim",),
+    "attack:double_spend": ("agent",),
+    "attack:forged_token": ("agent", "patient"),
+    "attack:dna_fork": (),
+    "attack:unauthorized_access": ("agent", "patient", "token"),
+    "attack:dos_flood": ("agent", "victim"),
+}
+
+
+def _check_op(op: dict) -> None:
+    where = f"tick {op['tick']} op {op['op']}"
+    name = op["op"]
+    if name == "attack":
+        if "kind" not in op:
+            raise ConfigError(f"{where}: missing field 'kind'")
+        name = f"attack:{op['kind']}"
+    required = _OP_FIELDS.get(name) if isinstance(name, str) else None
+    if required is None:
+        raise ConfigError(f"{where}: unknown script op {name!r}")
+    missing = [f for f in required if f not in op]
+    if missing:
+        raise ConfigError(f"{where}: missing field(s) {', '.join(missing)}")
+    metric = op.get("metric", "pulse")
+    if name == "vitals" and not (isinstance(metric, str) and metric in VITALS_METRICS):
+        raise ConfigError(f"{where}: unknown metric {metric!r}")
+
+
 _CONFIG_KEYS = {
     "name",
     "seed",
@@ -245,6 +285,7 @@ class Simulation:
         for op in config.script:
             if "tick" not in op or "op" not in op:
                 raise ConfigError(f"script op needs tick and op: {op}")
+            _check_op(op)
             self._script_by_tick.setdefault(int(op["tick"]), []).append(op)
 
     # -- helpers -------------------------------------------------------------
@@ -273,7 +314,7 @@ class Simulation:
             self.network.begin_tick(tick)
             self._churn(tick)
             for op in self._script_by_tick.get(tick, ()):
-                self._dispatch(tick, op)
+                getattr(self, "_op_" + op["op"])(tick, op)
             self.network.gossip_round(self.rng)
             self._check_invariants(tick)
             self.metrics_log.record(tick, self.metrics)
@@ -319,14 +360,7 @@ class Simulation:
                 if any(a.online and a.holds(key) for a in self.network.agents):
                     self.availability_hits += 1
 
-    # -- op dispatch ------------------------------------------------------------
-
-    def _dispatch(self, tick: int, op: dict) -> None:
-        name = op["op"]
-        handler = getattr(self, "_op_" + name, None)
-        if handler is None:
-            raise ConfigError(f"unknown script op {name!r}")
-        handler(tick, op)
+    # -- script ops ---------------------------------------------------------------
 
     def _op_vitals(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])

@@ -105,13 +105,15 @@ class RuleContext:
     credit_limit: int = 0
 
 
+# the co-signed core of a transfer: what both parties sign and tx_id hashes
+TRANSFER_BODY_FIELDS = (
+    "amount", "receiver", "sender", "sender_prev_tx", "sender_prior_balance", "timestamp",
+)
+
+
 def transfer_signing_fields(fields: dict) -> dict:
     """The co-signed core of a transfer payload: no signatures, no id."""
-    return {
-        k: v
-        for k, v in fields.items()
-        if k in ("amount", "receiver", "sender", "sender_prev_tx", "sender_prior_balance", "timestamp")
-    }
+    return {k: fields[k] for k in TRANSFER_BODY_FIELDS if k in fields}
 
 
 def _check_rule(rule_id: str, record: Record, fields: dict, ctx: RuleContext) -> str | None:

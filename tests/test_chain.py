@@ -21,13 +21,9 @@ from agentchain.chain import (
     append_entry,
     decode_dna,
     decode_record,
-    dna_from_dict,
-    dna_to_dict,
     encode_dna,
     encode_record,
     export_records,
-    get_record,
-    head,
     header_hash,
     init_chain,
     parse_chain_text,
@@ -79,8 +75,6 @@ def test_append_and_verify():
     assert r.header.seq == 2
     assert r.header.entry_hash == hash_bytes(r.payload)
     assert verify_chain(chain).ok
-    assert head(chain) == header_hash(r.header)
-    assert get_record(chain, 2) == r
 
 
 def test_append_rejects_bad_types_and_clocks():
@@ -199,11 +193,6 @@ def test_golden_dna_fixture():
     assert hash_bytes(enc).hex() == GOLDEN_NETWORK_ID
     assert encode_dna(healthcare_dna()) == enc
     assert decode_dna(enc) == healthcare_dna()
-
-
-def test_dna_dict_roundtrip():
-    dna = healthcare_dna()
-    assert dna_from_dict(dna_to_dict(dna)) == dna
 
 
 def _mutated_dnas(dna: DnaDocument):

@@ -81,13 +81,21 @@ def test_flag_seed_beats_env_seed(tmp_path, monkeypatch):
     assert _read_artifacts(flagged) == _read_artifacts(mixed)
 
 
-def test_unusable_inputs_exit_2(tmp_path, monkeypatch):
+def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{nope")
     assert main(["run", str(garbled)]) == 2
     impossible = _scenario(tmp_path, n_agents=3)  # cannot host 4 holders
     assert main(["run", impossible, "--out", str(tmp_path / "x")]) == 2
+    for bad_op, problem in (
+        ({"tick": 1, "op": "vitals", "metric": "pulse"}, "missing field(s) patient"),
+        ({"tick": 1, "op": "vitals", "patient": 0, "metric": "mood"}, "unknown metric 'mood'"),
+    ):
+        capsys.readouterr()
+        malformed = _scenario(tmp_path, script=[bad_op])
+        assert main(["run", malformed, "--out", str(tmp_path / "z")]) == 2
+        assert f"tick 1 op vitals: {problem}" in capsys.readouterr().err
     monkeypatch.setenv(SEED_ENV, "not-a-number")
     assert main(["run", _scenario(tmp_path), "--out", str(tmp_path / "y")]) == 2
 

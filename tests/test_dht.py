@@ -333,20 +333,41 @@ def test_records_for_sibling_networks_are_refused_even_when_registered():
     assert validator.experience.rows[stranger.public_key].confidence == 0.25
 
 
-def test_blacklist_gate_runs_before_rate_accounting():
+# every path a peer can push to another goes through the same receiver gate
+GATED_DELIVERIES = {
+    "publish": lambda net, sender, receiver, record, claim: net.publish(sender, record),
+    "send_claim": lambda net, sender, receiver, record, claim: net.send_claim(sender, receiver, claim),
+    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(sender, receiver),
+    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(receiver, sender),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GATED_DELIVERIES))
+def test_blacklist_gate_runs_before_rate_accounting(path):
     net = _network()
-    author = net.agents[0]
-    record = author.append("report", {"text": "hi"}, 10)
+    sender = net.agents[0]
+    record = sender.append("report", {"text": "hi"}, 10)
     key = record_key(record)
-    validator = next(v for v in net.neighborhood(key) if v is not author)
+    # offered by gossip as well as by publish
+    sender.published.add(key)
+    claim = transfer_claim(b"\x42" * 32, sender.public_key, b"\x00" * 32)
+    net._accept_claim(sender, claim)
+    receiver = next(v for v in net.neighborhood(key) if v is not sender)
+    assert receiver in net.backup_targets(key, record)
     for _ in range(3):
-        update_experience(validator.experience, author.public_key, ObservationKind.INVALID_DATA)
-    assert is_blacklisted(validator.experience, author.public_key)
-    receipts = net.publish(author, record)
-    assert all(r.holder != validator.public_key for r in receipts)
-    assert not validator.holds(key)
+        update_experience(receiver.experience, sender.public_key, ObservationKind.INVALID_DATA)
+    assert is_blacklisted(receiver.experience, sender.public_key)
+    rejections, news = net.metrics.rejections, dict(receiver.news)
+
+    outcome = GATED_DELIVERIES[path](net, sender, receiver, record, claim)
+
+    if path == "publish":
+        assert all(r.holder != receiver.public_key for r in outcome)
+    assert net.metrics.rejections == rejections + 1
+    assert not receiver.holds(key)
+    assert receiver.news == news
     # dropped before the rate window ever saw the sender
-    assert author.public_key not in validator.rate_window
+    assert sender.public_key not in receiver.rate_window
 
 
 # --- fetch ---------------------------------------------------------------

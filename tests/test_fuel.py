@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from agentchain import canonical
 from agentchain.chain import record_key, verify_chain
-from agentchain.crypto import ZERO_DIGEST, verify
+from agentchain.crypto import ZERO_DIGEST, hash_bytes, verify
 from agentchain.dht import Network, agent_seed, make_agent
 from agentchain.fuel import (
     AMOUNT_CAP,
     FuelError,
+    FuelTransaction,
     FuelVerdict,
     accept_fuel_tx,
     append_seed_grant,
@@ -20,7 +22,6 @@ from agentchain.fuel import (
     create_fuel_tx,
     latest_fuel_key,
     settle,
-    tx_from_fields,
 )
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, update_experience
@@ -106,7 +107,11 @@ def test_tx_fields_roundtrip():
     a, b = net.agents[0], net.agents[1]
     append_seed_grant(a, 5, 1)
     tx = countersign(b.keys, create_fuel_tx(a.chain, b.public_key, 2, 2))
-    assert tx_from_fields(tx.to_fields()) == tx
+    # what lands on the chains decodes back to the same transfer; tx_id is
+    # derived from the body, never carried as state
+    fields = canonical.decode_fields(canonical.encode_fields(tx.to_fields()))
+    assert fields.pop("tx_id") == tx.tx_id == hash_bytes(tx.body_bytes())
+    assert FuelTransaction(**fields) == tx
 
 
 def test_settled_transfer_validates_under_the_blueprint():

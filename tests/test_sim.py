@@ -6,8 +6,10 @@ observed on the first verified-clean runs and must stay byte-stable because
 every source of randomness derives from the scenario seed.
 """
 
+import hashlib
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,17 @@ def test_script_ops_are_checked():
         Simulation(_cfg(script=({"op": "report", "agent": 0},)))  # no tick
     with pytest.raises(ConfigError):
         Simulation(_cfg(script=({"tick": 1, "op": "levitate"},))).run()
+    # malformed ops are refused when the script loads, before any tick runs
+    for op, problem in (
+        ({"tick": 3, "op": "transfer", "sender": 0, "amount": 1}, "missing field(s) receiver"),
+        ({"tick": 3, "op": "attack", "victim": 1}, "missing field 'kind'"),
+        ({"tick": 3, "op": "attack", "kind": "phishing"}, "unknown script op 'attack:phishing'"),
+        ({"tick": 3, "op": "attack", "kind": "dos_flood", "agent": 2}, "missing field(s) victim"),
+        ({"tick": 3, "op": ["report"], "agent": 0}, "unknown script op ['report']"),
+        ({"tick": 3, "op": "vitals", "patient": 0, "metric": ["pulse"]}, "unknown metric ['pulse']"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"tick 3 op {op['op']}: {problem}")):
+            Simulation(_cfg(script=(op,)))
     with pytest.raises(ConfigError):
         Simulation(_cfg(script=({"tick": 1, "op": "report", "agent": 99},))).run()
     unfilled = ({"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "$nope"},)
@@ -156,17 +169,52 @@ def test_scenario_corpus_is_present():
     }
 
 
-# observed on the first clean runs; deterministic thereafter
+# observed on the first clean runs; deterministic thereafter. digest pins
+# the bytes of a run (see _artifact_digest), so a refactor that claims to
+# keep behaviour can be checked against the commit before it.
 CORPUS_ANCHORS = {
-    "churn_availability": dict(attempted=0, granted=0, denied=0, availability=(118, 118)),
-    "dos_flood": dict(attempted=4, blacklist_events=9),
-    "fork_probe": dict(attempted=2),
-    "fuel_roundtrip": dict(attempted=2),
-    "holder_serve": dict(attempted=0, granted=2, denied=1),
-    "mitm_wire": dict(attempted=3),
-    "patient_doctor": dict(attempted=301, granted=1, denied=4),
-    "tamper_blacklist": dict(attempted=3, blacklist_events=11),
+    "churn_availability": dict(
+        attempted=0, granted=0, denied=0, availability=(118, 118),
+        digest="6204dadc79de3c4805c2e36bd2b954c0dc3f0eaaef299c1635f7d044224c6b39",
+    ),
+    "dos_flood": dict(
+        attempted=4, blacklist_events=9,
+        digest="f698391a47a31027d4cea01d0dbe24d9fbb367c8f2c5ca42b0e947af2cfe28dd",
+    ),
+    "fork_probe": dict(
+        attempted=2,
+        digest="aca59ad4d6f719fe3a86091e8686abc83a86c9424111115f3bf7fa8cf4aacf48",
+    ),
+    "fuel_roundtrip": dict(
+        attempted=2,
+        digest="dfb2b2ef82063299f48ccf1e318fb85efacc23996f7de56539b137c2fdcdb810",
+    ),
+    "holder_serve": dict(
+        attempted=0, granted=2, denied=1,
+        digest="a426f203aa94169212ecb73b93b95105960e6485ccf8cdc437e4404ca6f8cc9a",
+    ),
+    "mitm_wire": dict(
+        attempted=3,
+        digest="c3c5f5cd2a7cd5680ea04d84ed023a3640cfede5396fe0e6511d7e775eb524ba",
+    ),
+    "patient_doctor": dict(
+        attempted=301, granted=1, denied=4,
+        digest="b2e42f693f39d052010065231e7e49f19d018bab0134db735d0cd95c2b2c9bf0",
+    ),
+    "tamper_blacklist": dict(
+        attempted=3, blacklist_events=11,
+        digest="82935823ba26c865ec04cb27d46b999bdace6315a90b5e7b028d40869b018ff6",
+    ),
 }
+
+
+def _artifact_digest(result) -> str:
+    """SHA-256 over metrics.csv, then each chain export in name order."""
+    h = hashlib.sha256(result.metrics_log.to_csv().encode())
+    for name, text in sorted(export_all_chains(result).items()):
+        h.update(name.encode())
+        h.update(text.encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
@@ -189,6 +237,7 @@ def test_scenario_runs_clean(path):
         assert m.blacklist_events == anchor["blacklist_events"]
     if "availability" in anchor:
         assert (result.availability_hits, result.availability_slots) == anchor["availability"]
+    assert _artifact_digest(result) == anchor["digest"]
 
 
 def test_tampering_agent_ends_up_shunned_everywhere():
