@@ -17,7 +17,6 @@ from functools import cached_property
 from . import canonical
 from .canonical import EncodingError, Reader, Writer
 from .crypto import (
-    DIGEST_SIZE,
     HASH_ALG_ID,
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
@@ -341,17 +340,12 @@ def init_chain(
     owner: KeyPair,
     dna: DnaDocument,
     clock: int = 0,
-    membrane_proof: bytes | None = None,
 ) -> SourceChain:
     """Bootstrap a chain: blueprint first, then the genesis self-binding."""
     validate_dna(dna)
     chain = SourceChain(owner=owner, dna=dna)
     _append_raw(chain, DNA_TYPE, encode_dna(dna), clock)
-    genesis = GenesisRecord(
-        dna_hash=dna.network_id,
-        agent_id=owner.public_key,
-        membrane_proof=membrane_proof,
-    )
+    genesis = GenesisRecord(dna_hash=dna.network_id, agent_id=owner.public_key)
     _append_raw(chain, GENESIS_TYPE, encode_genesis(genesis), clock)
     return chain
 

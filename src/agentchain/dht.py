@@ -176,7 +176,6 @@ class Agent:
     news: dict[bytes, NewsClaim] = field(default_factory=dict)
     published: set[bytes] = field(default_factory=set)
     chain_keys: dict[bytes, int] = field(default_factory=dict)
-    receipts: dict[bytes, list[Receipt]] = field(default_factory=dict)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     adversary: str | None = None
     node_id: int = 0
@@ -225,10 +224,9 @@ def make_agent(
     dna: DnaDocument,
     clock: int = 0,
     blacklist_threshold: float | None = None,
-    membrane_proof: bytes | None = None,
 ) -> Agent:
     keys = generate_keypair(seed)
-    chain = init_chain(keys, dna, clock, membrane_proof)
+    chain = init_chain(keys, dna, clock)
     agent = Agent(index=index, keys=keys, chain=chain)
     if blacklist_threshold is not None:
         agent.experience.blacklist_threshold = blacklist_threshold
@@ -259,12 +257,10 @@ class Network:
         backup_factor: float = DEFAULT_BACKUP_FACTOR,
         witness_count: int = 8,
         audit_samples: int = 8,
-        register: bool = True,
     ) -> None:
         self.dna = dna
         self.network_id = dna.network_id
-        if register:
-            marketplace.register(dna)
+        marketplace.register(dna)
         self.marketplace = marketplace
         self.metrics = metrics if metrics is not None else Metrics()
         self.fanout = fanout
@@ -342,31 +338,23 @@ class Network:
 
     # -- reputation plumbing ------------------------------------------------
 
-    def _note_violation(self, observer: Agent, claim: NewsClaim) -> None:
-        """Apply a misbehavior claim at observer exactly once, and keep it
-        for further gossip. Offenders do not score themselves."""
-        cid = claim.claim_id()
-        if cid in observer.news:
-            return
-        observer.news[cid] = claim
-        self.metrics.news_claims += 1
-        if claim.agent == observer.public_key:
-            return
-        was = is_blacklisted(observer.experience, claim.agent)
-        update_experience(
-            observer.experience, claim.agent, _VIOLATION_BY_NAME[claim.detail]
-        )
-        if not was and is_blacklisted(observer.experience, claim.agent):
-            self.metrics.blacklist_events += 1
-
     def _accept_claim(self, receiver: Agent, claim: NewsClaim) -> None:
-        if claim.kind == CLAIM_MISBEHAVIOR:
-            self._note_violation(receiver, claim)
-            return
+        """Keep a news claim at receiver exactly once, for further gossip.
+        A misbehavior claim also scores its offender there, once per event;
+        offenders do not score themselves."""
         cid = claim.claim_id()
-        if cid not in receiver.news:
-            receiver.news[cid] = claim
-            self.metrics.news_claims += 1
+        if cid in receiver.news:
+            return
+        receiver.news[cid] = claim
+        self.metrics.news_claims += 1
+        if claim.kind != CLAIM_MISBEHAVIOR or claim.agent == receiver.public_key:
+            return
+        was = is_blacklisted(receiver.experience, claim.agent)
+        update_experience(
+            receiver.experience, claim.agent, _VIOLATION_BY_NAME[claim.detail]
+        )
+        if not was and is_blacklisted(receiver.experience, claim.agent):
+            self.metrics.blacklist_events += 1
 
     def _rate_exceeded(self, receiver: Agent, sender_key: bytes) -> bool:
         count = receiver.rate_window.get(sender_key, 0) + 1
@@ -382,7 +370,7 @@ class Network:
         claim = misbehavior_claim(
             sender_key, ObservationKind.INVALID_DATA, hash_bytes(w.getvalue())
         )
-        self._note_violation(receiver, claim)
+        self._accept_claim(receiver, claim)
         return True
 
     def _refused(self, receiver: Agent, sender_key: bytes) -> bool:
@@ -409,7 +397,7 @@ class Network:
         self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
         if not verdict.valid:
             self.metrics.rejections += 1
-            self._note_violation(
+            self._accept_claim(
                 dst, misbehavior_claim(shipper, ObservationKind.INVALID_DATA, key)
             )
             return False
@@ -446,7 +434,6 @@ class Network:
             receipt = self._deliver_publish(author, validator, envelope)
             if receipt is not None:
                 receipts.append(receipt)
-        author.receipts.setdefault(key, []).extend(receipts)
         return receipts
 
     @staticmethod
@@ -492,7 +479,7 @@ class Network:
             # this DHT even if that network is registered; the shipper owns
             # the misdirection
             self.metrics.rejections += 1
-            self._note_violation(
+            self._accept_claim(
                 validator, misbehavior_claim(envelope.sender, ObservationKind.INVALID_DATA, key)
             )
             return None

@@ -18,7 +18,7 @@ from functools import cached_property
 from . import canonical
 from .chain import Record, SourceChain, record_key
 from .crypto import ZERO_DIGEST, KeyPair, hash_bytes, sign, verify
-from .dht import Agent, CLAIM_TRANSFER, Network, NewsClaim, transfer_claim, misbehavior_claim
+from .dht import Agent, CLAIM_TRANSFER, Network, transfer_claim, misbehavior_claim
 from .reputation import ObservationKind, is_blacklisted
 from .validation import TRANSFER_BODY_FIELDS
 
@@ -215,7 +215,7 @@ def accept_fuel_tx(
             claim = misbehavior_claim(
                 pending.sender, ObservationKind.DOUBLE_SPEND, pending.tx_id
             )
-            network._note_violation(receiver, claim)
+            network._accept_claim(receiver, claim)
             return None, verdict
     tx = countersign(receiver.keys, pending)
     record = receiver.append(FUEL_TX_TYPE, tx.to_fields(), clock)

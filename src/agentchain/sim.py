@@ -23,7 +23,6 @@ from typing import Any
 from . import canonical
 from .chain import (
     Record,
-    SourceChain,
     export_records,
     header_hash,
     record_key,
@@ -41,9 +40,12 @@ from .dht import (
 )
 from .fuel import (
     FUEL_TX_TYPE,
+    FuelError,
+    FuelTransaction,
     accept_fuel_tx,
     append_seed_grant,
     balance,
+    complete_transfer,
     create_fuel_tx,
     settle,
     transfer_claim,
@@ -51,7 +53,6 @@ from .fuel import (
 from .healthcare import (
     GRANT_TYPE,
     CapabilityGrant,
-    DenialReason,
     VITALS_METRICS,
     create_grant,
     healthcare_dna,
@@ -107,8 +108,21 @@ _OP_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _check_op(op: dict) -> None:
+# required fields that name an agent by index; dna_fork's optional agent
+# names a rogue outside the population and is not one of them
+_AGENT_FIELDS = frozenset(
+    ("agent", "patient", "grantee", "requester", "sender", "receiver", "victim")
+)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_op(op: dict, n_agents: int) -> None:
     where = f"tick {op['tick']} op {op['op']}"
+    if not _is_int(op["tick"]):
+        raise ConfigError(f"{where}: tick must be an integer")
     name = op["op"]
     if name == "attack":
         if "kind" not in op:
@@ -120,9 +134,17 @@ def _check_op(op: dict) -> None:
     missing = [f for f in required if f not in op]
     if missing:
         raise ConfigError(f"{where}: missing field(s) {', '.join(missing)}")
-    metric = op.get("metric", "pulse")
-    if name == "vitals" and not (isinstance(metric, str) and metric in VITALS_METRICS):
-        raise ConfigError(f"{where}: unknown metric {metric!r}")
+    for f in _AGENT_FIELDS.intersection(required):
+        if not (_is_int(op[f]) and 0 <= op[f] < n_agents):
+            raise ConfigError(f"{where}: {f} must be an agent index in [0, {n_agents})")
+    if name == "vitals":
+        metric = op.get("metric", "pulse")
+        if not (isinstance(metric, str) and metric in VITALS_METRICS):
+            raise ConfigError(f"{where}: unknown metric {metric!r}")
+        _unit, lo, hi = VITALS_METRICS[metric]
+        value = op.get("value", lo)
+        if not (_is_int(value) and lo <= value <= hi):
+            raise ConfigError(f"{where}: {metric} value {value!r} outside [{lo}, {hi}]")
 
 
 _CONFIG_KEYS = {
@@ -285,16 +307,13 @@ class Simulation:
         for op in config.script:
             if "tick" not in op or "op" not in op:
                 raise ConfigError(f"script op needs tick and op: {op}")
-            _check_op(op)
-            self._script_by_tick.setdefault(int(op["tick"]), []).append(op)
+            _check_op(op, config.n_agents)
+            self._script_by_tick.setdefault(op["tick"], []).append(op)
 
     # -- helpers -------------------------------------------------------------
 
     def agent(self, index: int) -> Agent:
-        try:
-            return self.network.agents[index]
-        except IndexError:
-            raise ConfigError(f"no agent with index {index}") from None
+        return self.network.agents[index]
 
     def _token(self, ref: Any) -> bytes:
         if isinstance(ref, str) and ref.startswith("$"):
@@ -473,15 +492,18 @@ class Simulation:
     def _op_transfer(self, tick: int, op: dict) -> None:
         sender = self.agent(op["sender"])
         receiver = self.agent(op["receiver"])
-        tx, verdict = settle(
-            self.network,
-            sender,
-            receiver,
-            int(op["amount"]),
-            tick,
-            self.rng,
-            publish=bool(op.get("publish", True)),
-        )
+        try:
+            tx, verdict = settle(
+                self.network,
+                sender,
+                receiver,
+                int(op["amount"]),
+                tick,
+                self.rng,
+                publish=bool(op.get("publish", True)),
+            )
+        except FuelError as exc:
+            raise ConfigError(f"tick {tick} op transfer: {exc}") from None
         if op.get("expect_ok", True) and tx is None:
             raise ScenarioAssertion(
                 f"tick {tick}: transfer rejected: conflict "
@@ -503,9 +525,17 @@ class Simulation:
     # -- attacks -----------------------------------------------------------------
 
     def _op_attack(self, tick: int, op: dict) -> None:
-        kind = AttackKind(op["kind"])
-        handler = getattr(self, "_attack_" + kind.value)
-        handler(tick, op)
+        getattr(self, "_attack_" + op["kind"])(tick, op)
+
+    def _tally(self, detected: bool) -> None:
+        """Count one attack attempt and its outcome; the only writer of the
+        three attack counters."""
+        m = self.metrics
+        m.attacks_attempted += 1
+        if detected:
+            m.attacks_detected += 1
+        else:
+            m.attacks_missed += 1
 
     def _attack_tamper_own_history(self, tick: int, op: dict) -> None:
         """Agent alters a payload already committed to its own chain, then
@@ -531,13 +561,9 @@ class Simulation:
         )
         agent.chain.records[seq] = Record(original.header, mutated_payload)
         agent.reindex_chain()
-        self.metrics.attacks_attempted += 1
         receipts = self.network.publish(agent, agent.chain.records[seq])
         chain_flagged = not verify_chain(agent.chain).ok
-        if not receipts and chain_flagged:
-            self.metrics.attacks_detected += 1
-        else:
-            self.metrics.attacks_missed += 1
+        self._tally(not receipts and chain_flagged)
 
     def _attack_mitm_mutation(self, tick: int, op: dict) -> None:
         """Wire-level bit flip between an honest author and its validators.
@@ -553,7 +579,6 @@ class Simulation:
         record = victim.append("report", {"text": op.get("text", "routine")}, tick)
         key = record_key(record)
         self.network.wire_hooks.append(flip)
-        self.metrics.attacks_attempted += 1
         try:
             receipts = self.network.publish(victim, record)
         finally:
@@ -564,51 +589,18 @@ class Simulation:
             for a in self.network.agents
             if a is not victim
         )
-        if not receipts and not stored and not victim_blamed:
-            self.metrics.attacks_detected += 1
-        else:
-            self.metrics.attacks_missed += 1
+        self._tally(not receipts and not stored and not victim_blamed)
 
     def _attack_double_spend(self, tick: int, op: dict) -> None:
-        """Spend, secretly rewrite the spend away, spend the same state again
-        at someone who was not a witness to the first transfer."""
+        """Spend, then spend the same prior state again at someone who was
+        not a witness to the first transfer; the first transfer lands on
+        the sender's chain only afterwards."""
         sender = self.agent(op["agent"])
-        amount = int(op.get("amount", 1))
-        others = [a for a in self.network.agents if a is not sender and a.online]
-        if len(others) < 2:
-            raise ConfigError("double_spend needs at least two other online agents")
-        first_receiver = self.rng.choice(others)
-        pre_fork = len(sender.chain.records)
-        tx1, _ = settle(
-            self.network, sender, first_receiver, amount, tick, self.rng,
-            audit=False, publish=False,
+        tx1, detected = double_spend(
+            self.network, sender, int(op.get("amount", 1)), tick, self.rng
         )
-        if tx1 is None:  # pragma: no cover - audit disabled above
-            raise ScenarioAssertion("seeding transfer failed")
-        cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id()
-        witnesses = {a.index for a in self.network.agents if cid in a.news}
-        # the rewrite: the double spender prices the first transfer out of
-        # the chain copy it signs against, keeping its public chain intact
-        forked = SourceChain(
-            owner=sender.chain.owner,
-            dna=sender.chain.dna,
-            records=sender.chain.records[:pre_fork],
-        )
-        victims = [
-            a for a in others if a is not first_receiver and a.index not in witnesses
-        ]
-        if not victims:
-            victims = [a for a in others if a is not first_receiver]
-        victim = self.rng.choice(victims)
-        pending = create_fuel_tx(forked, victim.public_key, amount, tick)
-        self.metrics.attacks_attempted += 1
-        tx2, verdict = accept_fuel_tx(
-            victim, pending, self.network, tick, self.rng, publish=False
-        )
-        if tx2 is None and not verdict.ok:
-            self.metrics.attacks_detected += 1
-        else:
-            self.metrics.attacks_missed += 1
+        complete_transfer(sender, tx1, self.network, tick, publish=False)
+        self._tally(detected)
 
     def _attack_forged_token(self, tick: int, op: dict) -> None:
         """Guess capability tokens against a patient. Tokens are digests of
@@ -619,15 +611,11 @@ class Simulation:
         held = 0
         for _ in range(probes):
             fake = self.rng.randbytes(32)
-            self.metrics.attacks_attempted += 1
             outcome, n_records, _ = self._attempt_access(
                 tick, patient, requester.public_key, fake
             )
-            if outcome == "granted":
-                self.metrics.attacks_missed += 1
-                held += n_records
-            else:
-                self.metrics.attacks_detected += 1
+            self._tally(outcome != "granted")
+            held += n_records
         self.access_log.append(
             {
                 "tick": tick,
@@ -648,7 +636,6 @@ class Simulation:
             self.network.dna, app_name=self.network.dna.app_name + "-fork"
         )
         rogue = make_agent(index, agent_seed(self.config.seed, 10_000 + index), forked_dna, clock=tick)
-        self.metrics.attacks_attempted += 1
         joined = True
         try:
             self.network.join(rogue)
@@ -659,24 +646,17 @@ class Simulation:
             self.network.publish(rogue, rogue.chain.records[-1])
         except CrossNetworkError:
             published = False
-        if not joined and not published:
-            self.metrics.attacks_detected += 1
-        else:
-            self.metrics.attacks_missed += 1
+        self._tally(not joined and not published)
 
     def _attack_unauthorized_access(self, tick: int, op: dict) -> None:
         """Present a real token that was granted to somebody else."""
         requester = self.agent(op["agent"])
         patient = self.agent(op["patient"])
         token = self._token(op["token"])
-        self.metrics.attacks_attempted += 1
         outcome, _, _ = self._attempt_access(
             tick, patient, requester.public_key, token
         )
-        if outcome == "granted":
-            self.metrics.attacks_missed += 1
-        else:
-            self.metrics.attacks_detected += 1
+        self._tally(outcome != "granted")
         self.access_log.append(
             {
                 "tick": tick,
@@ -695,7 +675,6 @@ class Simulation:
         victim = self.agent(op["victim"])
         count = int(op.get("count", self.config.rate_limit + 50))
         before = self.metrics.rejections
-        self.metrics.attacks_attempted += 1
         for i in range(count):
             junk = NewsClaim(
                 kind="transfer",
@@ -704,10 +683,7 @@ class Simulation:
                 extra=self.rng.randbytes(8),
             )
             self.network.send_claim(attacker, victim, junk)
-        if self.metrics.rejections > before:
-            self.metrics.attacks_detected += 1
-        else:
-            self.metrics.attacks_missed += 1
+        self._tally(self.metrics.rejections > before)
 
 
 def run_scenario(config: ScenarioConfig, marketplace: Marketplace | None = None) -> SimResult:
@@ -767,7 +743,40 @@ def audit_access_log(result: SimResult) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# statistical attack experiments (standalone, not scenario-scripted)
+# attack experiments: the same code as the scripted attacks, repeated
+
+
+def double_spend(
+    network: Network, sender: Agent, amount: int, clock: int, rng: random.Random
+) -> tuple[FuelTransaction, bool]:
+    """Spend the sender's current state at one online peer, then spend the
+    same prior state again at a peer that did not witness the first one.
+
+    The first transfer is accepted unaudited and unpublished; the sender
+    does not record it, so its chain still signs against the old state.
+    Returns the first transfer and whether the victim's audit caught the
+    second.
+    """
+    others = [a for a in network.agents if a is not sender and a.online]
+    if len(others) < 2:
+        raise ConfigError("double_spend needs at least two other online agents")
+    first_receiver = rng.choice(others)
+    pending1 = create_fuel_tx(sender.chain, first_receiver.public_key, amount, clock)
+    tx1, _ = accept_fuel_tx(
+        first_receiver, pending1, network, clock, rng, audit=False, publish=False
+    )
+    cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id()
+    witnesses = {a.index for a in network.agents if cid in a.news}
+    # the first receiver is always a witness, so the fallback is any third
+    # party: re-approaching it would replay the identical transfer
+    victims = [a for a in others if a.index not in witnesses]
+    if not victims:
+        victims = [a for a in others if a is not first_receiver]
+    victim = rng.choice(victims)
+    pending2 = create_fuel_tx(sender.chain, victim.public_key, amount, clock)
+    tx2, verdict = accept_fuel_tx(victim, pending2, network, clock, rng, publish=False)
+    return tx1, tx2 is None and not verdict.ok
+
 
 def expected_double_spend_rate(n_agents: int, witnesses: int, audit_samples: int) -> float:
     """Chance at least one audited peer witnessed the first spend.
@@ -790,7 +799,10 @@ def run_double_spend_experiment(
     witnesses: int = 8,
     audit_samples: int = 8,
 ) -> dict:
-    """Monte Carlo double-spend detection rate under witness sampling."""
+    """Monte Carlo double-spend detection rate under witness sampling.
+
+    Agent 0 double-spends once per trial; every chain, score and news pool
+    goes back to its starting state between trials."""
     rng = random.Random(seed)
     dna = healthcare_dna(redundancy=4)
     network = Network(
@@ -809,40 +821,13 @@ def run_double_spend_experiment(
     for trial in range(trials):
         clock = trial + 1
         network.begin_tick(clock)
-        first_receiver = network.agents[1 + rng.randrange(n_agents - 1)]
-        pending1 = create_fuel_tx(sender.chain, first_receiver.public_key, 1, clock)
-        tx1, _ = accept_fuel_tx(
-            first_receiver, pending1, network, clock, rng, audit=False, publish=False
-        )
-        cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id()
-        witness_set = {a.index for a in network.agents if cid in a.news}
-        # the sender never records tx1, so its live chain already reuses the
-        # prior state; no explicit fork needed here
-        candidates = [
-            a
-            for a in network.agents
-            if a is not sender and a.index not in witness_set
-        ]
-        if not candidates:
-            # everyone witnessed the first spend; any third party still
-            # works as a victim, but re-approaching the first receiver
-            # would replay the identical transfer, not double-spend it
-            candidates = [
-                a for a in network.agents if a is not sender and a is not first_receiver
-            ]
-        victim = candidates[rng.randrange(len(candidates))]
-        pending2 = create_fuel_tx(sender.chain, victim.public_key, 1, clock)
-        tx2, verdict = accept_fuel_tx(
-            victim, pending2, network, clock, rng, publish=False
-        )
-        if tx2 is None and not verdict.ok:
-            detected += 1
-        for agent in (first_receiver, victim):
+        _tx1, caught = double_spend(network, sender, 1, clock, rng)
+        detected += caught
+        for agent in network.agents:
             if len(agent.chain.records) > base_len:
                 del agent.chain.records[base_len:]
                 agent.reindex_chain()
-        victim.experience.rows.clear()
-        for agent in network.agents:
+            agent.experience.rows.clear()
             agent.news.clear()
     rate = detected / trials if trials else 0.0
     return {
@@ -869,46 +854,27 @@ _HEADER_MUTATIONS = (
 )
 
 
+def _flip_byte(data: bytes, rng: random.Random) -> bytes:
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ (1 + rng.randrange(255))]) + data[i + 1:]
+
+
 def mutate_record(record: Record, how: str, rng: random.Random) -> Record:
     """One targeted single-field mutation, used by the tamper fuzzer."""
     h = record.header
     if how == "payload":
-        if not record.payload:
-            return Record(h, b"\x01")
-        i = rng.randrange(len(record.payload))
-        flipped = bytes([record.payload[i] ^ (1 + rng.randrange(255))])
-        return Record(h, record.payload[:i] + flipped + record.payload[i + 1:])
-
-    def flip_bytes(data: bytes) -> bytes:
-        i = rng.randrange(len(data))
-        return data[:i] + bytes([data[i] ^ (1 + rng.randrange(255))]) + data[i + 1:]
-
-    kwargs = dict(
-        seq=h.seq,
-        timestamp=h.timestamp,
-        entry_type=h.entry_type,
-        entry_hash=h.entry_hash,
-        author=h.author,
-        prev_header_hash=h.prev_header_hash,
-        signature=h.signature,
-    )
+        return Record(h, _flip_byte(record.payload, rng) if record.payload else b"\x01")
     if how == "seq":
-        kwargs["seq"] = h.seq + 1 + rng.randrange(3)
+        value: Any = h.seq + 1 + rng.randrange(3)
     elif how == "timestamp":
-        kwargs["timestamp"] = h.timestamp + 1 + rng.randrange(1000)
+        value = h.timestamp + 1 + rng.randrange(1000)
     elif how == "entry_type":
-        kwargs["entry_type"] = h.entry_type + "x"
-    elif how == "entry_hash":
-        kwargs["entry_hash"] = flip_bytes(h.entry_hash)
-    elif how == "author":
-        kwargs["author"] = flip_bytes(h.author)
-    elif how == "prev_header_hash":
-        kwargs["prev_header_hash"] = flip_bytes(h.prev_header_hash)
-    elif how == "signature":
-        kwargs["signature"] = flip_bytes(h.signature)
+        value = h.entry_type + "x"
+    elif how in ("entry_hash", "author", "prev_header_hash", "signature"):
+        value = _flip_byte(getattr(h, how), rng)
     else:
         raise ValueError(f"unknown mutation {how!r}")
-    return Record(type(h)(**kwargs), record.payload)
+    return Record(dataclasses.replace(h, **{how: value}), record.payload)
 
 
 def run_tamper_experiment(seed: int, rounds: int = 3) -> dict:
@@ -954,26 +920,7 @@ def run_tamper_experiment(seed: int, rounds: int = 3) -> dict:
 
 def run_forged_token_experiment(seed: int, probes: int) -> dict:
     """Random 32-byte tokens against a patient holding one real grant."""
-    rng = random.Random(seed)
-    dna = healthcare_dna()
-    patient = make_agent(0, agent_seed(seed, 0), dna)
-    doctor = make_agent(1, agent_seed(seed, 1), dna)
-    publish_vitals(patient, VitalsReading("pulse", 72, 1), 1)
-    token, _ = create_grant(
-        patient, CapabilityGrant(doctor.public_key, "vitals_*"), 2
-    )
-    sanity = request_access(patient, doctor.public_key, token, 3)
-    if not sanity.granted:
-        raise ScenarioAssertion("real token must work before probing")
-    leaked = 0
-    for _ in range(probes):
-        fake = rng.randbytes(32)
-        if fake == token:  # pragma: no cover - 2^-256 territory
-            continue
-        result = request_access(patient, doctor.public_key, fake, 3)
-        if result.granted:
-            leaked += 1
-    return {"attempted": probes, "detected": probes - leaked, "missed": leaked}
+    return run_experiment(AttackKind.FORGED_TOKEN, seed, probes)
 
 
 def run_experiment(kind: AttackKind, seed: int, trials: int, **kwargs) -> dict:
@@ -982,15 +929,13 @@ def run_experiment(kind: AttackKind, seed: int, trials: int, **kwargs) -> dict:
         return run_double_spend_experiment(seed, trials, **kwargs)
     if kind is AttackKind.TAMPER_OWN_HISTORY:
         return run_tamper_experiment(seed, rounds=max(1, trials))
-    if kind is AttackKind.FORGED_TOKEN:
-        return run_forged_token_experiment(seed, trials)
-    # the remaining kinds are scenario-scripted: run a small canned scenario
+    # the remaining kinds run as a small canned scenario
     script = _canned_attack_script(kind, trials)
     config = ScenarioConfig(
         name=f"attack-{kind.value}",
         seed=seed,
         n_agents=12,
-        ticks=max(6, trials + 3),
+        ticks=max(6, script[-1]["tick"] + 2),
         script=tuple(script),
     )
     result = run_scenario(config)
@@ -1001,47 +946,31 @@ def run_experiment(kind: AttackKind, seed: int, trials: int, **kwargs) -> dict:
     }
 
 
+_CANNED_ATTACK_FIELDS: dict[AttackKind, dict] = {
+    AttackKind.MITM_MUTATION: {"victim": 1},
+    AttackKind.DNA_FORK: {},
+    AttackKind.DOS_FLOOD: {"agent": 3, "victim": 1},
+    AttackKind.UNAUTHORIZED_ACCESS: {"agent": 2, "patient": 0, "token": "$cap"},
+}
+
+
 def _canned_attack_script(kind: AttackKind, trials: int) -> list[dict]:
-    trials = max(1, trials)
-    if kind is AttackKind.MITM_MUTATION:
+    grant = {"tick": 1, "op": "grant", "patient": 0, "grantee": 1, "save_as": "cap"}
+    attack = {"op": "attack", "kind": kind.value}
+    if kind is AttackKind.FORGED_TOKEN:
+        # one op of `trials` probes, each tallied on its own, once the real
+        # token has been shown to work
         return [
-            {"tick": 2 + t, "op": "attack", "kind": kind.value, "victim": 1}
-            for t in range(trials)
+            grant,
+            {"tick": 2, "op": "access", "patient": 0, "requester": 1, "token": "$cap",
+             "expect": "granted"},
+            {"tick": 3, **attack, "agent": 1, "patient": 0, "probes": trials},
         ]
-    if kind is AttackKind.DNA_FORK:
-        return [
-            {"tick": 2 + t, "op": "attack", "kind": kind.value}
-            for t in range(trials)
-        ]
-    if kind is AttackKind.DOS_FLOOD:
-        return [
-            {"tick": 2 + t, "op": "attack", "kind": kind.value, "agent": 3, "victim": 1}
-            for t in range(trials)
-        ]
-    if kind is AttackKind.UNAUTHORIZED_ACCESS:
-        ops: list[dict] = [
-            {
-                "tick": 1,
-                "op": "grant",
-                "patient": 0,
-                "grantee": 1,
-                "entry_type": "vitals_*",
-                "save_as": "cap",
-            }
-        ]
-        ops += [
-            {
-                "tick": 2 + t,
-                "op": "attack",
-                "kind": kind.value,
-                "agent": 2,
-                "patient": 0,
-                "token": "$cap",
-            }
-            for t in range(trials)
-        ]
-        return ops
-    raise ConfigError(f"no canned script for {kind.value}")
+    fields = _CANNED_ATTACK_FIELDS.get(kind)
+    if fields is None:
+        raise ConfigError(f"no canned script for {kind.value}")
+    ops = [{"tick": 2 + t, **attack, **fields} for t in range(max(1, trials))]
+    return [grant] + ops if kind is AttackKind.UNAUTHORIZED_ACCESS else ops
 
 
 def export_all_chains(result: SimResult) -> dict[str, str]:

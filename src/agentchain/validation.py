@@ -65,21 +65,15 @@ class Marketplace:
     """Registry of deployed app blueprints, keyed by network id."""
 
     def __init__(self) -> None:
-        self._apps: dict[bytes, DnaDocument] = {}
+        self._apps: set[bytes] = set()
 
     def register(self, dna: DnaDocument) -> bytes:
         key = dna_hash(dna)
-        self._apps[key] = dna
+        self._apps.add(key)
         return key
-
-    def lookup(self, candidate: bytes) -> DnaDocument | None:
-        return self._apps.get(candidate)
 
     def is_registered(self, candidate: bytes) -> bool:
         return candidate in self._apps
-
-    def __len__(self) -> int:
-        return len(self._apps)
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,27 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
     impossible = _scenario(tmp_path, n_agents=3)  # cannot host 4 holders
     assert main(["run", impossible, "--out", str(tmp_path / "x")]) == 2
     for bad_op, problem in (
-        ({"tick": 1, "op": "vitals", "metric": "pulse"}, "missing field(s) patient"),
-        ({"tick": 1, "op": "vitals", "patient": 0, "metric": "mood"}, "unknown metric 'mood'"),
+        ({"tick": 1, "op": "vitals", "metric": "pulse"}, "tick 1 op vitals: missing field(s) patient"),
+        ({"tick": 1, "op": "vitals", "patient": 0, "metric": "mood"},
+         "tick 1 op vitals: unknown metric 'mood'"),
+        ({"tick": 1, "op": "vitals", "patient": 0, "value": 9999},
+         "tick 1 op vitals: pulse value 9999 outside [20, 250]"),
+        ({"tick": "x", "op": "report", "agent": 0}, "tick x op report: tick must be an integer"),
+        ({"tick": 1.5, "op": "report", "agent": 0}, "tick 1.5 op report: tick must be an integer"),
+        ({"tick": 1, "op": "report", "agent": "zero"},
+         "tick 1 op report: agent must be an agent index in [0, 8)"),
+        ({"tick": 1, "op": "report", "agent": -1},
+         "tick 1 op report: agent must be an agent index in [0, 8)"),
+        ({"tick": 1, "op": "report", "agent": True},
+         "tick 1 op report: agent must be an agent index in [0, 8)"),
+        # the balance depends on the run, so this one is refused when its tick runs
+        ({"tick": 1, "op": "transfer", "sender": 0, "receiver": 1, "amount": 5},
+         "tick 1 op transfer: balance 0 cannot cover 5"),
     ):
         capsys.readouterr()
         malformed = _scenario(tmp_path, script=[bad_op])
         assert main(["run", malformed, "--out", str(tmp_path / "z")]) == 2
-        assert f"tick 1 op vitals: {problem}" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
     monkeypatch.setenv(SEED_ENV, "not-a-number")
     assert main(["run", _scenario(tmp_path), "--out", str(tmp_path / "y")]) == 2
 
@@ -167,6 +181,8 @@ def test_attack_writes_report(tmp_path, capsys):
         "missed": 0,
     }
     assert "forged_token: 50/50 detected" in capsys.readouterr().out
+    assert main(["attack", "--kind", "forged_token", "--trials", "0"]) == 0
+    assert "forged_token: 0/0 detected" in capsys.readouterr().out
 
 
 def test_attack_double_spend_reports_rates(tmp_path, capsys):
@@ -182,6 +198,9 @@ def test_attack_double_spend_reports_rates(tmp_path, capsys):
     assert report["attempted"] == 40
     assert 0.0 <= report["rate"] <= 1.0
     assert "expected" in capsys.readouterr().out
+    # a double spend needs a first receiver and a separate victim
+    assert main(["attack", "--kind", "double_spend", "--trials", "3", "--agents", "2"]) == 2
+    assert "two other online agents" in capsys.readouterr().err
 
 
 # --- bench ---------------------------------------------------------------------

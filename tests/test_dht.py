@@ -219,7 +219,6 @@ def test_publish_stores_at_neighborhood_with_signed_receipts():
     for validator in net.neighborhood(key):
         assert validator.public_key in holder_keys
         assert validator.holds(key)
-    assert author.receipts[key] == receipts
     assert net.metrics.stores == net.redundancy
     assert net.metrics.validations >= net.redundancy
 

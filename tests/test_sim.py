@@ -94,11 +94,33 @@ def test_script_ops_are_checked():
         ({"tick": 3, "op": "attack", "kind": "dos_flood", "agent": 2}, "missing field(s) victim"),
         ({"tick": 3, "op": ["report"], "agent": 0}, "unknown script op ['report']"),
         ({"tick": 3, "op": "vitals", "patient": 0, "metric": ["pulse"]}, "unknown metric ['pulse']"),
+        ({"tick": 3, "op": "vitals", "patient": 0, "metric": "oxygen", "value": 101},
+         "oxygen value 101 outside [50, 100]"),
+        ({"tick": 3, "op": "vitals", "patient": 0, "value": 72.5}, "pulse value 72.5 outside [20, 250]"),
+        ({"tick": 3, "op": "report", "agent": 8}, "agent must be an agent index in [0, 8)"),
+        ({"tick": 3, "op": "grant", "patient": 0, "grantee": False},
+         "grantee must be an agent index in [0, 8)"),
+        ({"tick": 3, "op": "attack", "kind": "mitm_mutation", "victim": "1"},
+         "victim must be an agent index in [0, 8)"),
+        ({"tick": 3, "op": "transfer", "sender": 0, "receiver": 1.0, "amount": 1},
+         "receiver must be an agent index in [0, 8)"),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"tick 3 op {op['op']}: {problem}")):
             Simulation(_cfg(script=(op,)))
+    for tick in ("1", 1.0, True):
+        with pytest.raises(ConfigError, match="tick must be an integer"):
+            Simulation(_cfg(script=({"tick": tick, "op": "report", "agent": 0},)))
     with pytest.raises(ConfigError):
         Simulation(_cfg(script=({"tick": 1, "op": "report", "agent": 99},))).run()
+    # dna_fork's optional agent names a rogue outside the population
+    rogue = ({"tick": 1, "op": "attack", "kind": "dna_fork", "agent": 8},)
+    assert Simulation(_cfg(script=rogue)).run().metrics.attacks_detected == 1
+    # a double spend needs two other agents online when its tick runs
+    lonely = tuple(
+        {"tick": 1, "op": "presence", "agent": i, "online": False} for i in range(2, 8)
+    ) + ({"tick": 1, "op": "attack", "kind": "double_spend", "agent": 0},)
+    with pytest.raises(ConfigError, match="two other online agents"):
+        Simulation(_cfg(seed_fuel=5, script=lonely)).run()
     unfilled = ({"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "$nope"},)
     with pytest.raises(ConfigError):
         Simulation(_cfg(script=unfilled)).run()
@@ -270,6 +292,15 @@ def test_double_spend_experiment_accounting():
     assert out["expected_rate"] == expected_double_spend_rate(20, 6, 6)
     # loose envelope; the acceptance suite holds the tight one
     assert abs(out["rate"] - out["expected_rate"]) < 0.2
+    # exact counts, recorded before the scripted attack and this experiment
+    # shared one double-spend routine
+    for seed, trials, n_agents, witnesses, audit_samples, detected in (
+        (3, 60, 20, 6, 6, 54),
+        (2, 40, 15, 5, 5, 38),
+        (5, 300, 3, 1, 1, 164),
+    ):
+        out = run_double_spend_experiment(seed, trials, n_agents, witnesses, audit_samples)
+        assert (out["attempted"], out["detected"]) == (trials, detected)
 
 
 def test_double_spend_certain_with_full_witness_coverage():
