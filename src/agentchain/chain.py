@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from . import canonical
 from .canonical import EncodingError, Reader, Writer
@@ -264,6 +266,17 @@ class Record:
 
     header: EntryHeader
     payload: bytes
+
+    @cached_property
+    def fields(self) -> Mapping[str, canonical.FieldValue]:
+        """The payload as a canonical field map, decoded once per record.
+
+        Read-only, because every reader shares it. A record is never edited
+        in place (tampering builds a new one), so the view cannot go stale.
+        Raises EncodingError, and caches nothing, if the payload is not a
+        field map.
+        """
+        return MappingProxyType(canonical.decode_fields(self.payload))
 
 
 def encode_record(record: Record) -> bytes:

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .canonical import EncodingError, Writer
@@ -74,6 +75,8 @@ class NewsClaim:
     spends of the same prior state are auditable. misbehavior claims name
     an offender and the offending subject; their id excludes the reporter,
     so the same event reported by many observers applies once per peer.
+    A claim object is shared by every pool it reaches, so its id is hashed
+    once.
     """
 
     kind: str
@@ -82,6 +85,7 @@ class NewsClaim:
     extra: bytes = b""  # sender_prev_tx for transfers
     detail: str = ""
 
+    @cached_property
     def claim_id(self) -> bytes:
         w = Writer()
         w.u8(ord("N"))
@@ -173,7 +177,7 @@ class Agent:
     pinned_presence: bool = False  # scripted on/off overrides churn
     experience: ExperienceMatrix = field(default_factory=ExperienceMatrix)
     shard: dict[bytes, StoredRecord] = field(default_factory=dict)
-    news: dict[bytes, NewsClaim] = field(default_factory=dict)
+    news: dict[bytes, NewsClaim] = field(default_factory=dict)  # written by _accept_claim only
     published: set[bytes] = field(default_factory=set)
     chain_keys: dict[bytes, int] = field(default_factory=dict)
     rate_window: dict[bytes, int] = field(default_factory=dict)
@@ -276,6 +280,10 @@ class Network:
         self.current_tick = 0
         # key -> every member, nearest first; see _ranking
         self._rankings: dict[bytes, list[Agent]] = {}
+        # (sender, sender_prev_tx) -> {claim id: tx_id} for every transfer
+        # claim some agent holds, one entry per distinct claim; written by
+        # _accept_claim, the only path into a news pool
+        self.transfer_index: dict[tuple[bytes, bytes], dict[bytes, bytes]] = {}
 
     def join(self, agent: Agent) -> None:
         if agent.dna_hash != self.network_id:
@@ -341,12 +349,15 @@ class Network:
     def _accept_claim(self, receiver: Agent, claim: NewsClaim) -> None:
         """Keep a news claim at receiver exactly once, for further gossip.
         A misbehavior claim also scores its offender there, once per event;
-        offenders do not score themselves."""
-        cid = claim.claim_id()
+        offenders do not score themselves. A transfer claim is also indexed
+        by the prior state it spends, for the double-spend audit."""
+        cid = claim.claim_id
         if cid in receiver.news:
             return
         receiver.news[cid] = claim
         self.metrics.news_claims += 1
+        if claim.kind == CLAIM_TRANSFER:
+            self.transfer_index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
         if claim.kind != CLAIM_MISBEHAVIOR or claim.agent == receiver.public_key:
             return
         was = is_blacklisted(receiver.experience, claim.agent)
@@ -533,6 +544,12 @@ class Network:
         self._accept_claim(receiver, claim)
         return True
 
+    def clear_news(self) -> None:
+        """Empty every news pool, and the transfer index with them."""
+        for agent in self.agents:
+            agent.news.clear()
+        self.transfer_index.clear()
+
     # -- gossip ---------------------------------------------------------------
 
     def gossip_round(self, rng: random.Random) -> int:
@@ -564,9 +581,9 @@ class Network:
         self._sync_records(b, a)
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
-        for cid in sorted(src.news):
-            if cid not in dst.news:
-                self._accept_claim(dst, src.news[cid])
+        """Offer dst only the claims it lacks, lowest id first."""
+        for cid in sorted(src.news.keys() - dst.news.keys()):
+            self._accept_claim(dst, src.news[cid])
 
     def _sync_records(self, src: Agent, dst: Agent) -> None:
         candidates = sorted(set(src.shard) | src.published)

@@ -18,7 +18,7 @@ from functools import cached_property
 from . import canonical
 from .chain import Record, SourceChain, record_key
 from .crypto import ZERO_DIGEST, KeyPair, hash_bytes, sign, verify
-from .dht import Agent, CLAIM_TRANSFER, Network, transfer_claim, misbehavior_claim
+from .dht import Agent, Network, transfer_claim, misbehavior_claim
 from .reputation import ObservationKind, is_blacklisted
 from .validation import TRANSFER_BODY_FIELDS
 
@@ -93,10 +93,9 @@ def balance(chain: SourceChain) -> int:
     total = 0
     for record in chain.records:
         if record.header.entry_type == SEED_GRANT_TYPE:
-            fields = canonical.decode_fields(record.payload)
-            total += fields["amount"]
+            total += record.fields["amount"]
         elif record.header.entry_type == FUEL_TX_TYPE:
-            fields = canonical.decode_fields(record.payload)
+            fields = record.fields
             if fields["receiver"] == owner:
                 total += fields["amount"]
             if fields["sender"] == owner:
@@ -160,22 +159,25 @@ def countersign(receiver_keys: KeyPair, pending: FuelTransaction) -> FuelTransac
     return dataclasses.replace(pending, receiver_sig=sign(receiver_keys, body))
 
 
-def audit_double_spend(candidate: FuelTransaction, queried: list[Agent]) -> FuelVerdict:
+def audit_double_spend(
+    candidate: FuelTransaction, queried: list[Agent], network: Network
+) -> FuelVerdict:
     """Ask each queried agent whether it witnessed another spend of the
-    candidate's prior state. First conflicting announcement wins."""
+    candidate's prior state.
+
+    The network indexes every transfer claim by the prior state it spends,
+    so only the claims on the candidate's prior state are looked at. The
+    first online queried agent holding one names the lowest such claim id
+    it holds.
+    """
+    spends = network.transfer_index.get((candidate.sender, candidate.sender_prev_tx), {})
+    conflicts = sorted(cid for cid, tx_id in spends.items() if tx_id != candidate.tx_id)
     for agent in queried:
         if not agent.online:
             continue
-        for cid in sorted(agent.news):
-            claim = agent.news[cid]
-            if claim.kind != CLAIM_TRANSFER:
-                continue
-            if (
-                claim.agent == candidate.sender
-                and claim.extra == candidate.sender_prev_tx
-                and claim.subject != candidate.tx_id
-            ):
-                return FuelVerdict(False, conflicting_tx=claim.subject, witness=agent.public_key)
+        for cid in conflicts:
+            if cid in agent.news:
+                return FuelVerdict(False, conflicting_tx=spends[cid], witness=agent.public_key)
     return FuelVerdict(True)
 
 
@@ -202,14 +204,14 @@ def accept_fuel_tx(
     for record in receiver.chain.records:
         if record.header.entry_type != FUEL_TX_TYPE:
             continue
-        if canonical.decode_fields(record.payload)["tx_id"] == pending.tx_id:
+        if record.fields["tx_id"] == pending.tx_id:
             raise FuelError("transfer already recorded on the receiver chain")
     if audit:
         pool = [a for a in network.agents if a is not receiver]
         k = min(network.audit_samples, len(pool))
         sampled = rng.sample(pool, k) if k else []
         network.metrics.messages += len(sampled)
-        verdict = audit_double_spend(pending, [receiver] + sampled)
+        verdict = audit_double_spend(pending, [receiver] + sampled, network)
         if not verdict.ok:
             network.metrics.rejections += 1
             claim = misbehavior_claim(

@@ -39,6 +39,7 @@ from .dht import (
     make_agent,
 )
 from .fuel import (
+    AMOUNT_CAP,
     FUEL_TX_TYPE,
     FuelError,
     FuelTransaction,
@@ -137,6 +138,19 @@ def _check_op(op: dict, n_agents: int) -> None:
     for f in _AGENT_FIELDS.intersection(required):
         if not (_is_int(op[f]) and 0 <= op[f] < n_agents):
             raise ConfigError(f"{where}: {f} must be an agent index in [0, {n_agents})")
+    if name == "publish_seq" and not _is_int(op["seq"]):
+        raise ConfigError(f"{where}: seq must be an integer")
+    if name == "seed_fuel" and not (_is_int(op["amount"]) and 0 < op["amount"] <= AMOUNT_CAP):
+        raise ConfigError(f"{where}: amount must be an integer in [1, {AMOUNT_CAP}]")
+    if "token" in required:
+        token = op["token"]
+        if not isinstance(token, str):
+            raise ConfigError(f"{where}: token must be a $slot or a hex string")
+        if not token.startswith("$"):
+            try:
+                bytes.fromhex(token)
+            except ValueError:
+                raise ConfigError(f"{where}: token {token!r} is neither a $slot nor hex") from None
     if name == "vitals":
         metric = op.get("metric", "pulse")
         if not (isinstance(metric, str) and metric in VITALS_METRICS):
@@ -315,15 +329,16 @@ class Simulation:
     def agent(self, index: int) -> Agent:
         return self.network.agents[index]
 
-    def _token(self, ref: Any) -> bytes:
-        if isinstance(ref, str) and ref.startswith("$"):
-            name = ref[1:]
-            if name not in self.slots:
-                raise ConfigError(f"token slot {name!r} has not been filled")
-            return self.slots[name]
-        if isinstance(ref, str):
+    def _token(self, tick: int, op: dict) -> bytes:
+        """The op's token: a literal (hex, checked at load) or a $slot
+        filled by an earlier grant's save_as."""
+        ref = op["token"]
+        if not ref.startswith("$"):
             return bytes.fromhex(ref)
-        raise ConfigError(f"cannot interpret token reference {ref!r}")
+        name = ref[1:]
+        if name not in self.slots:
+            raise ConfigError(f"tick {tick} op {op['op']}: token slot {name!r} has not been filled")
+        return self.slots[name]
 
     # -- main loop ------------------------------------------------------------
 
@@ -424,7 +439,7 @@ class Simulation:
 
     def _op_revoke(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
-        token = self._token(op["token"])
+        token = self._token(tick, op)
         publish = bool(op.get("publish", True))
         revoke_grant(patient, token, tick, network=self.network, publish=publish)
         if publish:
@@ -433,7 +448,7 @@ class Simulation:
     def _op_access(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
         requester = self.agent(op["requester"])
-        token = self._token(op["token"])
+        token = self._token(tick, op)
         outcome, n_records, served_by = self._attempt_access(
             tick, patient, requester.public_key, token
         )
@@ -485,7 +500,7 @@ class Simulation:
 
     def _op_seed_fuel(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
-        amount = int(op["amount"])
+        amount = op["amount"]
         append_seed_grant(agent, amount, tick)
         self.seed_total += amount
 
@@ -517,7 +532,10 @@ class Simulation:
 
     def _op_publish_seq(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
-        record = agent.chain.records[int(op["seq"])]
+        seq, length = op["seq"], len(agent.chain.records)
+        if not 0 <= seq < length:
+            raise ConfigError(f"tick {tick} op publish_seq: seq {seq} outside the chain [0, {length})")
+        record = agent.chain.records[seq]
         self.network.publish(agent, record)
         if op.get("track", False):
             self.tracked_keys.append(record_key(record))
@@ -596,9 +614,12 @@ class Simulation:
         not a witness to the first transfer; the first transfer lands on
         the sender's chain only afterwards."""
         sender = self.agent(op["agent"])
-        tx1, detected = double_spend(
-            self.network, sender, int(op.get("amount", 1)), tick, self.rng
-        )
+        try:
+            tx1, detected = double_spend(
+                self.network, sender, int(op.get("amount", 1)), tick, self.rng
+            )
+        except FuelError as exc:
+            raise ConfigError(f"tick {tick} op attack: {exc}") from None
         complete_transfer(sender, tx1, self.network, tick, publish=False)
         self._tally(detected)
 
@@ -652,7 +673,7 @@ class Simulation:
         """Present a real token that was granted to somebody else."""
         requester = self.agent(op["agent"])
         patient = self.agent(op["patient"])
-        token = self._token(op["token"])
+        token = self._token(tick, op)
         outcome, _, _ = self._attempt_access(
             tick, patient, requester.public_key, token
         )
@@ -765,7 +786,7 @@ def double_spend(
     tx1, _ = accept_fuel_tx(
         first_receiver, pending1, network, clock, rng, audit=False, publish=False
     )
-    cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id()
+    cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id
     witnesses = {a.index for a in network.agents if cid in a.news}
     # the first receiver is always a witness, so the fallback is any third
     # party: re-approaching it would replay the identical transfer
@@ -828,7 +849,7 @@ def run_double_spend_experiment(
                 del agent.chain.records[base_len:]
                 agent.reindex_chain()
             agent.experience.rows.clear()
-            agent.news.clear()
+        network.clear_news()
     rate = detected / trials if trials else 0.0
     return {
         "attempted": trials,

@@ -105,6 +105,14 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
         # the balance depends on the run, so this one is refused when its tick runs
         ({"tick": 1, "op": "transfer", "sender": 0, "receiver": 1, "amount": 5},
          "tick 1 op transfer: balance 0 cannot cover 5"),
+        ({"tick": 1, "op": "attack", "kind": "double_spend", "agent": 0},
+         "tick 1 op attack: balance 0 cannot cover 1"),
+        ({"tick": 1, "op": "publish_seq", "agent": 0, "seq": 99},
+         "tick 1 op publish_seq: seq 99 outside the chain [0, 2)"),
+        ({"tick": 1, "op": "seed_fuel", "agent": 0, "amount": 0},
+         "tick 1 op seed_fuel: amount must be an integer in [1, 1000000000000]"),
+        ({"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "zz"},
+         "tick 1 op access: token 'zz' is neither a $slot nor hex"),
     ):
         capsys.readouterr()
         malformed = _scenario(tmp_path, script=[bad_op])

@@ -416,7 +416,7 @@ def test_claims_reach_everyone_within_log_bound():
         claim = transfer_claim(bytes([seed]) * 32, net.agents[0].public_key, b"\x00" * 32)
         net._accept_claim(net.agents[0], claim)
         _converge(net, random.Random(seed), bound)
-        assert all(claim.claim_id() in a.news for a in net.agents)
+        assert all(claim.claim_id in a.news for a in net.agents)
 
 
 def test_records_replicate_to_all_backup_targets():
@@ -499,4 +499,4 @@ def test_sustained_flooding_escalates_to_blacklist():
     net.begin_tick(9)
     claim = transfer_claim(b"\x77" * 32, sender.public_key, b"\x00" * 32)
     assert not net.send_claim(sender, receiver, claim)
-    assert claim.claim_id() not in receiver.news
+    assert claim.claim_id not in receiver.news

@@ -1,16 +1,35 @@
-"""Co-signed credit transfers: balances, signatures, audits, conservation."""
+"""Co-signed credit transfers: balances, signatures, audits, conservation.
+
+The ``oracle_*`` functions are brute-force references: a sorted walk of
+every queried news pool, one ``decode_fields`` per credit record per
+``balance`` call, and a sorted walk of the sender's whole pool per gossip
+contact. The transfer index, the cached payload decode and the
+set-difference claim sync must give the same verdicts, balances and pools
+on every history below.
+"""
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
-from agentchain import canonical
-from agentchain.chain import record_key, verify_chain
+from agentchain import canonical, fuel, sim
+from agentchain.chain import Record, record_key, verify_chain
 from agentchain.crypto import ZERO_DIGEST, hash_bytes, verify
-from agentchain.dht import Network, agent_seed, make_agent
+from agentchain.dht import (
+    CLAIM_TRANSFER,
+    Network,
+    agent_seed,
+    make_agent,
+    misbehavior_claim,
+    revoke_claim,
+    transfer_claim,
+)
 from agentchain.fuel import (
     AMOUNT_CAP,
+    FUEL_TX_TYPE,
+    SEED_GRANT_TYPE,
     FuelError,
     FuelTransaction,
     FuelVerdict,
@@ -18,6 +37,7 @@ from agentchain.fuel import (
     append_seed_grant,
     audit_double_spend,
     balance,
+    complete_transfer,
     countersign,
     create_fuel_tx,
     latest_fuel_key,
@@ -25,7 +45,16 @@ from agentchain.fuel import (
 )
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, update_experience
+from agentchain.sim import (
+    config_from_dict,
+    export_all_chains,
+    load_scenario,
+    run_double_spend_experiment,
+    run_scenario,
+)
 from agentchain.validation import Marketplace, validate_transaction
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
 def _network(n=8, seed=77, witness_count=7, **kw):
@@ -158,11 +187,11 @@ def test_audit_queries_skip_offline_and_nonwitnesses():
     spent, _ = settle(net, a, c, 4, 3, random.Random(1))
 
     ignorant = make_agent(99, agent_seed(0, 99), healthcare_dna())
-    assert audit_double_spend(stale, [ignorant]).ok
+    assert audit_double_spend(stale, [ignorant], net).ok
     d.online = False
-    assert audit_double_spend(stale, [d]).ok  # offline witness cannot answer
+    assert audit_double_spend(stale, [d], net).ok  # offline witness cannot answer
     d.online = True
-    assert not audit_double_spend(stale, [d]).ok
+    assert not audit_double_spend(stale, [d], net).ok
 
 
 def test_fresh_transfer_passes_audit():
@@ -225,3 +254,258 @@ def test_conservation_over_a_transfer_storm():
     assert all(balance(a.chain) >= 0 for a in net.agents)
     net.assert_shards_validated()
     assert net.metrics.fuel_txs == completed
+
+
+# --- the index-driven paths against brute-force scans ---------------------------
+
+def oracle_audit(candidate, queried, network=None):
+    """Walk each online queried pool in claim-id order; first conflict wins."""
+    for agent in queried:
+        if not agent.online:
+            continue
+        for cid in sorted(agent.news):
+            claim = agent.news[cid]
+            if claim.kind != CLAIM_TRANSFER:
+                continue
+            if (
+                claim.agent == candidate.sender
+                and claim.extra == candidate.sender_prev_tx
+                and claim.subject != candidate.tx_id
+            ):
+                return FuelVerdict(False, conflicting_tx=claim.subject, witness=agent.public_key)
+    return FuelVerdict(True)
+
+
+def oracle_balance(chain):
+    """Decode every credit record's payload afresh."""
+    owner = chain.owner.public_key
+    total = 0
+    for record in chain.records:
+        if record.header.entry_type == SEED_GRANT_TYPE:
+            total += canonical.decode_fields(record.payload)["amount"]
+        elif record.header.entry_type == FUEL_TX_TYPE:
+            fields = canonical.decode_fields(record.payload)
+            if fields["receiver"] == owner:
+                total += fields["amount"]
+            if fields["sender"] == owner:
+                total -= fields["amount"]
+    return total
+
+
+def oracle_sync_claims(network, src, dst):
+    """Offer dst every claim src holds, lowest id first; dst keeps new ones."""
+    for cid in sorted(src.news):
+        if cid not in dst.news:
+            network._accept_claim(dst, src.news[cid])
+
+
+def rebuilt_transfer_index(network):
+    """The transfer index recomputed from every member's pool."""
+    index = {}
+    for agent in network.agents:
+        for cid, claim in agent.news.items():
+            if claim.kind == CLAIM_TRANSFER:
+                index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
+    return index
+
+
+def _verdict(v):
+    return v.ok, v.conflicting_tx, v.witness
+
+
+@pytest.fixture
+def checked_audit(monkeypatch):
+    """Every audit the program runs is checked against the oracle, and the
+    transfer index against one rebuilt from the pools at that moment.
+    Yields the verdicts seen."""
+    production = fuel.audit_double_spend
+    seen = []
+
+    def audit(candidate, queried, network):
+        verdict = production(candidate, queried, network)
+        assert _verdict(verdict) == _verdict(oracle_audit(candidate, queried))
+        assert network.transfer_index == rebuilt_transfer_index(network)
+        seen.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(fuel, "audit_double_spend", audit)
+    return seen
+
+
+def _tamper_or_truncate(net, rng):
+    """Rewrite one credit record's amount in place on its chain, or cut a
+    chain's tail. Either way the chain holds new or fewer Record objects."""
+    agent = rng.choice(net.agents)
+    credit = [
+        r.header.seq for r in agent.chain.records
+        if r.header.entry_type in (FUEL_TX_TYPE, SEED_GRANT_TYPE)
+    ]
+    if not credit:
+        return
+    seq = rng.choice(credit)
+    if rng.random() < 0.5:
+        original = agent.chain.records[seq]
+        fields = dict(original.fields)
+        fields["amount"] += rng.randint(1, 5)
+        agent.chain.records[seq] = Record(original.header, canonical.encode_fields(fields))
+    else:
+        del agent.chain.records[seq:]
+    agent.reindex_chain()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_and_balance_match_the_scans_on_random_histories(seed, checked_audit):
+    rng = random.Random(seed)
+    net = _network(n=10, seed=seed, witness_count=3, audit_samples=3)
+    ignorant = make_agent(99, agent_seed(seed, 99), healthcare_dna())
+    for agent in net.agents:
+        append_seed_grant(agent, 20, 1)
+    candidates = []
+    for step in range(80):
+        clock = 2 + step
+        net.begin_tick(clock)
+        roll = rng.random()
+        if roll < 0.55:
+            sender, receiver = rng.sample(net.agents, 2)
+            if balance(sender.chain) < 1:
+                continue
+            pending = create_fuel_tx(sender.chain, receiver.public_key, 1, clock)
+            candidates.append(pending)
+            try:
+                tx, _ = accept_fuel_tx(
+                    receiver, pending, net, clock, rng, audit=rng.random() < 0.7, publish=False
+                )
+            except FuelError:  # the receiver shuns the sender by now
+                continue
+            # a sender that does not record its transfer spends the same
+            # prior state again next time: a double spend
+            if tx is not None and rng.random() < 0.6:
+                complete_transfer(sender, tx, net, clock, publish=False)
+        elif roll < 0.75:
+            net.gossip_round(rng)
+        elif roll < 0.9:
+            flip = rng.choice(net.agents)
+            flip.online = not flip.online
+        else:
+            _tamper_or_truncate(net, rng)
+        for agent in net.agents:
+            assert balance(agent.chain) == oracle_balance(agent.chain)
+        for candidate in rng.sample(candidates, min(6, len(candidates))):
+            queried = rng.sample(net.agents, 4) + [ignorant]
+            rng.shuffle(queried)
+            assert _verdict(audit_double_spend(candidate, queried, net)) == _verdict(
+                oracle_audit(candidate, queried)
+            )
+    assert net.transfer_index == rebuilt_transfer_index(net)
+    assert any(not v.ok for v in checked_audit)  # the histories do hold double spends
+
+
+def test_repeated_double_spends_of_one_state_name_the_lowest_claim():
+    net = _network()  # witness_count=7 seeds every non-party
+    a = net.agents[0]
+    append_seed_grant(a, 10, 1)
+    # four spends of one prior state, each announced, none recorded by a
+    spends = []
+    for receiver in net.agents[1:5]:
+        pending = create_fuel_tx(a.chain, receiver.public_key, 1, 2)
+        tx, _ = accept_fuel_tx(
+            receiver, pending, net, 2, random.Random(receiver.index), audit=False, publish=False
+        )
+        spends.append(tx)
+    stale = create_fuel_tx(a.chain, net.agents[5].public_key, 1, 3)
+    bucket = net.transfer_index[(a.public_key, stale.sender_prev_tx)]
+    # one entry per distinct claim, however many pools hold it
+    assert sorted(bucket.values()) == sorted(t.tx_id for t in spends)
+    assert net.transfer_index == rebuilt_transfer_index(net)
+    witness = net.agents[6]
+    verdict = audit_double_spend(stale, [witness], net)
+    assert _verdict(verdict) == _verdict(oracle_audit(stale, [witness]))
+    assert verdict.conflicting_tx == bucket[min(bucket)]
+    # one of the four spends is not in conflict with itself
+    again = audit_double_spend(spends[0], [witness], net)
+    assert _verdict(again) == _verdict(oracle_audit(spends[0], [witness]))
+    assert again.conflicting_tx != spends[0].tx_id
+
+
+def test_double_spend_experiment_reset_keeps_the_index_exact(checked_audit):
+    # the pinned counts of tests/test_sim.py, with every audit checked and
+    # the index compared to the pools after each trial's reset
+    out = run_double_spend_experiment(seed=3, trials=60, n_agents=20, witnesses=6, audit_samples=6)
+    assert out["detected"] == 54
+    assert len(checked_audit) == 60
+
+
+def _claim_history(seed):
+    """Claims of every kind dropped at random agents, under presence flips,
+    gossiped for 30 rounds; misbehavior claims blacklist some senders, so
+    later contacts are refused."""
+    rng = random.Random(seed)
+    net = _network(n=12, seed=seed)
+    keys = [a.public_key for a in net.agents]
+    for tick in range(30):
+        net.begin_tick(tick)
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.5:
+                prev = rng.choice([ZERO_DIGEST, b"\x01" * 32])
+                claim = transfer_claim(rng.randbytes(32), rng.choice(keys), prev)
+            elif roll < 0.8:
+                # two repeat offenders, so four reports blacklist them
+                claim = misbehavior_claim(
+                    rng.choice(keys[:2]), ObservationKind.INVALID_DATA, rng.randbytes(32)
+                )
+            else:
+                claim = revoke_claim(rng.randbytes(32), rng.choice(keys), rng.randbytes(32))
+            net._accept_claim(rng.choice(net.agents), claim)
+        flip = rng.choice(net.agents)
+        flip.online = not flip.online
+        net.gossip_round(rng)
+    return net
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_claim_sync_by_set_difference_matches_the_whole_pool_scan(seed, monkeypatch):
+    production = _claim_history(seed)
+    monkeypatch.setattr(Network, "_sync_claims", oracle_sync_claims)
+    reference = _claim_history(seed)
+    assert [list(a.news) for a in production.agents] == [list(a.news) for a in reference.agents]
+    assert production.metrics.snapshot() == reference.metrics.snapshot()
+    assert production.metrics.blacklist_events > 0
+    assert production.transfer_index == reference.transfer_index
+    assert production.transfer_index == rebuilt_transfer_index(production)
+
+
+def _market_doc(seed):
+    """A small fuel market: unpublished transfers between traders under
+    churn, and one double spend by each of four dedicated spenders."""
+    rng = random.Random(seed)
+    script = []
+    for tick in range(1, 24):
+        for _ in range(4):
+            s, r = rng.sample(range(4, 16), 2)
+            script.append({"tick": tick, "op": "transfer", "sender": s, "receiver": r,
+                           "amount": 1, "publish": False, "expect_ok": False})
+        if tick % 5 == 0:
+            script.append({"tick": tick, "op": "attack", "kind": "double_spend",
+                           "agent": tick // 5 % 4})
+    return {"name": "market", "seed": seed, "n_agents": 16, "ticks": 24, "churn": 0.2,
+            "seed_fuel": 50, "witnesses": 4, "audit_samples": 4, "script": script}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [load_scenario(str(p)) for p in SCENARIO_FILES] + [config_from_dict(_market_doc(s)) for s in (1, 2)],
+    ids=[p.stem for p in SCENARIO_FILES] + ["market1", "market2"],
+)
+def test_scenarios_give_the_same_bytes_and_pools_with_the_scans(config, monkeypatch):
+    production = run_scenario(config)
+    monkeypatch.setattr(Network, "_sync_claims", oracle_sync_claims)
+    monkeypatch.setattr(fuel, "audit_double_spend", oracle_audit)
+    monkeypatch.setattr(fuel, "balance", oracle_balance)
+    monkeypatch.setattr(sim, "balance", oracle_balance)
+    reference = run_scenario(config)
+    assert production.metrics_log.to_csv() == reference.metrics_log.to_csv()
+    assert export_all_chains(production) == export_all_chains(reference)
+    assert [list(a.news) for a in production.network.agents] == [
+        list(a.news) for a in reference.network.agents
+    ]

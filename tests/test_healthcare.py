@@ -282,10 +282,10 @@ def test_fabricated_revoke_hints_do_not_deny():
     net, patient, doctor, holder, token, _ = _holder_setup()
     # hint naming a record that does not exist
     ghost = revoke_claim(b"\x23" * 32, patient.public_key, token)
-    holder.news[ghost.claim_id()] = ghost
+    net._accept_claim(holder, ghost)
     # hint naming a real record that is not a revocation
     decoy = revoke_claim(token, patient.public_key, token)
-    holder.news[decoy.claim_id()] = decoy
+    net._accept_claim(holder, decoy)
     result = request_access_via_holder(net, holder, doctor.public_key, token, 10)
     assert result.granted
 
