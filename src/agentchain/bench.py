@@ -148,7 +148,8 @@ def run_holochain_count(n: int, m: int, r: int = 4, seed: int = 7) -> dict:
             raise AssertionError(
                 f"entry {index} gathered {len(receipts)} receipts, wanted {r}"
             )
-        if any(not a.holds(record_key(record)) for a in network.neighborhood(record_key(record))):
+        key = record_key(record)
+        if any(not a.holds(key) for a in network.neighborhood(key)):
             raise AssertionError(f"entry {index} missing at a neighborhood holder")
     chain_copies = sum(len(a.chain.records) for a in network.agents)
     return {

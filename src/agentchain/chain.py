@@ -278,6 +278,23 @@ class Record:
         """
         return MappingProxyType(canonical.decode_fields(self.payload))
 
+    @property
+    def signature_ok(self) -> bool:
+        """Whether the header signature holds under the header's author,
+        checked once per record. Sound for the reason given under fields:
+        a mutated copy is a new record, so it is always checked afresh.
+
+        Kept as a plain attribute rather than a cached_property, which
+        would give every verified record its own attribute dict (about
+        60 bytes each on CPython 3.11).
+        """
+        ok = getattr(self, "_signature_ok", None)
+        if ok is None:
+            h = self.header
+            ok = verify(h.author, header_signing_bytes(h), h.signature)
+            object.__setattr__(self, "_signature_ok", ok)
+        return ok
+
 
 def encode_record(record: Record) -> bytes:
     w = Writer()
@@ -443,7 +460,7 @@ def verify_records(
             return VerificationReport(False, i, REASON_LINK)
         if h.entry_hash != hash_bytes(record.payload):
             return VerificationReport(False, i, REASON_ENTRY_HASH)
-        if not verify(h.author, header_signing_bytes(h), h.signature):
+        if not record.signature_ok:
             return VerificationReport(False, i, REASON_SIGNATURE)
         prev_bytes = encode_header(h)
     if expected_head is not None and header_hash(records[-1].header) != expected_head:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .canonical import EncodingError, Writer
+from .canonical import EncodingError, Reader, Writer
 from .chain import (
     DnaDocument,
     Record,
@@ -127,18 +127,39 @@ def receipt_signing_bytes(key: bytes) -> bytes:
     return b"rcpt:" + key
 
 
+def envelope_signing_bytes(kind: str, payload: bytes) -> bytes:
+    return kind.encode("utf-8") + b"\x00" + payload
+
+
 @dataclass(frozen=True)
 class GossipMessage:
-    """Signed wire envelope. payload layout depends on kind."""
+    """Signed wire envelope. payload layout depends on kind.
+
+    What is derived from the bytes is derived once per envelope and shared
+    by every receiver of it. An envelope is never edited in place: a wire
+    hook that changes the payload builds a new one, checked afresh.
+    """
 
     kind: str
     sender: bytes
     payload: bytes
     signature: bytes
 
+    @cached_property
+    def valid(self) -> bool:
+        """Whether sender signed (kind, payload)."""
+        return verify(self.sender, envelope_signing_bytes(self.kind, self.payload), self.signature)
 
-def envelope_signing_bytes(kind: str, payload: bytes) -> bytes:
-    return kind.encode("utf-8") + b"\x00" + payload
+    @cached_property
+    def publish_body(self) -> tuple[bytes, Record, bytes]:
+        """A publish payload as (app_id, record, record key); its holders
+        share the one record. Raises EncodingError, and caches nothing, if
+        the payload is not a publish encoding."""
+        r = Reader(self.payload)
+        app_id = r.digest()
+        record = decode_record(r.lp_bytes())
+        r.finish()
+        return app_id, record, record_key(record)
 
 
 def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
@@ -148,10 +169,6 @@ def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
         payload=payload,
         signature=sign(keys, envelope_signing_bytes(kind, payload)),
     )
-
-
-def envelope_valid(msg: GossipMessage) -> bool:
-    return verify(msg.sender, envelope_signing_bytes(msg.kind, msg.payload), msg.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +471,6 @@ class Network:
         w.lp_bytes(encode_record(record))
         return w.getvalue()
 
-    @staticmethod
-    def _parse_publish_payload(payload: bytes) -> tuple[bytes, Record]:
-        from .canonical import Reader
-
-        r = Reader(payload)
-        app_id = r.digest()
-        record = decode_record(r.lp_bytes())
-        r.finish()
-        return app_id, record
-
     def _deliver_publish(
         self, sender: Agent, validator: Agent, envelope: GossipMessage
     ) -> Receipt | None:
@@ -474,17 +481,16 @@ class Network:
             return None
         if payload is not envelope.payload:
             envelope = GossipMessage(envelope.kind, envelope.sender, payload, envelope.signature)
-        if not envelope_valid(envelope):
+        if not envelope.valid:
             # bytes changed in flight; nobody provably sent this, so reject
             # without scoring anyone
             self.metrics.rejections += 1
             return None
         try:
-            app_id, record = self._parse_publish_payload(envelope.payload)
+            app_id, record, key = envelope.publish_body
         except EncodingError:
             self.metrics.rejections += 1
             return None
-        key = record_key(record)
         if app_id != self.network_id:
             # a record addressed to some other network has no business in
             # this DHT even if that network is registered; the shipper owns
@@ -557,16 +563,14 @@ class Network:
         online peers. Claims flow both ways; records flow to peers that
         currently belong in their holder set. Returns the contact count."""
         online = [a for a in self.agents if a.online]
+        others = len(online) - 1
         contacts: list[tuple[Agent, Agent]] = []
-        for agent in self.agents:
-            if not agent.online:
-                continue
-            peers = [p for p in online if p is not agent]
-            if not peers:
-                continue
-            picked = rng.sample(peers, min(self.fanout, len(peers)))
-            for peer in picked:
-                contacts.append((agent, peer))
+        if others > 0:
+            for me, agent in enumerate(online):
+                # index j among the others, i.e. online without agent; the
+                # draws are those of sampling that list itself
+                for j in rng.sample(range(others), min(self.fanout, others)):
+                    contacts.append((agent, online[j + (j >= me)]))
         for a, b in contacts:
             self.metrics.messages += 1
             self._exchange(a, b)

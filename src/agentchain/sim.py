@@ -140,8 +140,10 @@ def _check_op(op: dict, n_agents: int) -> None:
             raise ConfigError(f"{where}: {f} must be an agent index in [0, {n_agents})")
     if name == "publish_seq" and not _is_int(op["seq"]):
         raise ConfigError(f"{where}: seq must be an integer")
-    if name == "seed_fuel" and not (_is_int(op["amount"]) and 0 < op["amount"] <= AMOUNT_CAP):
-        raise ConfigError(f"{where}: amount must be an integer in [1, {AMOUNT_CAP}]")
+    # required for seed_fuel and transfer, optional for a double spend
+    if name in ("seed_fuel", "transfer", "attack:double_spend") and "amount" in op:
+        if not (_is_int(op["amount"]) and 0 < op["amount"] <= AMOUNT_CAP):
+            raise ConfigError(f"{where}: amount must be an integer in [1, {AMOUNT_CAP}]")
     if "token" in required:
         token = op["token"]
         if not isinstance(token, str):
@@ -512,7 +514,7 @@ class Simulation:
                 self.network,
                 sender,
                 receiver,
-                int(op["amount"]),
+                op["amount"],
                 tick,
                 self.rng,
                 publish=bool(op.get("publish", True)),
@@ -616,7 +618,7 @@ class Simulation:
         sender = self.agent(op["agent"])
         try:
             tx1, detected = double_spend(
-                self.network, sender, int(op.get("amount", 1)), tick, self.rng
+                self.network, sender, op.get("amount", 1), tick, self.rng
             )
         except FuelError as exc:
             raise ConfigError(f"tick {tick} op attack: {exc}") from None

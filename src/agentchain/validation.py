@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from . import canonical
 from .canonical import EncodingError
@@ -24,7 +24,6 @@ from .chain import (
     DnaDocument,
     EntryTypeDef,
     Record,
-    header_signing_bytes,
 )
 from .crypto import hash_bytes, verify
 
@@ -105,12 +104,12 @@ TRANSFER_BODY_FIELDS = (
 )
 
 
-def transfer_signing_fields(fields: dict) -> dict:
+def transfer_signing_fields(fields: Mapping) -> dict:
     """The co-signed core of a transfer payload: no signatures, no id."""
     return {k: fields[k] for k in TRANSFER_BODY_FIELDS if k in fields}
 
 
-def _check_rule(rule_id: str, record: Record, fields: dict, ctx: RuleContext) -> str | None:
+def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext) -> str | None:
     """None if the rule holds, otherwise a short violation description."""
     name, _, arg = rule_id.partition(":")
     if name == "required":
@@ -176,7 +175,7 @@ def _check_rule(rule_id: str, record: Record, fields: dict, ctx: RuleContext) ->
 
 
 def check_rules(
-    etd: EntryTypeDef, record: Record, fields: dict, ctx: RuleContext | None = None
+    etd: EntryTypeDef, record: Record, fields: Mapping, ctx: RuleContext | None = None
 ) -> str | None:
     ctx = ctx or RuleContext()
     for rule_id in etd.rule_ids:
@@ -198,10 +197,10 @@ def validate_transaction(
         return Verdict(False, Reason.UNKNOWN_ENTRY_TYPE, record.header.entry_type)
     if record.header.entry_hash != hash_bytes(record.payload):
         return Verdict(False, Reason.BAD_LINK, "entry hash does not match payload")
-    if not verify(record.header.author, header_signing_bytes(record.header), record.header.signature):
+    if not record.signature_ok:
         return Verdict(False, Reason.BAD_SIGNATURE, "header signature invalid")
     try:
-        fields = canonical.decode_fields(record.payload)
+        fields = record.fields
     except EncodingError as exc:
         return Verdict(False, Reason.RULE_VIOLATION, f"payload does not decode: {exc}")
     violation = check_rules(etd, record, fields, ctx)

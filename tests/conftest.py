@@ -1,6 +1,9 @@
+import sys
 import time
 
 import pytest
+
+from agentchain import crypto
 
 SESSION_T0 = time.monotonic()
 SUITE_BUDGET_SECONDS = 300.0
@@ -33,3 +36,23 @@ def pytest_sessionfinish(session, exitstatus):
     if session_elapsed() > SUITE_BUDGET_SECONDS and session.exitstatus == 0:
         session.exitstatus = 1
         print(f"\nFAIL: suite exceeded {SUITE_BUDGET_SECONDS:.0f}s budget")
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Arguments of every crypto.verify call, through whichever module's
+    binding it is made (``from .crypto import verify`` binds it in several)."""
+    calls: list[tuple] = []
+    real = crypto.verify
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "agentchain" or name.startswith("agentchain.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counted)
+    return calls

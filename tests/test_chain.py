@@ -131,6 +131,23 @@ def test_mutation_reasons(mutate, expected_reason):
     assert report.reason == expected_reason
 
 
+def test_verified_records_shared_with_a_mutated_one_still_report_its_index(verify_calls):
+    chain = _busy_chain()
+    assert verify_chain(chain).ok
+    assert len(verify_calls) == len(chain.records)
+    for i, record in enumerate(chain.records):
+        sig = bytearray(record.header.signature)
+        sig[-1] ^= 1
+        records = list(chain.records)
+        records[i] = Record(dataclasses.replace(record.header, signature=bytes(sig)), record.payload)
+        verify_calls.clear()
+        report = verify_records(records)
+        assert (report.first_failure_index, report.reason) == (i, REASON_SIGNATURE)
+        # the shared records before it keep their verdicts; only the copy is checked
+        assert len(verify_calls) == 1
+    assert verify_chain(chain).ok
+
+
 def test_payload_mutation_detected():
     chain = _busy_chain()
     records = list(chain.records)

@@ -113,6 +113,14 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
          "tick 1 op seed_fuel: amount must be an integer in [1, 1000000000000]"),
         ({"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "zz"},
          "tick 1 op access: token 'zz' is neither a $slot nor hex"),
+        ({"tick": 1, "op": "transfer", "sender": 0, "receiver": 1, "amount": "x"},
+         "tick 1 op transfer: amount must be an integer in [1, 1000000000000]"),
+        ({"tick": 1, "op": "transfer", "sender": 0, "receiver": 1, "amount": 1.5},
+         "tick 1 op transfer: amount must be an integer in [1, 1000000000000]"),
+        ({"tick": 1, "op": "attack", "kind": "double_spend", "agent": 0, "amount": "x"},
+         "tick 1 op attack: amount must be an integer in [1, 1000000000000]"),
+        ({"tick": 1, "op": "attack", "kind": "double_spend", "agent": 0, "amount": 1.5},
+         "tick 1 op attack: amount must be an integer in [1, 1000000000000]"),
     ):
         capsys.readouterr()
         malformed = _scenario(tmp_path, script=[bad_op])

@@ -22,7 +22,6 @@ from agentchain.dht import (
     DhtError,
     Network,
     agent_seed,
-    envelope_valid,
     make_agent,
     make_envelope,
     receipt_signing_bytes,
@@ -293,7 +292,7 @@ def test_relay_of_corrupted_record_blames_the_relay_not_the_author():
     record = victim.append("report", {"text": "authentic"}, 10)
     mangled = Record(record.header, record.payload + b"!")
     envelope = make_envelope(relay.keys, "publish", Network._publish_payload(net.network_id, mangled))
-    assert envelope_valid(envelope)
+    assert envelope.valid
     validator = next(a for a in net.agents if a not in (victim, relay))
     assert net._deliver_publish(relay, validator, envelope) is None
     assert validator.experience.rows[relay.public_key].confidence == 0.25
@@ -304,7 +303,7 @@ def test_signed_envelope_that_is_not_a_publish_encoding_is_rejected():
     net = _network()
     sender, validator = net.agents[0], net.agents[1]
     envelope = make_envelope(sender.keys, "publish", b"not a publish payload")
-    assert envelope_valid(envelope)
+    assert envelope.valid
     assert net._deliver_publish(sender, validator, envelope) is None
     assert net.metrics.rejections == 1
     assert net.metrics.stores == 0
@@ -403,6 +402,96 @@ def test_fetch_survives_offline_holders_and_misses_cleanly():
 
 
 # --- gossip ------------------------------------------------------------------
+
+# --- each signature verified once per object -----------------------------
+
+def test_one_publish_verifies_two_signatures_for_all_r_validators(verify_calls):
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "once"}, 10)
+    key = record_key(record)
+    receipts = net.publish(author, record)
+    assert len(receipts) == net.redundancy == 4
+    # the envelope's and the record header's, whatever r is
+    assert len(verify_calls) == 2
+    assert (net.metrics.validations, net.metrics.stores) == (4, 4)
+    holders = [a for a in net.agents if key in a.shard]
+    assert len(holders) == 4
+    assert len({id(a.shard[key].record) for a in holders}) == 1
+
+
+def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "backed up"}, 10)
+    key = record_key(record)
+    net.publish(author, record)
+    src = next(a for a in net.agents if key in a.shard)
+    dst = next(a for a in net.backup_targets(key, record) if not a.holds(key))
+    verify_calls.clear()
+    net._sync_records(src, dst)
+    assert dst.shard[key].record is src.shard[key].record
+    assert net.metrics.backup_transfers == 1
+    assert net.metrics.validations == 5
+    assert verify_calls == []
+
+
+def test_wire_hook_corrupting_one_validators_copy_fails_that_validator_only(verify_calls):
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "mostly clean"}, 10)
+    key = record_key(record)
+    target = next(v for v in net.neighborhood(key) if v is not author)
+
+    def corrupt(kind, sender, receiver, payload):
+        if receiver is target:
+            return payload[:-1] + bytes([payload[-1] ^ 0x01])
+        return payload
+
+    net.wire_hooks.append(corrupt)
+    receipts = net.publish(author, record)
+    assert len(receipts) == net.redundancy - 1
+    assert target.public_key not in {r.holder for r in receipts}
+    assert not target.holds(key)
+    assert all(v.holds(key) for v in net.neighborhood(key) if v is not target)
+    assert net.metrics.rejections == 1
+    assert author.public_key not in target.experience.rows
+    # the shared envelope and its record once each, the tampered envelope once
+    assert len(verify_calls) == 3
+
+
+def oracle_gossip_contacts(net, rng):
+    """The contact list built by filtering the online list per agent."""
+    online = [a for a in net.agents if a.online]
+    contacts = []
+    for agent in net.agents:
+        if not agent.online:
+            continue
+        peers = [p for p in online if p is not agent]
+        if not peers:
+            continue
+        for peer in rng.sample(peers, min(net.fanout, len(peers))):
+            contacts.append((agent, peer))
+    return contacts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
+    contacts = []
+    monkeypatch.setattr(Network, "_exchange", lambda net, a, b: contacts.append((a, b)))
+    for fanout in (1, 2, 3, 70):
+        net = _network(n=n, seed=n, fanout=fanout)
+        flips = random.Random(n * 100 + fanout)
+        rng, oracle_rng = random.Random(fanout), random.Random(fanout)
+        for _ in range(12):
+            for agent in net.agents:
+                if flips.random() < 0.3:
+                    agent.online = not agent.online
+            contacts.clear()
+            assert net.gossip_round(rng) == len(contacts)
+            assert contacts == oracle_gossip_contacts(net, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+
 
 def _converge(net, rng, rounds):
     for _ in range(rounds):

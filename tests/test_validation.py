@@ -5,6 +5,7 @@ pass and fail independently of the healthcare app.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -33,6 +34,7 @@ from agentchain.validation import (
     validation_work,
 )
 from agentchain.healthcare import healthcare_dna
+from agentchain.sim import mutate_record
 
 
 def _probe_dna() -> DnaDocument:
@@ -117,6 +119,21 @@ def test_bad_signature(setup):
     forged = Record(dataclasses.replace(record.header, signature=bytes(sig)), record.payload)
     verdict = validate_transaction(forged, dna)
     assert verdict.reason is Reason.BAD_SIGNATURE
+
+
+@pytest.mark.parametrize("how", ["seq", "timestamp", "author", "prev_header_hash", "signature"])
+def test_mutated_copy_of_a_verified_record_is_verified_afresh(setup, verify_calls, how):
+    dna, _, chain = setup
+    record = _rec(chain, "plain", {"text": "hi"})
+    assert validate_transaction(record, dna).valid
+    assert len(verify_calls) == 1
+    assert validate_transaction(record, dna).valid  # the verdict is the record's
+    assert len(verify_calls) == 1
+    mutated = mutate_record(record, how, random.Random(how))
+    verdict = validate_transaction(mutated, dna)
+    assert verdict.reason is Reason.BAD_SIGNATURE
+    assert len(verify_calls) == 2
+    assert validate_transaction(record, dna).valid
 
 
 def test_undecodable_payload_is_rule_violation(setup):
