@@ -85,9 +85,15 @@ class DnaDocument:
         object.__setattr__(self, "params", tuple(sorted((str(k), str(v)) for k, v in params)))
 
     @cached_property
+    def encoded(self) -> bytes:
+        """The canonical encoding, computed once per document: record 0 of
+        every chain under this blueprint."""
+        return encode_dna(self)
+
+    @cached_property
     def network_id(self) -> bytes:
         """Digest of the canonical encoding, computed once per document."""
-        return hash_bytes(encode_dna(self))
+        return hash_bytes(self.encoded)
 
     def entry_type(self, name: str) -> EntryTypeDef | None:
         for etd in self.entry_type_defs:
@@ -374,7 +380,7 @@ def init_chain(
     """Bootstrap a chain: blueprint first, then the genesis self-binding."""
     validate_dna(dna)
     chain = SourceChain(owner=owner, dna=dna)
-    _append_raw(chain, DNA_TYPE, encode_dna(dna), clock)
+    _append_raw(chain, DNA_TYPE, dna.encoded, clock)
     genesis = GenesisRecord(dna_hash=dna.network_id, agent_id=owner.public_key)
     _append_raw(chain, GENESIS_TYPE, encode_genesis(genesis), clock)
     return chain

@@ -571,33 +571,57 @@ class Network:
                 # draws are those of sampling that list itself
                 for j in rng.sample(range(others), min(self.fanout, others)):
                     contacts.append((agent, online[j + (j >= me)]))
+        wants = self._want_lists()
         for a, b in contacts:
             self.metrics.messages += 1
-            self._exchange(a, b)
+            self._exchange(a, b, wants)
         return len(contacts)
 
-    def _exchange(self, a: Agent, b: Agent) -> None:
+    def _want_lists(self) -> dict[Agent, set[bytes]]:
+        """For each online agent, the keys whose holder set it belongs to
+        and that it does not hold: all a gossip round may ship to it.
+
+        Built at the start of a round and exact for all of it: presence
+        does not change within a round, gossip creates no key, and
+        holdings only grow (``_sync_records`` re-checks ``holds`` live). A
+        key is its record's hash, so any copy gives the entry type.
+        """
+        online = [a for a in self.agents if a.online]
+        records: dict[bytes, Record] = {}
+        for agent in online:
+            for key in itertools.chain(agent.shard, agent.published):
+                if key not in records:
+                    record = agent.lookup(key)
+                    if record is not None:
+                        records[key] = record
+        wants: dict[Agent, set[bytes]] = {a: set() for a in online}
+        for key, record in records.items():
+            for agent in self.backup_targets(key, record):
+                if agent.online and not agent.holds(key):
+                    wants[agent].add(key)
+        return wants
+
+    def _exchange(self, a: Agent, b: Agent, wants: dict[Agent, set[bytes]]) -> None:
         if self._refused(b, a.public_key) or self._refused(a, b.public_key):
             return
         self._sync_claims(a, b)
         self._sync_claims(b, a)
-        self._sync_records(a, b)
-        self._sync_records(b, a)
+        self._sync_records(a, b, wants[b])
+        self._sync_records(b, a, wants[a])
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
         """Offer dst only the claims it lacks, lowest id first."""
         for cid in sorted(src.news.keys() - dst.news.keys()):
             self._accept_claim(dst, src.news[cid])
 
-    def _sync_records(self, src: Agent, dst: Agent) -> None:
-        candidates = sorted(set(src.shard) | src.published)
-        for key in candidates:
+    def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
+        """Offer dst the keys of its want-list that src holds or has
+        published, lowest key first."""
+        for key in sorted(k for k in want if k in src.shard or k in src.published):
             if dst.holds(key):
                 continue
             record = src.lookup(key)
             if record is None:
-                continue
-            if dst not in self.backup_targets(key, record):
                 continue
             if self._store_if_valid(dst, record, key, src.public_key):
                 self.metrics.backup_transfers += 1

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Mapping
 
-from . import canonical
 from .chain import (
     COST_HEAVY,
     COST_LIGHT,
@@ -230,7 +230,7 @@ class CapabilityGrant:
         return fields
 
 
-def grant_from_fields(fields: dict) -> CapabilityGrant:
+def grant_from_fields(fields: Mapping) -> CapabilityGrant:
     return CapabilityGrant(
         grantee=fields["grantee"],
         entry_type=fields["entry_type"],
@@ -319,8 +319,7 @@ def _is_revoked(patient: Agent, token: bytes) -> bool:
     for record in patient.chain.records:
         if record.header.entry_type != REVOKE_TYPE:
             continue
-        fields = canonical.decode_fields(record.payload)
-        if fields.get("token") == token:
+        if record.fields.get("token") == token:
             return True
     return False
 
@@ -346,7 +345,7 @@ def request_access(
     grant_record = _find_grant(patient, token)
     if grant_record is None:
         return AccessResult(False, DenialReason.UNKNOWN_TOKEN)
-    grant = grant_from_fields(canonical.decode_fields(grant_record.payload))
+    grant = grant_from_fields(grant_record.fields)
     if _is_revoked(patient, token):
         return AccessResult(False, DenialReason.REVOKED)
     if grant.expires_at is not None and clock > grant.expires_at:
@@ -372,8 +371,7 @@ def _holder_sees_revocation(
             return False
         if record.header.author != patient_key:
             return False
-        fields = canonical.decode_fields(record.payload)
-        return fields.get("token") == token
+        return record.fields.get("token") == token
 
     for key in sorted(holder.shard):
         if is_real_revocation(holder.shard[key].record):
@@ -403,7 +401,7 @@ def request_access_via_holder(
         return AccessResult(False, DenialReason.UNKNOWN_TOKEN)
     grant_record = stored.record
     patient_key = grant_record.header.author
-    grant = grant_from_fields(canonical.decode_fields(grant_record.payload))
+    grant = grant_from_fields(grant_record.fields)
     if _holder_sees_revocation(network, holder, patient_key, token):
         return AccessResult(False, DenialReason.REVOKED)
     if grant.expires_at is not None and clock > grant.expires_at:

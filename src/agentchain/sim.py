@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import canonical
 from .chain import (
     Record,
     export_records,
@@ -736,7 +735,7 @@ def audit_access_log(result: SimResult) -> list[str]:
         if grant_record is None:
             problems.append(f"tick {tick}: granted access with no grant on chain")
             continue
-        fields = canonical.decode_fields(grant_record.payload)
+        fields = grant_record.fields
         if fields["grantee"] != requester.public_key:
             problems.append(f"tick {tick}: grant names a different grantee")
         expires = fields.get("expires_at")
@@ -746,8 +745,7 @@ def audit_access_log(result: SimResult) -> list[str]:
         for record in patient.chain.records:
             if record.header.entry_type != "cap_revoke":
                 continue
-            rfields = canonical.decode_fields(record.payload)
-            if rfields.get("token") != token:
+            if record.fields.get("token") != token:
                 continue
             if served_by_patient:
                 if record.header.timestamp <= tick:

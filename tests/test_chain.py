@@ -257,10 +257,14 @@ def test_network_id_is_encoded_once_and_shared_by_every_reader(monkeypatch):
     monkeypatch.setattr(chain_module, "encode_dna", lambda dna: encoded.append(dna) or real(dna))
     dna = healthcare_dna()
     chain = init_chain(_keys(), dna)
+    other = init_chain(_keys(b"other"), dna)
     for _ in range(3):
         assert chain.dna_hash.hex() == GOLDEN_NETWORK_ID
     assert dna.network_id == dna_hash(dna) == chain.dna_hash
-    assert len(encoded) == 2  # the DNA record's payload, then the id
+    # one encoding is record 0 of every chain and the preimage of the id
+    assert len(encoded) == 1
+    assert chain.records[0].payload is other.records[0].payload is dna.encoded
+    assert hash_bytes(dna.encoded) == dna.network_id
     assert dataclasses.replace(dna, description="fork").network_id != dna.network_id
 
 

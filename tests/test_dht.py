@@ -7,12 +7,16 @@ whole network on every call; the memoized lookups must return the same
 lists in the same order.
 """
 
+import copy
 import hashlib
 import math
 import os
 import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentchain.chain import Record, record_key
 from agentchain.crypto import verify
@@ -29,7 +33,13 @@ from agentchain.dht import (
 )
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, is_blacklisted, update_experience
-from agentchain.sim import export_all_chains, load_scenario, run_scenario
+from agentchain.sim import (
+    audit_access_log,
+    config_from_dict,
+    export_all_chains,
+    load_scenario,
+    run_scenario,
+)
 from agentchain.validation import Marketplace
 
 
@@ -335,8 +345,12 @@ def test_records_for_sibling_networks_are_refused_even_when_registered():
 GATED_DELIVERIES = {
     "publish": lambda net, sender, receiver, record, claim: net.publish(sender, record),
     "send_claim": lambda net, sender, receiver, record, claim: net.send_claim(sender, receiver, claim),
-    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(sender, receiver),
-    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(receiver, sender),
+    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(
+        sender, receiver, net._want_lists()
+    ),
+    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(
+        receiver, sender, net._want_lists()
+    ),
 }
 
 
@@ -429,7 +443,7 @@ def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
     src = next(a for a in net.agents if key in a.shard)
     dst = next(a for a in net.backup_targets(key, record) if not a.holds(key))
     verify_calls.clear()
-    net._sync_records(src, dst)
+    net._sync_records(src, dst, net._want_lists()[dst])
     assert dst.shard[key].record is src.shard[key].record
     assert net.metrics.backup_transfers == 1
     assert net.metrics.validations == 5
@@ -478,7 +492,7 @@ def oracle_gossip_contacts(net, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
 def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
     contacts = []
-    monkeypatch.setattr(Network, "_exchange", lambda net, a, b: contacts.append((a, b)))
+    monkeypatch.setattr(Network, "_exchange", lambda net, a, b, wants: contacts.append((a, b)))
     for fanout in (1, 2, 3, 70):
         net = _network(n=n, seed=n, fanout=fanout)
         flips = random.Random(n * 100 + fanout)
@@ -491,6 +505,169 @@ def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
             assert net.gossip_round(rng) == len(contacts)
             assert contacts == oracle_gossip_contacts(net, oracle_rng)
             assert rng.getstate() == oracle_rng.getstate()
+
+
+def oracle_sync_records(net, src, dst, want=None):
+    """The per-contact loop the want-lists replace: every key src holds or
+    has published, lowest first, re-deriving dst's membership of the key's
+    holder set each time. Ignores want."""
+    for key in sorted(set(src.shard) | src.published):
+        if dst.holds(key):
+            continue
+        record = src.lookup(key)
+        if record is None:
+            continue
+        if dst not in net.backup_targets(key, record):
+            continue
+        if net._store_if_valid(dst, record, key, src.public_key):
+            net.metrics.backup_transfers += 1
+
+
+def _fork(net):
+    """A deep copy of net that shares its records, key pairs and blueprint,
+    so the shards of two forks compare by record identity."""
+    memo = {id(net.dna): net.dna}
+    for agent in net.agents:
+        memo[id(agent.keys)] = agent.keys
+        for record in agent.chain.records:
+            memo[id(record)] = record
+        for stored in agent.shard.values():
+            memo[id(stored.record)] = stored.record
+    return copy.deepcopy(net, memo)
+
+
+def _gossip_state(net):
+    return (
+        [[(key, id(stored.record)) for key, stored in a.shard.items()] for a in net.agents],
+        [list(a.news) for a in net.agents],
+        [a.experience for a in net.agents],
+        [a.rate_window for a in net.agents],
+        net.transfer_index,
+        net.metrics.snapshot(),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_want_list_gossip_matches_the_per_contact_oracle(n):
+    net = _network(n=n, seed=n)
+    rng, flips = random.Random(n), random.Random(n + 1000)
+    authors = net.agents[:6]
+    for tick in range(12):
+        net.begin_tick(tick)
+        for agent in net.agents:
+            if flips.random() < 0.3:
+                agent.online = not agent.online
+        if tick < 6:
+            author = authors[tick % len(authors)]
+            net.publish(author, author.append("report", {"text": f"note {tick}"}, tick))
+            net.publish(author, author.append("vitals_pulse", _vitals_fields(author, 60 + tick), tick))
+        if tick == 0:
+            # every validator keeps a corrupted copy of the first report, so
+            # their offers fail validation and only its author ships it intact
+            report = authors[0].chain.records[-2]
+            key = record_key(report)
+            tampered = Record(report.header, report.payload[:-1] + b"\x00")
+            for holder in net.holders_of(key):
+                if key in holder.shard:
+                    holder.shard[key].record = tampered
+        oracle = _fork(net)
+        oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
+        oracle_rng = random.Random()
+        oracle_rng.setstate(rng.getstate())
+        contacts = net.gossip_round(rng)
+        assert oracle.gossip_round(oracle_rng) == contacts
+        assert _gossip_state(oracle) == _gossip_state(net)
+        assert oracle_rng.getstate() == rng.getstate()
+    if n >= 17:
+        assert net.metrics.backup_transfers > 0
+        # the corrupted copies were offered and refused
+        assert net.metrics.rejections > 0
+
+
+@st.composite
+def churn_scenarios(draw):
+    """Small healthcare scenarios under churn: shared and restricted
+    vitals, reports, grants, revokes, accesses and presence changes. Each
+    grant is revoked at most once, and accesses to it stop once a published
+    revocation has had time to spread, as the access audit expects of
+    holders."""
+    n = draw(st.integers(2, 9))
+    ticks = draw(st.integers(3, 12))
+    slack = math.ceil(math.log2(max(2, n))) + 2
+    agents = st.integers(0, n - 1)
+    script = []
+    grants = []
+    for tick in range(ticks):
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["vitals", "report", "grant", "revoke", "access", "presence"]))
+            op = {"tick": tick, "op": kind}
+            if kind == "vitals":
+                op.update(patient=draw(agents), share=draw(st.booleans()))
+            elif kind == "report":
+                op.update(agent=draw(agents), share=draw(st.booleans()))
+            elif kind == "grant":
+                op.update(
+                    patient=draw(agents), grantee=draw(agents), save_as=f"g{len(grants)}",
+                    entry_type=draw(st.sampled_from(["vitals_*", "vitals_pulse", "report"])),
+                    publish=draw(st.booleans()),
+                )
+                if draw(st.booleans()):
+                    op["expires_at"] = tick + draw(st.integers(0, 6))
+                grants.append({"op": op, "revoked": False, "last_access": ticks})
+            elif kind == "presence":
+                op.update(agent=draw(agents), online=draw(st.booleans()))
+            else:
+                live = [
+                    g for g in grants
+                    if (not g["revoked"] if kind == "revoke" else tick <= g["last_access"])
+                ]
+                if not live:
+                    continue
+                grant = draw(st.sampled_from(live))
+                op.update(patient=grant["op"]["patient"], token="$" + grant["op"]["save_as"])
+                if kind == "revoke":
+                    op["publish"] = draw(st.booleans())
+                    grant["revoked"] = True
+                    if op["publish"]:
+                        grant["last_access"] = tick + slack
+                else:
+                    op["requester"] = draw(st.one_of(st.just(grant["op"]["grantee"]), agents))
+            script.append(op)
+    # the access audit reads a tick as one instant, so a revocation covers
+    # every access of its tick: grants first, then revocations, then the rest
+    script.sort(key=lambda op: (op["tick"], {"grant": 0, "revoke": 1}.get(op["op"], 2)))
+    return {
+        "name": "generated-churn",
+        "seed": draw(st.integers(0, 2**20)),
+        "n_agents": n,
+        "ticks": ticks,
+        "redundancy": draw(st.integers(1, min(4, n))),
+        "fanout": draw(st.integers(1, 3)),
+        "backup_factor": draw(st.sampled_from([1.0, 1.5, 2.0])),
+        "churn": draw(st.sampled_from([0.0, 0.2, 0.4])),
+        "holder_serve": draw(st.booleans()),
+        "script": script,
+    }
+
+
+@given(churn_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
+    production = run_scenario(config_from_dict(doc))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "_sync_records", oracle_sync_records)
+        oracle = run_scenario(config_from_dict(doc))
+    assert production.metrics_log.to_csv() == oracle.metrics_log.to_csv()
+    assert export_all_chains(production) == export_all_chains(oracle)
+    assert production.access_log == oracle.access_log
+    for result in (production, oracle):
+        assert audit_access_log(result) == []
+        # grant-exists resolves through online peers only, so a revocation
+        # of an unpublished grant reads invalid while its patient is
+        # offline; stored bytes are judged with every chain reachable
+        for agent in result.network.agents:
+            agent.online = True
+        result.network.assert_shards_validated()
 
 
 def _converge(net, rng, rounds):

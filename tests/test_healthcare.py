@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from agentchain.chain import record_key
+from agentchain.canonical import EncodingError
+from agentchain.chain import Record, record_key
 from agentchain.crypto import generate_keypair, hash_bytes
 from agentchain.dht import Network, agent_seed, make_agent, revoke_claim
 from agentchain.healthcare import (
@@ -218,6 +219,17 @@ def test_revocation_stops_future_access_without_rewriting_history():
     # the grant is not erased, only superseded
     assert len(patient.chain.records) == before + 1
     assert patient.chain.records[grant_record.header.seq] == grant_record
+
+
+def test_a_revocation_that_is_not_a_field_map_raises_on_every_read():
+    patient, doctor = _granted_patient()
+    token, _ = create_grant(patient, CapabilityGrant(doctor, "report"), 10)
+    revocation = revoke_grant(patient, token, 12)
+    patient.chain.records[-1] = Record(revocation.header, b"not a field map")
+    # a failed decode caches nothing, so the second read fails the same way
+    for _ in range(2):
+        with pytest.raises(EncodingError):
+            request_access(patient, doctor, token, 13)
 
 
 def test_revoking_nonsense_raises():
