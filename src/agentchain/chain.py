@@ -331,18 +331,38 @@ def header_hash(header: EntryHeader) -> bytes:
 
 @dataclass
 class SourceChain:
-    """A live, writable chain owned by a keypair."""
+    """A live, writable chain owned by a keypair.
+
+    The chain is the only writer of its records and of ``keys`` (record
+    key -> seq): records go in through ``_append_raw`` only, and
+    ``replace_at`` and ``truncate`` rewrite history, so the index is
+    always exact.
+    """
 
     owner: KeyPair
     dna: DnaDocument
-    records: list[Record] = field(default_factory=list)
-
-    @property
-    def dna_hash(self) -> bytes:
-        return self.dna.network_id
+    records: list[Record] = field(default_factory=list, init=False)
+    keys: dict[bytes, int] = field(default_factory=dict, init=False)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def lookup(self, key: bytes) -> Record | None:
+        seq = self.keys.get(key)
+        return None if seq is None else self.records[seq]
+
+    def replace_at(self, seq: int, record: Record) -> None:
+        """Put record at seq in place of the one there: an author
+        rewriting its own history, which verify_records reports."""
+        self.keys = {k: s for k, s in self.keys.items() if s != seq}
+        self.records[seq] = record
+        self.keys[record_key(record)] = seq
+
+    def truncate(self, length: int) -> None:
+        """Drop every record from seq length on."""
+        if length < len(self.records):
+            self.keys = {k: s for k, s in self.keys.items() if s < length}
+            del self.records[length:]
 
 
 def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int) -> Record:
@@ -369,6 +389,7 @@ def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int)
     )
     record = Record(signed, bytes(payload))
     chain.records.append(record)
+    chain.keys[record_key(record)] = seq
     return record
 
 

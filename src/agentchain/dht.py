@@ -3,7 +3,7 @@
 Records an agent chooses to share are pushed to the peers closest to the
 record key (XOR distance over hashed public keys). Every receiving peer
 re-validates against its own blueprint copy before storing anything, and
-issues a signed receipt when it does. Gossip rounds then keep redundancy up
+issues a receipt when it does. Gossip rounds then keep redundancy up
 as peers drop on and off, spread news claims (transfer announcements and
 misbehavior reports), and never move privacy-restricted payloads beyond
 their assigned neighborhood.
@@ -27,6 +27,7 @@ from .chain import (
     DnaDocument,
     Record,
     SourceChain,
+    append_entry,
     decode_record,
     encode_record,
     init_chain,
@@ -116,15 +117,10 @@ _VIOLATION_BY_NAME = {k.value: k for k in ObservationKind}
 
 @dataclass(frozen=True)
 class Receipt:
-    """A holder's signed acknowledgement that it stored a record."""
+    """A holder's acknowledgement that it stored a record."""
 
     holder: bytes
     key: bytes
-    signature: bytes
-
-
-def receipt_signing_bytes(key: bytes) -> bytes:
-    return b"rcpt:" + key
 
 
 def envelope_signing_bytes(kind: str, payload: bytes) -> bytes:
@@ -196,47 +192,28 @@ class Agent:
     shard: dict[bytes, StoredRecord] = field(default_factory=dict)
     news: dict[bytes, NewsClaim] = field(default_factory=dict)  # written by _accept_claim only
     published: set[bytes] = field(default_factory=set)
-    chain_keys: dict[bytes, int] = field(default_factory=dict)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     adversary: str | None = None
     node_id: int = 0
 
     def __post_init__(self) -> None:
         self.node_id = int.from_bytes(hash_bytes(self.keys.public_key), "big")
-        self.reindex_chain()
 
     @property
     def public_key(self) -> bytes:
         return self.keys.public_key
 
-    @property
-    def dna_hash(self) -> bytes:
-        return self.chain.dna_hash
-
-    def reindex_chain(self) -> None:
-        self.chain_keys = {record_key(r): r.header.seq for r in self.chain.records}
-
-    def note_appended(self, record: Record) -> None:
-        self.chain_keys[record_key(record)] = record.header.seq
-
     def append(self, entry_type: str, payload: bytes | dict, clock: int) -> Record:
-        from .chain import append_entry
-
-        record = append_entry(self.chain, entry_type, payload, clock)
-        self.note_appended(record)
-        return record
+        return append_entry(self.chain, entry_type, payload, clock)
 
     def holds(self, key: bytes) -> bool:
-        return key in self.shard or key in self.chain_keys
+        return key in self.shard or key in self.chain.keys
 
     def lookup(self, key: bytes) -> Record | None:
         stored = self.shard.get(key)
         if stored is not None:
             return stored.record
-        seq = self.chain_keys.get(key)
-        if seq is not None:
-            return self.chain.records[seq]
-        return None
+        return self.chain.lookup(key)
 
 
 def make_agent(
@@ -303,7 +280,7 @@ class Network:
         self.transfer_index: dict[tuple[bytes, bytes], dict[bytes, bytes]] = {}
 
     def join(self, agent: Agent) -> None:
-        if agent.dna_hash != self.network_id:
+        if agent.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
         self.agents.append(agent)
         self._rankings.clear()
@@ -442,13 +419,13 @@ class Network:
 
         The record must already sit on the author's chain. Each online
         validator independently authenticates the channel with its own
-        blueprint copy; storing yields a signed receipt, anything invalid
+        blueprint copy; storing yields a receipt, anything invalid
         is rejected and scored against the author.
         """
-        if author.dna_hash != self.network_id:
+        if author.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("author does not belong to this network")
         key = record_key(record)
-        if key not in author.chain_keys:
+        if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
         author.published.add(key)
         payload = self._publish_payload(self.network_id, record)
@@ -502,11 +479,7 @@ class Network:
             return None
         if not self._store_if_valid(validator, record, key, envelope.sender):
             return None
-        return Receipt(
-            holder=validator.public_key,
-            key=key,
-            signature=sign(validator.keys, receipt_signing_bytes(key)),
-        )
+        return Receipt(holder=validator.public_key, key=key)
 
     def _rule_context(self, validator: Agent):
         from .validation import RuleContext

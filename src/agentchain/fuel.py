@@ -260,15 +260,12 @@ def settle(
     amount: int,
     clock: int,
     rng: random.Random,
-    audit: bool = True,
     publish: bool = True,
-    credit_limit: int | None = None,
 ) -> tuple[FuelTransaction | None, FuelVerdict]:
     """Full honest transfer: create, accept, and finalize on both chains."""
-    if credit_limit is None:
-        credit_limit = int(network.dna.param("fuel.credit_limit", "0"))
+    credit_limit = int(network.dna.param("fuel.credit_limit", "0"))
     pending = create_fuel_tx(sender.chain, receiver.public_key, amount, clock, credit_limit)
-    tx, verdict = accept_fuel_tx(receiver, pending, network, clock, rng, audit=audit, publish=publish)
+    tx, verdict = accept_fuel_tx(receiver, pending, network, clock, rng, publish=publish)
     if tx is not None:
         complete_transfer(sender, tx, network, clock, publish=publish)
     return tx, verdict

@@ -306,11 +306,8 @@ def revoke_grant(
 
 
 def _find_grant(patient: Agent, token: bytes) -> Record | None:
-    seq = patient.chain_keys.get(token)
-    if seq is None:
-        return None
-    record = patient.chain.records[seq]
-    if record.header.entry_type != GRANT_TYPE:
+    record = patient.chain.lookup(token)
+    if record is None or record.header.entry_type != GRANT_TYPE:
         return None
     return record
 

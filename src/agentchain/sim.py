@@ -177,7 +177,6 @@ _CONFIG_KEYS = {
     "churn",
     "churn_start_tick",
     "holder_serve",
-    "check_conservation",
     "seed_fuel",
     "script",
 }
@@ -199,7 +198,6 @@ class ScenarioConfig:
     churn: float = 0.0
     churn_start_tick: int = 0
     holder_serve: bool = False
-    check_conservation: bool = True
     seed_fuel: int = 0
     script: tuple = ()
 
@@ -379,10 +377,9 @@ class Simulation:
             agent.online = self.rng.random() >= cfg.churn
 
     def _check_invariants(self, tick: int) -> None:
-        if self.config.check_conservation:
-            total = sum(balance(a.chain) for a in self.network.agents)
-            if total != self.seed_total:
-                self.metrics.conservation_violations += 1
+        total = sum(balance(a.chain) for a in self.network.agents)
+        if total != self.seed_total:
+            self.metrics.conservation_violations += 1
         m = self.metrics
         if m.attacks_detected + m.attacks_missed != m.attacks_attempted:
             raise ScenarioAssertion(
@@ -461,6 +458,7 @@ class Simulation:
             "outcome": outcome,
             "records": n_records,
             "served_by": served_by,
+            "chain_length": len(patient.chain),
         }
         self.access_log.append(entry)
         expect = op.get("expect")
@@ -578,8 +576,7 @@ class Simulation:
         mutated_payload = bytes(original.payload[:-1]) + bytes(
             [original.payload[-1] ^ 0x01]
         )
-        agent.chain.records[seq] = Record(original.header, mutated_payload)
-        agent.reindex_chain()
+        agent.chain.replace_at(seq, Record(original.header, mutated_payload))
         receipts = self.network.publish(agent, agent.chain.records[seq])
         chain_flagged = not verify_chain(agent.chain).ok
         self._tally(not receipts and chain_flagged)
@@ -688,6 +685,7 @@ class Simulation:
                 "outcome": outcome,
                 "records": 0,
                 "served_by": "patient" if patient.online else "none",
+                "chain_length": len(patient.chain),
             }
         )
 
@@ -716,8 +714,11 @@ def audit_access_log(result: SimResult) -> list[str]:
     """Recompute every granted access from chain state alone.
 
     Independent of the request path: a grant for the requester must sit on
-    the patient's chain before the access tick, unexpired, and any
-    revocation the requester could have known about must postdate it.
+    the patient's chain, unexpired, and any revocation the server could
+    have known about must postdate the access. A patient serves from its
+    own chain, so for its entries both are judged by seq against the chain
+    length the entry logged at serve time; ticks cannot order ops within
+    one tick.
     """
     problems: list[str] = []
     for entry in result.access_log:
@@ -727,12 +728,13 @@ def audit_access_log(result: SimResult) -> list[str]:
         requester = result.network.agents[entry["requester"]]
         token = bytes.fromhex(entry["token"])
         tick = entry["tick"]
-        grant_record = None
-        for record in patient.chain.records:
-            if record.header.entry_type == GRANT_TYPE and record_key(record) == token:
-                grant_record = record
-                break
-        if grant_record is None:
+        served_by_patient = entry["served_by"] == "patient"
+        grant_record = patient.chain.lookup(token)
+        if (
+            grant_record is None
+            or grant_record.header.entry_type != GRANT_TYPE
+            or (served_by_patient and grant_record.header.seq >= entry["chain_length"])
+        ):
             problems.append(f"tick {tick}: granted access with no grant on chain")
             continue
         fields = grant_record.fields
@@ -741,14 +743,13 @@ def audit_access_log(result: SimResult) -> list[str]:
         expires = fields.get("expires_at")
         if expires is not None and tick > expires:
             problems.append(f"tick {tick}: grant expired at {expires}")
-        served_by_patient = entry["served_by"] == "patient"
         for record in patient.chain.records:
             if record.header.entry_type != "cap_revoke":
                 continue
             if record.fields.get("token") != token:
                 continue
             if served_by_patient:
-                if record.header.timestamp <= tick:
+                if record.header.seq < entry["chain_length"]:
                     problems.append(f"tick {tick}: patient served a revoked grant")
             else:
                 # holders learn of revocations by gossip; only flag serves
@@ -845,9 +846,7 @@ def run_double_spend_experiment(
         _tx1, caught = double_spend(network, sender, 1, clock, rng)
         detected += caught
         for agent in network.agents:
-            if len(agent.chain.records) > base_len:
-                del agent.chain.records[base_len:]
-                agent.reindex_chain()
+            agent.chain.truncate(base_len)
             agent.experience.rows.clear()
         network.clear_news()
     rate = detected / trials if trials else 0.0

@@ -28,11 +28,6 @@ from .chain import (
 from .crypto import hash_bytes, verify
 
 
-def dna_hash(dna: DnaDocument) -> bytes:
-    """Network id: digest of the blueprint's canonical encoding."""
-    return dna.network_id
-
-
 class Reason(enum.Enum):
     OK = "ok"
     UNKNOWN_ENTRY_TYPE = "unknown_entry_type"
@@ -67,7 +62,7 @@ class Marketplace:
         self._apps: set[bytes] = set()
 
     def register(self, dna: DnaDocument) -> bytes:
-        key = dna_hash(dna)
+        key = dna.network_id
         self._apps.add(key)
         return key
 
@@ -232,7 +227,7 @@ def authenticate_channel(
     tx_verdict = validate_transaction(record, dna, ctx)
     if not tx_verdict.valid:
         return tx_verdict
-    app_verdict = validate_application(app_id if app_id is not None else dna_hash(dna), marketplace)
+    app_verdict = validate_application(app_id if app_id is not None else dna.network_id, marketplace)
     if not app_verdict.valid:
         return app_verdict
     return OK

@@ -39,7 +39,7 @@ from agentchain.sim import (
     run_forged_token_experiment,
     run_scenario,
 )
-from agentchain.validation import Marketplace, Reason, authenticate_channel, dna_hash
+from agentchain.validation import Marketplace, Reason, authenticate_channel
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
@@ -174,11 +174,11 @@ def _edited_blueprints(dna: DnaDocument):
 
 def test_03_blueprint_edits_rekey_the_network_and_forks_stay_apart():
     base = healthcare_dna()
-    base_id = dna_hash(base)
+    base_id = base.network_id
     ids = {base_id}
     edits = 0
     for variant in _edited_blueprints(base):
-        vid = dna_hash(variant)
+        vid = variant.network_id
         assert vid != base_id
         ids.add(vid)
         edits += 1

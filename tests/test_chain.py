@@ -1,6 +1,7 @@
 """Source chain behavior: bootstrap, append, verify, export, and the
 frozen golden fixtures that pin the wire format."""
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from agentchain.chain import (
     verify_records,
 )
 from agentchain.crypto import ZERO_DIGEST, generate_keypair, hash_bytes
+from agentchain.dht import agent_seed, make_agent
 from agentchain.healthcare import healthcare_dna
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,7 +252,6 @@ def test_any_dna_edit_changes_identity():
 
 def test_network_id_is_encoded_once_and_shared_by_every_reader(monkeypatch):
     from agentchain import chain as chain_module
-    from agentchain.validation import dna_hash
 
     real = chain_module.encode_dna
     encoded = []
@@ -259,8 +260,8 @@ def test_network_id_is_encoded_once_and_shared_by_every_reader(monkeypatch):
     chain = init_chain(_keys(), dna)
     other = init_chain(_keys(b"other"), dna)
     for _ in range(3):
-        assert chain.dna_hash.hex() == GOLDEN_NETWORK_ID
-    assert dna.network_id == dna_hash(dna) == chain.dna_hash
+        assert chain.dna.network_id.hex() == GOLDEN_NETWORK_ID
+    assert dna.network_id == chain.dna.network_id == other.dna.network_id
     # one encoding is record 0 of every chain and the preimage of the id
     assert len(encoded) == 1
     assert chain.records[0].payload is other.records[0].payload is dna.encoded
@@ -276,3 +277,85 @@ def test_chain_stays_verifiable_under_appends(payloads):
         append_entry(chain, "report", payload, 10 + i)
     assert verify_chain(chain).ok
     assert [r.header.seq for r in chain.records] == list(range(len(payloads) + 2))
+
+
+# --- the chain owns its records and their key index ---------------------------
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.text(min_size=1, max_size=12)),
+        st.tuples(st.just("replace"), st.integers(0, 63), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("truncate"), st.integers(0, 63)),
+    ),
+    max_size=12,
+)
+
+
+@given(_steps)
+@settings(max_examples=50, deadline=None)
+def test_the_key_index_stays_exact_under_appends_rewrites_and_truncation(steps):
+    agent = make_agent(0, agent_seed(7, 0), healthcare_dna())
+    chain = agent.chain
+    seen = {record_key(r) for r in chain.records}
+    for clock, step in enumerate(steps, start=1):
+        if step[0] == "append":
+            append_entry(chain, "report", {"text": step[1]}, clock)
+        elif step[0] == "replace":
+            seq = step[1] % len(chain)
+            chain.replace_at(seq, Record(chain.records[seq].header, step[2]))
+        else:
+            chain.truncate(2 + step[1] % (len(chain) - 1))
+        by_scan = {record_key(r): r for r in chain.records}
+        assert chain.keys == {key: r.header.seq for key, r in by_scan.items()}
+        seen |= by_scan.keys()
+        for key in seen:
+            assert agent.holds(key) == (key in by_scan)
+            assert agent.lookup(key) is by_scan.get(key)
+            assert chain.lookup(key) is by_scan.get(key)
+
+
+_LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _writes_to_records(tree) -> list[int]:
+    """Line numbers that assign, delete or mutate through ``<x>.records``."""
+
+    def is_records(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "records"
+
+    lines = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if is_records(target) or isinstance(target, ast.Subscript) and is_records(target.value):
+                lines.append(node.lineno)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LIST_WRITES
+            and is_records(node.func.value)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_nothing_outside_chain_py_writes_a_chains_records():
+    root = Path(__file__).parent.parent
+    sources = [p for p in (root / "src" / "agentchain").glob("*.py") if p.name != "chain.py"]
+    sources += (root / "tests").glob("*.py")
+    offenders = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(sources)
+        for line in _writes_to_records(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []
+    # the detector itself sees every kind of write
+    probe = ast.parse(
+        "c.records[0] = r\ndel c.records[2:]\nc.records += [r]\nc.records = []\n"
+        "c.records.append(r)\nc.records.pop()\nc.records.sort()\nn = len(c.records)\n"
+    )
+    assert _writes_to_records(probe) == [1, 2, 3, 4, 5, 6, 7]

@@ -347,10 +347,9 @@ def _tamper_or_truncate(net, rng):
         original = agent.chain.records[seq]
         fields = dict(original.fields)
         fields["amount"] += rng.randint(1, 5)
-        agent.chain.records[seq] = Record(original.header, canonical.encode_fields(fields))
+        agent.chain.replace_at(seq, Record(original.header, canonical.encode_fields(fields)))
     else:
-        del agent.chain.records[seq:]
-    agent.reindex_chain()
+        agent.chain.truncate(seq)
 
 
 @pytest.mark.parametrize("seed", range(4))

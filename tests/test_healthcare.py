@@ -225,7 +225,7 @@ def test_a_revocation_that_is_not_a_field_map_raises_on_every_read():
     patient, doctor = _granted_patient()
     token, _ = create_grant(patient, CapabilityGrant(doctor, "report"), 10)
     revocation = revoke_grant(patient, token, 12)
-    patient.chain.records[-1] = Record(revocation.header, b"not a field map")
+    patient.chain.replace_at(revocation.header.seq, Record(revocation.header, b"not a field map"))
     # a failed decode caches nothing, so the second read fails the same way
     for _ in range(2):
         with pytest.raises(EncodingError):

@@ -142,6 +142,42 @@ def test_expectation_mismatch_fails_the_run():
     assert "denied:unknown_token" in str(err.value)
 
 
+def _same_tick_script(first: dict, second: dict) -> tuple:
+    grant = {"tick": 0, "op": "grant", "patient": 0, "grantee": 1,
+             "entry_type": "report", "save_as": "cap"}
+    return (grant, first, second)
+
+
+_ACCESS = {"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "$cap"}
+_REVOKE = {"tick": 1, "op": "revoke", "patient": 0, "token": "$cap"}
+
+
+def test_an_access_before_a_revoke_in_the_same_tick_passes_the_audit():
+    # both ops share a timestamp, so only the chain length logged at serve
+    # time tells that the revocation came after the access
+    script = _same_tick_script(dict(_ACCESS, expect="granted"), _REVOKE)
+    result = Simulation(_cfg(n_agents=4, script=script)).run()
+    [entry] = result.access_log
+    assert entry["outcome"] == "granted"
+    assert entry["chain_length"] == len(result.network.agents[0].chain) - 1
+    assert audit_access_log(result) == []
+
+
+def test_a_revoke_before_an_access_in_the_same_tick_denies_it():
+    script = _same_tick_script(_REVOKE, dict(_ACCESS, expect="denied:revoked"))
+    result = Simulation(_cfg(n_agents=4, script=script)).run()
+    assert [e["outcome"] for e in result.access_log] == ["denied:revoked"]
+
+
+def test_the_audit_flags_a_patient_serve_after_the_revoke():
+    script = _same_tick_script(dict(_ACCESS, expect="granted"), _REVOKE)
+    result = Simulation(_cfg(n_agents=4, script=script)).run()
+    result.access_log[0]["chain_length"] += 1  # as if served after the revoke
+    assert audit_access_log(result) == ["tick 1: patient served a revoked grant"]
+    result.access_log[0]["chain_length"] = 2  # as if served before the grant
+    assert audit_access_log(result) == ["tick 1: granted access with no grant on chain"]
+
+
 # --- the engine itself ---------------------------------------------------------
 
 def test_empty_script_runs_clean():

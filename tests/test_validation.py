@@ -27,7 +27,6 @@ from agentchain.validation import (
     RuleContext,
     Verdict,
     authenticate_channel,
-    dna_hash,
     transfer_signing_fields,
     validate_application,
     validate_transaction,
@@ -182,7 +181,7 @@ def test_channel_checks_claimed_app_id(setup):
     # a valid record claiming an unknown network id must not pass
     verdict = authenticate_channel(good, dna, market, app_id=b"\x13" * 32)
     assert verdict.reason is Reason.UNREGISTERED_APP
-    assert authenticate_channel(good, dna, market, app_id=dna_hash(dna)).valid
+    assert authenticate_channel(good, dna, market, app_id=dna.network_id).valid
 
 
 # --- rule language, pass and fail for each kind ----------------------------
