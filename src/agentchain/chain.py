@@ -337,12 +337,17 @@ class SourceChain:
     key -> seq): records go in through ``_append_raw`` only, and
     ``replace_at`` and ``truncate`` rewrite history, so the index is
     always exact.
+
+    ``ledger`` is the running fuel account of ``fuel.py``, which catches
+    it up over the records appended since its last read. Rewriting
+    history resets it to None, so it is rebuilt from the records left.
     """
 
     owner: KeyPair
     dna: DnaDocument
     records: list[Record] = field(default_factory=list, init=False)
     keys: dict[bytes, int] = field(default_factory=dict, init=False)
+    ledger: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -357,12 +362,14 @@ class SourceChain:
         self.keys = {k: s for k, s in self.keys.items() if s != seq}
         self.records[seq] = record
         self.keys[record_key(record)] = seq
+        self.ledger = None
 
     def truncate(self, length: int) -> None:
         """Drop every record from seq length on."""
         if length < len(self.records):
             self.keys = {k: s for k, s in self.keys.items() if s < length}
             del self.records[length:]
+            self.ledger = None
 
 
 def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int) -> Record:

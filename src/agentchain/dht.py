@@ -191,6 +191,7 @@ class Agent:
     experience: ExperienceMatrix = field(default_factory=ExperienceMatrix)
     shard: dict[bytes, StoredRecord] = field(default_factory=dict)
     news: dict[bytes, NewsClaim] = field(default_factory=dict)  # written by _accept_claim only
+    news_bits: int = 0  # the claim bits of news; see Network._accept_claim
     published: set[bytes] = field(default_factory=set)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     adversary: str | None = None
@@ -278,6 +279,10 @@ class Network:
         # claim some agent holds, one entry per distinct claim; written by
         # _accept_claim, the only path into a news pool
         self.transfer_index: dict[tuple[bytes, bytes], dict[bytes, bytes]] = {}
+        # claim id -> its bit in every agent's news_bits, numbered in order
+        # of first acceptance, and the ids by bit; see _accept_claim
+        self._claim_bit: dict[bytes, int] = {}
+        self._claim_ids: list[bytes] = []
 
     def join(self, agent: Agent) -> None:
         if agent.chain.dna.network_id != self.network_id:
@@ -344,11 +349,20 @@ class Network:
         """Keep a news claim at receiver exactly once, for further gossip.
         A misbehavior claim also scores its offender there, once per event;
         offenders do not score themselves. A transfer claim is also indexed
-        by the prior state it spends, for the double-spend audit."""
+        by the prior state it spends, for the double-spend audit.
+
+        A claim id gets a bit the first time any agent accepts it, and the
+        receiver's news_bits gains that bit, so claim sync compares two
+        pools with one integer operation."""
         cid = claim.claim_id
         if cid in receiver.news:
             return
         receiver.news[cid] = claim
+        bit = self._claim_bit.get(cid)
+        if bit is None:
+            bit = self._claim_bit[cid] = len(self._claim_ids)
+            self._claim_ids.append(cid)
+        receiver.news_bits |= 1 << bit
         self.metrics.news_claims += 1
         if claim.kind == CLAIM_TRANSFER:
             self.transfer_index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
@@ -524,10 +538,14 @@ class Network:
         return True
 
     def clear_news(self) -> None:
-        """Empty every news pool, and the transfer index with them."""
+        """Empty every news pool, and the transfer index and the claim
+        numbering with them."""
         for agent in self.agents:
             agent.news.clear()
+            agent.news_bits = 0
         self.transfer_index.clear()
+        self._claim_bit.clear()
+        self._claim_ids.clear()
 
     # -- gossip ---------------------------------------------------------------
 
@@ -583,8 +601,18 @@ class Network:
         self._sync_records(b, a, wants[a])
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
-        """Offer dst only the claims it lacks, lowest id first."""
-        for cid in sorted(src.news.keys() - dst.news.keys()):
+        """Offer dst only the claims it lacks, lowest id first. The bits
+        src holds and dst lacks name them; most contacts find none."""
+        missing = src.news_bits & ~dst.news_bits
+        if not missing:
+            return
+        ids = self._claim_ids
+        lacking = []
+        while missing:
+            low = missing & -missing
+            lacking.append(ids[low.bit_length() - 1])
+            missing ^= low
+        for cid in sorted(lacking):
             self._accept_claim(dst, src.news[cid])
 
     def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:

@@ -49,6 +49,7 @@ from .fuel import (
     create_fuel_tx,
     settle,
     transfer_claim,
+    walk_balance,
 )
 from .healthcare import (
     GRANT_TYPE,
@@ -351,6 +352,7 @@ class Simulation:
             self.network.gossip_round(self.rng)
             self._check_invariants(tick)
             self.metrics_log.record(tick, self.metrics)
+        self._cross_check_balances()
         result = SimResult(
             config=cfg,
             network=self.network,
@@ -376,7 +378,19 @@ class Simulation:
                 continue
             agent.online = self.rng.random() >= cfg.churn
 
+    def _cross_check_balances(self) -> None:
+        """Each running balance against a walk of its whole chain, once per
+        run, so the per-tick conservation check loses no strength."""
+        for agent in self.network.agents:
+            running, walked = balance(agent.chain), walk_balance(agent.chain)
+            if running != walked:
+                raise ScenarioAssertion(
+                    f"agent {agent.index}: running balance {running} != walk {walked}"
+                )
+
     def _check_invariants(self, tick: int) -> None:
+        # running balances: O(1) per agent, plus the records new since the
+        # last tick; _cross_check_balances ties them to the full walk
         total = sum(balance(a.chain) for a in self.network.agents)
         if total != self.seed_total:
             self.metrics.conservation_violations += 1

@@ -2,10 +2,12 @@
 
 The ``oracle_*`` functions are brute-force references: a sorted walk of
 every queried news pool, one ``decode_fields`` per credit record per
-``balance`` call, and a sorted walk of the sender's whole pool per gossip
-contact. The transfer index, the cached payload decode and the
-set-difference claim sync must give the same verdicts, balances and pools
-on every history below.
+``balance`` call, reverse scans of a chain for its newest credit record and
+for a recorded tx_id, a sorted walk of the sender's whole pool per gossip
+contact. The transfer index, the running ledger per chain and the claim
+bitmaps must give the same verdicts, balances, keys and pools on every
+history below, and a generated whole scenario must keep each running
+balance equal to the walk after every tick.
 """
 
 import dataclasses
@@ -13,8 +15,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentchain import canonical, fuel, sim
+from agentchain.canonical import EncodingError
 from agentchain.chain import Record, record_key, verify_chain
 from agentchain.crypto import ZERO_DIGEST, hash_bytes, verify
 from agentchain.dht import (
@@ -40,12 +45,17 @@ from agentchain.fuel import (
     complete_transfer,
     countersign,
     create_fuel_tx,
+    has_transfer,
     latest_fuel_key,
     settle,
+    walk_balance,
 )
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, update_experience
 from agentchain.sim import (
+    ScenarioAssertion,
+    Simulation,
+    audit_access_log,
     config_from_dict,
     export_all_chains,
     load_scenario,
@@ -107,10 +117,25 @@ def test_create_rejects_bad_amounts_and_overdrafts():
         create_fuel_tx(a.chain, a.public_key, 1, 2)
     with pytest.raises(FuelError):
         create_fuel_tx(a.chain, b.public_key, 6, 2)
-    # a credit line moves the floor without removing it
-    assert create_fuel_tx(a.chain, b.public_key, 6, 2, credit_limit=1).amount == 6
+    # a credit line in the sender chain's DNA moves the floor without
+    # removing it
+    lender = make_agent(0, agent_seed(77, 0), healthcare_dna(credit_limit=1))
+    append_seed_grant(lender, 5, 1)
+    assert create_fuel_tx(lender.chain, b.public_key, 6, 2).amount == 6
     with pytest.raises(FuelError):
-        create_fuel_tx(a.chain, b.public_key, 7, 2, credit_limit=1)
+        create_fuel_tx(lender.chain, b.public_key, 7, 2)
+
+
+def test_a_double_spend_is_held_to_the_dna_credit_limit():
+    dna = healthcare_dna(credit_limit=5)
+    net = Network(dna, Marketplace(), witness_count=3, audit_samples=3)
+    for i in range(6):
+        net.join(make_agent(i, agent_seed(8, i), dna))
+    spender = net.agents[0]
+    tx1, _caught = sim.double_spend(net, spender, 5, 1, random.Random(0))
+    assert (tx1.sender_prior_balance, tx1.amount) == (0, 5)
+    with pytest.raises(FuelError):
+        sim.double_spend(net, spender, 6, 2, random.Random(0))
 
 
 def test_countersign_verifies_sender_and_addressee():
@@ -119,7 +144,7 @@ def test_countersign_verifies_sender_and_addressee():
     append_seed_grant(a, 5, 1)
     pending = create_fuel_tx(a.chain, b.public_key, 2, 2)
     tx = countersign(b.keys, pending)
-    body = pending.body_bytes()
+    body = pending.body_bytes
     assert verify(tx.sender, body, tx.sender_sig)
     assert verify(tx.receiver, body, tx.receiver_sig)
     assert tx.tx_id == pending.tx_id
@@ -139,7 +164,7 @@ def test_tx_fields_roundtrip():
     # what lands on the chains decodes back to the same transfer; tx_id is
     # derived from the body, never carried as state
     fields = canonical.decode_fields(canonical.encode_fields(tx.to_fields()))
-    assert fields.pop("tx_id") == tx.tx_id == hash_bytes(tx.body_bytes())
+    assert fields.pop("tx_id") == tx.tx_id == hash_bytes(tx.body_bytes)
     assert FuelTransaction(**fields) == tx
 
 
@@ -292,6 +317,32 @@ def oracle_balance(chain):
     return total
 
 
+def oracle_latest_fuel_key(chain):
+    """Hash the newest credit record found walking back from the head."""
+    for record in reversed(chain.records):
+        if record.header.entry_type in (FUEL_TX_TYPE, SEED_GRANT_TYPE):
+            return record_key(record)
+    return ZERO_DIGEST
+
+
+def oracle_has_transfer(chain, tx_id):
+    """Decode every fuel_tx record, newest first, for the tx_id."""
+    return any(
+        canonical.decode_fields(record.payload)["tx_id"] == tx_id
+        for record in reversed(chain.records)
+        if record.header.entry_type == FUEL_TX_TYPE
+    )
+
+
+def assert_news_bits_match(network):
+    """Each agent's news_bits names exactly the claim ids of its pool."""
+    for agent in network.agents:
+        bits = agent.news_bits
+        assert bits.bit_length() <= len(network._claim_ids)
+        named = {cid for bit, cid in enumerate(network._claim_ids) if bits >> bit & 1}
+        assert named == set(agent.news)
+
+
 def oracle_sync_claims(network, src, dst):
     """Offer dst every claim src holds, lowest id first; dst keeps new ones."""
     for cid in sorted(src.news):
@@ -316,7 +367,7 @@ def _verdict(v):
 @pytest.fixture
 def checked_audit(monkeypatch):
     """Every audit the program runs is checked against the oracle, and the
-    transfer index against one rebuilt from the pools at that moment.
+    transfer index and the claim bitmaps against the pools at that moment.
     Yields the verdicts seen."""
     production = fuel.audit_double_spend
     seen = []
@@ -325,6 +376,7 @@ def checked_audit(monkeypatch):
         verdict = production(candidate, queried, network)
         assert _verdict(verdict) == _verdict(oracle_audit(candidate, queried))
         assert network.transfer_index == rebuilt_transfer_index(network)
+        assert_news_bits_match(network)
         seen.append(verdict)
         return verdict
 
@@ -360,6 +412,8 @@ def test_audit_and_balance_match_the_scans_on_random_histories(seed, checked_aud
     for agent in net.agents:
         append_seed_grant(agent, 20, 1)
     candidates = []
+    # draws for the checks only, so the histories do not depend on them
+    pick = random.Random(seed + 1000)
     for step in range(80):
         clock = 2 + step
         net.begin_tick(clock)
@@ -389,6 +443,12 @@ def test_audit_and_balance_match_the_scans_on_random_histories(seed, checked_aud
             _tamper_or_truncate(net, rng)
         for agent in net.agents:
             assert balance(agent.chain) == oracle_balance(agent.chain)
+            assert latest_fuel_key(agent.chain) == oracle_latest_fuel_key(agent.chain)
+            for candidate in pick.sample(candidates, min(4, len(candidates))):
+                assert has_transfer(agent.chain, candidate.tx_id) == oracle_has_transfer(
+                    agent.chain, candidate.tx_id
+                )
+        assert_news_bits_match(net)
         for candidate in rng.sample(candidates, min(6, len(candidates))):
             queried = rng.sample(net.agents, 4) + [ignorant]
             rng.shuffle(queried)
@@ -456,9 +516,11 @@ def _claim_history(seed):
             else:
                 claim = revoke_claim(rng.randbytes(32), rng.choice(keys), rng.randbytes(32))
             net._accept_claim(rng.choice(net.agents), claim)
+        assert_news_bits_match(net)
         flip = rng.choice(net.agents)
         flip.online = not flip.online
         net.gossip_round(rng)
+        assert_news_bits_match(net)
     return net
 
 
@@ -508,3 +570,177 @@ def test_scenarios_give_the_same_bytes_and_pools_with_the_scans(config, monkeypa
     assert [list(a.news) for a in production.network.agents] == [
         list(a.news) for a in reference.network.agents
     ]
+
+
+# --- the running ledger and the claim bitmaps ------------------------------------
+
+def test_the_ledger_catches_up_over_new_records_only():
+    net = _network()
+    a, b = net.agents[0], net.agents[1]
+    assert a.chain.ledger is None
+    assert balance(a.chain) == 0 and latest_fuel_key(a.chain) == ZERO_DIGEST
+    ledger = a.chain.ledger
+    assert ledger.seen == len(a.chain)
+    append_seed_grant(a, 10, 1)
+    a.append("report", {"text": "noise"}, 2)
+    tx, _ = settle(net, a, b, 4, 3, random.Random(0))
+    # the sender's copy went on after create_fuel_tx's read: not yet counted
+    assert ledger.seen == len(a.chain) - 1
+    assert balance(a.chain) == 6
+    assert a.chain.ledger is ledger and ledger.seen == len(a.chain)
+    assert ledger.tx_ids == {tx.tx_id} and ledger.credit_seq == len(a.chain) - 1
+    assert has_transfer(b.chain, tx.tx_id) and not has_transfer(b.chain, b"\x07" * 32)
+
+
+def test_a_tampered_seed_grant_moves_the_running_balance_as_the_walk_does():
+    net = _network()
+    a, b = net.agents[0], net.agents[1]
+    grant = append_seed_grant(a, 10, 1)
+    settle(net, a, b, 3, 2, random.Random(0))
+    assert balance(a.chain) == walk_balance(a.chain) == 7
+    fields = dict(grant.fields)
+    fields["amount"] = 25
+    a.chain.replace_at(grant.header.seq, Record(grant.header, canonical.encode_fields(fields)))
+    assert a.chain.ledger is None
+    assert balance(a.chain) == walk_balance(a.chain) == oracle_balance(a.chain) == 22
+    assert latest_fuel_key(a.chain) == oracle_latest_fuel_key(a.chain)
+    # and through the simulator's own attack: the seed grant is the only
+    # record the tamperer may pick
+    config = config_from_dict({
+        "seed": 4, "n_agents": 4, "ticks": 3, "seed_fuel": 50,
+        "script": [{"tick": 1, "op": "attack", "kind": "tamper_own_history", "agent": 2}],
+    })
+    result = run_scenario(config)
+    tamperer = result.network.agents[2].chain
+    assert balance(tamperer) == walk_balance(tamperer) == oracle_balance(tamperer) != 50
+    assert result.metrics.conservation_violations == 2  # ticks 1 and 2
+
+
+def test_a_credit_payload_that_does_not_decode_raises_on_every_read():
+    net = _network()
+    a = net.agents[0]
+    grant = append_seed_grant(a, 10, 1)
+    assert balance(a.chain) == 10
+    a.chain.replace_at(grant.header.seq, Record(grant.header, b"\xff"))
+    for read in (balance, latest_fuel_key, balance, walk_balance):
+        with pytest.raises(EncodingError):
+            read(a.chain)
+    with pytest.raises(EncodingError):
+        has_transfer(a.chain, b"\x00" * 32)
+
+
+def test_the_end_of_run_cross_check_names_a_running_balance_off_the_walk(monkeypatch):
+    config = config_from_dict({"seed": 2, "n_agents": 4, "ticks": 2, "seed_fuel": 10})
+    simulation = Simulation(config)
+    monkeypatch.setattr(sim, "balance", lambda chain: 0 if chain is simulation.agent(1).chain else 10)
+    with pytest.raises(ScenarioAssertion, match=r"^agent 1: running balance 0 != walk 10$"):
+        simulation.run()
+
+
+def test_clear_news_empties_every_bitmap_and_restarts_the_numbering():
+    net = _network(n=6)
+    rng = random.Random(5)
+    for i in range(5):
+        claim = transfer_claim(bytes([i]) * 32, net.agents[i].public_key, ZERO_DIGEST)
+        net._accept_claim(net.agents[i], claim)
+    for _ in range(3):
+        net.gossip_round(rng)
+    assert_news_bits_match(net)
+    assert any(a.news_bits for a in net.agents)
+    net.clear_news()
+    assert all(a.news_bits == 0 and not a.news for a in net.agents)
+    assert net._claim_ids == [] and net._claim_bit == {}
+    claim = transfer_claim(b"\x09" * 32, net.agents[0].public_key, ZERO_DIGEST)
+    net._accept_claim(net.agents[3], claim)
+    assert net.agents[3].news_bits == 1 and net._claim_ids == [claim.claim_id]
+    net.gossip_round(rng)
+    assert_news_bits_match(net)
+
+
+# --- whole scenarios -------------------------------------------------------------
+
+FUEL_SCRIPT_SEED = 1000  # covers the most a generated script can spend
+
+
+@st.composite
+def fuel_scenarios(draw):
+    """Valid fuel scripts: transfers published or not, seed grants, at most
+    two double spends per spender, history tampering and presence changes.
+
+    The seed fuel of every agent covers the most it can send, so no
+    transfer runs over balance. A double spend and a tamper each cost the attacker one
+    strike at every peer, and three blacklist it, which turns its next
+    transfer into an error; so each agent makes at most two attacks. A
+    double spend is drawn only while two other agents are online.
+    """
+    n = draw(st.integers(3, 10))
+    ticks = draw(st.integers(5, 20))
+    agents = st.integers(0, n - 1)
+    online = [True] * n
+    attacks = [0] * n
+    double_spends = [0] * n
+    script = []
+    for tick in range(ticks):
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["transfer", "seed_fuel", "double_spend", "tamper", "presence"]))
+            if kind == "transfer":
+                sender = draw(agents)
+                receiver = (sender + draw(st.integers(1, n - 1))) % n
+                script.append({"tick": tick, "op": "transfer", "sender": sender, "receiver": receiver,
+                               "amount": draw(st.integers(1, 5)), "publish": draw(st.booleans())})
+            elif kind == "seed_fuel":
+                script.append({"tick": tick, "op": "seed_fuel", "agent": draw(agents),
+                               "amount": draw(st.integers(1, 50))})
+            elif kind == "presence":
+                agent = draw(agents)
+                online[agent] = draw(st.booleans())
+                script.append({"tick": tick, "op": "presence", "agent": agent, "online": online[agent]})
+            else:
+                agent = draw(agents)
+                if attacks[agent] == 2:
+                    continue
+                if kind == "double_spend":
+                    if double_spends[agent] == 2 or sum(online) - online[agent] < 2:
+                        continue
+                    double_spends[agent] += 1
+                    op = {"kind": "double_spend", "agent": agent, "amount": draw(st.integers(1, 5))}
+                else:
+                    op = {"kind": "tamper_own_history", "agent": agent}
+                attacks[agent] += 1
+                script.append({"tick": tick, "op": "attack", **op})
+    return {
+        "name": "generated-fuel",
+        "seed": draw(st.integers(0, 2**20)),
+        "n_agents": n,
+        "ticks": ticks,
+        "redundancy": draw(st.integers(1, min(4, n))),
+        "witnesses": draw(st.integers(1, n)),
+        "audit_samples": draw(st.integers(0, n)),
+        "seed_fuel": FUEL_SCRIPT_SEED,
+        "script": script,
+    }
+
+
+@given(fuel_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_generated_fuel_scenarios_keep_every_running_balance_on_the_walk(doc):
+    checked = []
+    real = Simulation._check_invariants
+
+    def check_invariants(self, tick):
+        real(self, tick)
+        for agent in self.network.agents:
+            assert balance(agent.chain) == oracle_balance(agent.chain), (tick, agent.index)
+        checked.append(tick)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "_check_invariants", check_invariants)
+        result = run_scenario(config_from_dict(doc))
+    assert checked == list(range(doc["ticks"]))
+    m = result.metrics
+    attacks = sum(op["op"] == "attack" for op in doc["script"])
+    assert m.attacks_attempted == attacks == m.attacks_detected + m.attacks_missed
+    assert audit_access_log(result) == []
+    again = run_scenario(config_from_dict(doc))
+    assert again.metrics_log.to_csv() == result.metrics_log.to_csv()
+    assert export_all_chains(again) == export_all_chains(result)
