@@ -219,30 +219,39 @@ class EntryHeader:
     signature: bytes
 
 
-def _header_writer(h: EntryHeader, with_signature: bool) -> bytes:
-    w = Writer()
-    w.u8(ord("H"))
-    w.u64(h.seq)
-    w.u64(h.timestamp)
-    w.string(h.entry_type)
-    w.digest(h.entry_hash)
-    w.lp_bytes(h.author)
-    w.digest(h.prev_header_hash)
-    if with_signature:
+def encode_header(h: EntryHeader) -> bytes:
+    """The canonical encoding, written at most once per header and kept on
+    it like Record.signature_ok. decode_header keeps the bytes it read and
+    _append_raw the ones it signed, which strict decoding makes equal to a
+    fresh encoding; a mutated copy is a new header, so none goes stale."""
+    encoded = getattr(h, "_encoded", None)
+    if encoded is None:
+        w = Writer()
+        w.u8(ord("H"))
+        w.u64(h.seq)
+        w.u64(h.timestamp)
+        w.string(h.entry_type)
+        w.digest(h.entry_hash)
+        w.lp_bytes(h.author)
+        w.digest(h.prev_header_hash)
         w.lp_bytes(h.signature)
-    return w.getvalue()
+        encoded = w.getvalue()
+        object.__setattr__(h, "_encoded", encoded)
+    return encoded
 
 
 def header_signing_bytes(h: EntryHeader) -> bytes:
-    """What the author signs: the full header minus the signature field."""
-    return _header_writer(h, with_signature=False)
+    """What the author signs: the full header minus the signature field,
+    which is its length-prefixed tail."""
+    return encode_header(h)[: -4 - len(h.signature)]
 
 
-def encode_header(h: EntryHeader) -> bytes:
-    return _header_writer(h, with_signature=True)
+def header_hash(header: EntryHeader) -> bytes:
+    return hash_bytes(encode_header(header))
 
 
-def _read_header(r: Reader) -> EntryHeader:
+def decode_header(data: bytes) -> EntryHeader:
+    r = Reader(data)
     if r.u8() != ord("H"):
         raise EncodingError("not a header encoding")
     seq = r.u64()
@@ -256,13 +265,9 @@ def _read_header(r: Reader) -> EntryHeader:
         raise EncodingError("author key has wrong size")
     if len(signature) != SIGNATURE_SIZE:
         raise EncodingError("signature has wrong size")
-    return EntryHeader(seq, timestamp, entry_type, entry_hash, author, prev, signature)
-
-
-def decode_header(data: bytes) -> EntryHeader:
-    r = Reader(data)
-    h = _read_header(r)
     r.finish()
+    h = EntryHeader(seq, timestamp, entry_type, entry_hash, author, prev, signature)
+    object.__setattr__(h, "_encoded", bytes(data))
     return h
 
 
@@ -321,12 +326,13 @@ def decode_record(data: bytes) -> Record:
 
 
 def record_key(record: Record) -> bytes:
-    """Content address of a full record; doubles as its storage key."""
-    return hash_bytes(encode_record(record))
-
-
-def header_hash(header: EntryHeader) -> bytes:
-    return hash_bytes(encode_header(header))
+    """Content address of a full record; doubles as its storage key.
+    Hashed once per record and kept on it, as Record.signature_ok is."""
+    key = getattr(record, "_key", None)
+    if key is None:
+        key = hash_bytes(encode_record(record))
+        object.__setattr__(record, "_key", key)
+    return key
 
 
 @dataclass
@@ -391,9 +397,10 @@ def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int)
         prev_header_hash=prev,
         signature=b"\x00" * SIGNATURE_SIZE,
     )
-    signed = dataclasses.replace(
-        unsigned, signature=sign(chain.owner, header_signing_bytes(unsigned))
-    )
+    signature = sign(chain.owner, header_signing_bytes(unsigned))
+    signed = dataclasses.replace(unsigned, signature=signature)
+    # the placeholder has the signature's size, so only the tail differs
+    object.__setattr__(signed, "_encoded", encode_header(unsigned)[:-SIGNATURE_SIZE] + signature)
     record = Record(signed, bytes(payload))
     chain.records.append(record)
     chain.keys[record_key(record)] = seq
@@ -465,7 +472,6 @@ def verify_records(
     if len(records) < 2:
         return VerificationReport(False, 0, REASON_STRUCTURE)
     owner = records[0].header.author
-    prev_bytes: bytes | None = None
     for i, record in enumerate(records):
         h = record.header
         if h.seq != i:
@@ -489,14 +495,13 @@ def verify_records(
             return VerificationReport(False, i, REASON_STRUCTURE)
         if h.author != owner:
             return VerificationReport(False, i, REASON_AUTHOR)
-        expected_prev = ZERO_DIGEST if i == 0 else hash_bytes(prev_bytes)
+        expected_prev = ZERO_DIGEST if i == 0 else header_hash(records[i - 1].header)
         if h.prev_header_hash != expected_prev:
             return VerificationReport(False, i, REASON_LINK)
         if h.entry_hash != hash_bytes(record.payload):
             return VerificationReport(False, i, REASON_ENTRY_HASH)
         if not record.signature_ok:
             return VerificationReport(False, i, REASON_SIGNATURE)
-        prev_bytes = encode_header(h)
     if expected_head is not None and header_hash(records[-1].header) != expected_head:
         return VerificationReport(False, len(records) - 1, REASON_HEAD)
     return VerificationReport(True)

@@ -41,7 +41,7 @@ from .reputation import (
     is_blacklisted,
     update_experience,
 )
-from .validation import Marketplace, authenticate_channel, validation_work
+from .validation import Marketplace, RuleContext, authenticate_channel, validation_work
 
 DEFAULT_FANOUT = 2
 DEFAULT_RATE_LIMIT = 100
@@ -147,15 +147,15 @@ class GossipMessage:
         return verify(self.sender, envelope_signing_bytes(self.kind, self.payload), self.signature)
 
     @cached_property
-    def publish_body(self) -> tuple[bytes, Record, bytes]:
-        """A publish payload as (app_id, record, record key); its holders
-        share the one record. Raises EncodingError, and caches nothing, if
-        the payload is not a publish encoding."""
+    def publish_body(self) -> tuple[bytes, Record]:
+        """A publish payload as (app_id, record); its holders share the one
+        record, and so its key. Raises EncodingError, and caches nothing,
+        if the payload is not a publish encoding."""
         r = Reader(self.payload)
         app_id = r.digest()
         record = decode_record(r.lp_bytes())
         r.finish()
-        return app_id, record, record_key(record)
+        return app_id, record
 
 
 def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
@@ -170,12 +170,6 @@ def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
 # ---------------------------------------------------------------------------
 # agents
 
-@dataclass
-class StoredRecord:
-    record: Record
-    key: bytes
-
-
 @dataclass(eq=False)
 class Agent:
     """One network participant: identity, chain, shard, scores, news.
@@ -189,7 +183,7 @@ class Agent:
     online: bool = True
     pinned_presence: bool = False  # scripted on/off overrides churn
     experience: ExperienceMatrix = field(default_factory=ExperienceMatrix)
-    shard: dict[bytes, StoredRecord] = field(default_factory=dict)
+    shard: dict[bytes, Record] = field(default_factory=dict)
     news: dict[bytes, NewsClaim] = field(default_factory=dict)  # written by _accept_claim only
     news_bits: int = 0  # the claim bits of news; see Network._accept_claim
     published: set[bytes] = field(default_factory=set)
@@ -211,10 +205,8 @@ class Agent:
         return key in self.shard or key in self.chain.keys
 
     def lookup(self, key: bytes) -> Record | None:
-        stored = self.shard.get(key)
-        if stored is not None:
-            return stored.record
-        return self.chain.lookup(key)
+        record = self.shard.get(key)
+        return record if record is not None else self.chain.lookup(key)
 
 
 def make_agent(
@@ -421,7 +413,7 @@ class Network:
             )
             return False
         if key not in dst.shard:
-            dst.shard[key] = StoredRecord(record=record, key=key)
+            dst.shard[key] = record
             self.metrics.stores += 1
             update_experience(dst.experience, record.header.author, ObservationKind.VALID_OK)
         return True
@@ -478,10 +470,11 @@ class Network:
             self.metrics.rejections += 1
             return None
         try:
-            app_id, record, key = envelope.publish_body
+            app_id, record = envelope.publish_body
         except EncodingError:
             self.metrics.rejections += 1
             return None
+        key = record_key(record)
         if app_id != self.network_id:
             # a record addressed to some other network has no business in
             # this DHT even if that network is registered; the shipper owns
@@ -495,17 +488,9 @@ class Network:
             return None
         return Receipt(holder=validator.public_key, key=key)
 
-    def _rule_context(self, validator: Agent):
-        from .validation import RuleContext
-
-        def resolve(key: bytes) -> Record | None:
-            local = validator.lookup(key)
-            if local is not None:
-                return local
-            return self.fetch(validator, key, count_messages=False)
-
+    def _rule_context(self, validator: Agent) -> RuleContext:
         return RuleContext(
-            resolve=resolve,
+            resolve=lambda key: self.fetch(validator, key, count_messages=False),
             credit_limit=int(validator.chain.dna.param("fuel.credit_limit", "0")),
         )
 
@@ -636,7 +621,7 @@ class Network:
         """Every stored record must still authenticate. Safety net assertion."""
         for agent in self.agents:
             for key in sorted(agent.shard):
-                record = agent.shard[key].record
+                record = agent.shard[key]
                 verdict = authenticate_channel(
                     record, agent.chain.dna, self.marketplace,
                     app_id=self.network_id, ctx=self._rule_context(agent),

@@ -34,6 +34,10 @@ class FuelError(ValueError):
     pass
 
 
+class TransferRefused(FuelError):
+    """The receiver shuns the sender: a counted rejection, not bad input."""
+
+
 @dataclass(frozen=True)
 class FuelTransaction:
     """One transfer, as it appears on both chains.
@@ -271,7 +275,8 @@ def accept_fuel_tx(
     an honest one does it in the same tick.
     """
     if is_blacklisted(receiver.experience, pending.sender):
-        raise FuelError("sender is blacklisted at the receiver")
+        network.metrics.rejections += 1
+        raise TransferRefused("sender is blacklisted at the receiver")
     # replaying an identical transfer is not a conflicting spend, so the
     # audit would wave it through; the receiver's own books must refuse it
     # or one sender signature would credit the receiver twice

@@ -370,9 +370,8 @@ def _holder_sees_revocation(
             return False
         return record.fields.get("token") == token
 
-    for key in sorted(holder.shard):
-        if is_real_revocation(holder.shard[key].record):
-            return True
+    if any(is_real_revocation(record) for record in holder.shard.values()):
+        return True
     for cid in sorted(holder.news):
         claim = holder.news[cid]
         if claim.kind != CLAIM_REVOKE or claim.extra != token:
@@ -393,10 +392,9 @@ def request_access_via_holder(
     grant, any published revocation, and published records. Scope is
     correspondingly narrower than asking the patient directly.
     """
-    stored = holder.shard.get(token)
-    if stored is None or stored.record.header.entry_type != GRANT_TYPE:
+    grant_record = holder.shard.get(token)
+    if grant_record is None or grant_record.header.entry_type != GRANT_TYPE:
         return AccessResult(False, DenialReason.UNKNOWN_TOKEN)
-    grant_record = stored.record
     patient_key = grant_record.header.author
     grant = grant_from_fields(grant_record.fields)
     if _holder_sees_revocation(network, holder, patient_key, token):
@@ -406,9 +404,8 @@ def request_access_via_holder(
     if grant.grantee != requester:
         return AccessResult(False, DenialReason.WRONG_GRANTEE)
     matching = tuple(
-        holder.shard[key].record
-        for key in sorted(holder.shard)
-        if holder.shard[key].record.header.author == patient_key
-        and _selector_matches(grant, holder.shard[key].record)
+        record
+        for _key, record in sorted(holder.shard.items())
+        if record.header.author == patient_key and _selector_matches(grant, record)
     )
     return AccessResult(True, None, matching)

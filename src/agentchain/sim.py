@@ -42,6 +42,7 @@ from .fuel import (
     FUEL_TX_TYPE,
     FuelError,
     FuelTransaction,
+    TransferRefused,
     accept_fuel_tx,
     append_seed_grant,
     balance,
@@ -530,6 +531,10 @@ class Simulation:
                 self.rng,
                 publish=bool(op.get("publish", True)),
             )
+        except TransferRefused as exc:
+            if op.get("expect_ok", True):
+                raise ScenarioAssertion(f"tick {tick}: transfer refused: {exc}") from None
+            return
         except FuelError as exc:
             raise ConfigError(f"tick {tick} op transfer: {exc}") from None
         if op.get("expect_ok", True) and tx is None:

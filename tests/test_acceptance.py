@@ -19,8 +19,7 @@ from conftest import ACCEPTANCE_LINES, SUITE_BUDGET_SECONDS, session_elapsed
 
 from agentchain.bench import compare_sweep, eval_model
 from agentchain.canonical import decode_fields
-from agentchain.chain import DnaDocument, encode_dna, record_key, verify_records
-from agentchain.crypto import hash_bytes
+from agentchain.chain import DnaDocument, record_key, verify_records
 from agentchain.dht import CrossNetworkError, Network, agent_seed, make_agent
 from agentchain.fuel import SEED_GRANT_TYPE, append_seed_grant, balance
 from agentchain.healthcare import VitalsReading, healthcare_dna, publish_vitals
@@ -217,7 +216,7 @@ def test_03_blueprint_edits_rekey_the_network_and_forks_stay_apart():
     for net, members in ((net_a, a_members), (net_b, b_members)):
         for ag in net.agents:
             for held in ag.shard.values():
-                assert held.record.header.author in members
+                assert held.header.author in members
                 stored += 1
     assert stored > 0
 

@@ -8,8 +8,6 @@ by hand before the implementation existed:
   model: replicated  = n^2 * m      sharded = m*(log2(n)+1)
 """
 
-import math
-
 import pytest
 
 from agentchain.bench import (

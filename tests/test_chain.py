@@ -3,12 +3,15 @@ frozen golden fixtures that pin the wire format."""
 
 import ast
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentchain import chain as chain_module
+from agentchain.canonical import Writer
 from agentchain.chain import (
     ChainError,
     DnaDocument,
@@ -23,18 +26,21 @@ from agentchain.chain import (
     decode_dna,
     decode_record,
     encode_dna,
+    encode_header,
     encode_record,
     export_records,
     header_hash,
+    header_signing_bytes,
     init_chain,
     parse_chain_text,
     record_key,
     verify_chain,
     verify_records,
 )
-from agentchain.crypto import ZERO_DIGEST, generate_keypair, hash_bytes
+from agentchain.crypto import ZERO_DIGEST, generate_keypair, hash_bytes, verify
 from agentchain.dht import agent_seed, make_agent
 from agentchain.healthcare import healthcare_dna
+from agentchain.sim import _HEADER_MUTATIONS, mutate_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -359,3 +365,101 @@ def test_nothing_outside_chain_py_writes_a_chains_records():
         "c.records.append(r)\nc.records.pop()\nc.records.sort()\nn = len(c.records)\n"
     )
     assert _writes_to_records(probe) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# --- a record's bytes and key, derived once per object in chain.py -------------
+
+def _reference_header(h, signed: bool = True) -> bytes:
+    """A header's canonical encoding written field by field, independently
+    of the encoding chain.py keeps on the header."""
+    w = Writer()
+    w.u8(ord("H"))
+    w.u64(h.seq)
+    w.u64(h.timestamp)
+    w.string(h.entry_type)
+    w.digest(h.entry_hash)
+    w.lp_bytes(h.author)
+    w.digest(h.prev_header_hash)
+    if signed:
+        w.lp_bytes(h.signature)
+    return w.getvalue()
+
+
+def _reference_record(record) -> bytes:
+    w = Writer()
+    w.u8(ord("R"))
+    w.lp_bytes(_reference_header(record.header))
+    w.lp_bytes(record.payload)
+    return w.getvalue()
+
+
+def _derived(record) -> tuple:
+    h = record.header
+    return (
+        encode_header(h), header_signing_bytes(h), header_hash(h),
+        encode_record(record), record_key(record), record.signature_ok,
+    )
+
+
+def _reference(record) -> tuple:
+    h = record.header
+    header, signing, whole = _reference_header(h), _reference_header(h, signed=False), _reference_record(record)
+    return header, signing, hash_bytes(header), whole, hash_bytes(whole), verify(h.author, signing, h.signature)
+
+
+_SOURCES = ("append", "decode", "parse", "replace_at", "fresh") + _HEADER_MUTATIONS
+
+
+@given(
+    st.lists(st.text(max_size=12), min_size=1, max_size=4),
+    st.sampled_from(_SOURCES),
+    st.integers(0, 63),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_derived_byte_string_and_key_matches_a_fresh_encoding(texts, source, pick, seed):
+    chain = _chain(b"derived-bytes")
+    for clock, text in enumerate(texts, start=1):
+        append_entry(chain, "report", {"text": text}, clock)
+    seq = pick % len(chain)
+    original = chain.records[seq]
+    # derive everything first, so a copy made after it cannot inherit a kept value
+    assert _derived(original) == _reference(original)
+    if source == "append":
+        record = original
+    elif source == "decode":
+        record = decode_record(encode_record(original))
+    elif source == "parse":
+        record = parse_chain_text(export_records(chain.records))[seq]
+    elif source == "replace_at":
+        chain.replace_at(seq, Record(original.header, original.payload + b"\x00"))
+        record = chain.records[seq]
+    elif source == "fresh":
+        record = Record(dataclasses.replace(original.header), bytes(original.payload))
+    else:
+        record = mutate_record(original, source, random.Random(seed))
+    assert _derived(record) == _reference(record)
+    assert decode_record(encode_record(record)) == record
+    if source in ("append", "decode", "parse", "fresh"):
+        assert _derived(record) == _derived(original)
+
+
+def test_one_append_writes_one_header_and_parse_plus_verify_write_none(monkeypatch):
+    written = []
+
+    class CountingWriter(Writer):
+        def getvalue(self) -> bytes:
+            value = super().getvalue()
+            written.append(value[:1])
+            return value
+
+    chain = _chain(b"count-pin")
+    append_entry(chain, "report", {"text": "first"}, 1)
+    monkeypatch.setattr(chain_module, "Writer", CountingWriter)
+    append_entry(chain, "report", {"text": "second"}, 2)
+    # the header it signs, then the record whose hash keys it
+    assert written == [b"H", b"R"]
+    text, head = export_records(chain.records), header_hash(chain.records[-1].header)
+    written.clear()
+    assert verify_records(parse_chain_text(text), expected_head=head).ok
+    assert written == []

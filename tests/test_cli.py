@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from agentchain.bench import SWEEP_HEADER
 from agentchain.chain import Record, export_records, parse_chain_text
 from agentchain.cli import SEED_ENV, main
@@ -145,6 +143,37 @@ def test_failed_expectation_exits_1(tmp_path):
         ],
     )
     assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_transfer_refused_by_a_shunning_receiver_is_a_protocol_outcome(tmp_path, capsys):
+    """Agent 0 tampers with its history until agent 1 blacklists it. Its
+    transfer to agent 1 is then refused: one rejection and no transfer. The
+    scripted expectation fails (exit 1), unless the script expects the
+    refusal; a transfer over the balance is still bad input (exit 2)."""
+    tampering = [
+        {"tick": t, "op": "attack", "kind": "tamper_own_history", "agent": 0} for t in (0, 1, 2)
+    ]
+    transfer = {"tick": 6, "op": "transfer", "sender": 0, "receiver": 1, "amount": 5}
+
+    def run(script: list[dict], out: str) -> int:
+        scenario = _scenario(tmp_path, seed=3, n_agents=5, ticks=8, seed_fuel=100, script=script)
+        return main(["run", scenario, "--out", str(tmp_path / out)])
+
+    def last_row(out: str) -> dict[str, str]:
+        header, *rows = (tmp_path / out / "metrics.csv").read_text().split()
+        return dict(zip(header.split(","), rows[-1].split(",")))
+
+    capsys.readouterr()
+    assert run(tampering + [transfer], "expected") == 1
+    assert "tick 6: transfer refused: sender is blacklisted at the receiver" in capsys.readouterr().err
+    assert run(tampering, "without") == 0
+    assert run(tampering + [{**transfer, "expect_ok": False}], "refused") == 0
+    without, refused = last_row("without"), last_row("refused")
+    assert int(refused.pop("rejections")) == int(without.pop("rejections")) + 1
+    assert refused == without and refused["fuel_txs"] == "0"
+    capsys.readouterr()
+    assert run(tampering + [{**transfer, "amount": 1000, "expect_ok": False}], "over") == 2
+    assert "tick 6 op transfer: balance 101 cannot cover 1000" in capsys.readouterr().err
 
 
 # --- verify --------------------------------------------------------------------

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from agentchain.chain import Record, record_key
 from agentchain.dht import (
-    Agent,
     CrossNetworkError,
     DhtError,
     Network,
@@ -427,7 +426,7 @@ def test_one_publish_verifies_two_signatures_for_all_r_validators(verify_calls):
     assert (net.metrics.validations, net.metrics.stores) == (4, 4)
     holders = [a for a in net.agents if key in a.shard]
     assert len(holders) == 4
-    assert len({id(a.shard[key].record) for a in holders}) == 1
+    assert len({id(a.shard[key]) for a in holders}) == 1
 
 
 def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
@@ -440,7 +439,7 @@ def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
     dst = next(a for a in net.backup_targets(key, record) if not a.holds(key))
     verify_calls.clear()
     net._sync_records(src, dst, net._want_lists()[dst])
-    assert dst.shard[key].record is src.shard[key].record
+    assert dst.shard[key] is src.shard[key]
     assert net.metrics.backup_transfers == 1
     assert net.metrics.validations == 5
     assert verify_calls == []
@@ -527,14 +526,14 @@ def _fork(net):
         memo[id(agent.keys)] = agent.keys
         for record in agent.chain.records:
             memo[id(record)] = record
-        for stored in agent.shard.values():
-            memo[id(stored.record)] = stored.record
+        for record in agent.shard.values():
+            memo[id(record)] = record
     return copy.deepcopy(net, memo)
 
 
 def _gossip_state(net):
     return (
-        [[(key, id(stored.record)) for key, stored in a.shard.items()] for a in net.agents],
+        [[(key, id(record)) for key, record in a.shard.items()] for a in net.agents],
         [list(a.news) for a in net.agents],
         [a.experience for a in net.agents],
         [a.rate_window for a in net.agents],
@@ -565,7 +564,7 @@ def test_want_list_gossip_matches_the_per_contact_oracle(n):
             tampered = Record(report.header, report.payload[:-1] + b"\x00")
             for holder in net.holders_of(key):
                 if key in holder.shard:
-                    holder.shard[key].record = tampered
+                    holder.shard[key] = tampered
         oracle = _fork(net)
         oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
         oracle_rng = random.Random()

@@ -38,6 +38,7 @@ from agentchain.fuel import (
     FuelError,
     FuelTransaction,
     FuelVerdict,
+    TransferRefused,
     accept_fuel_tx,
     append_seed_grant,
     audit_double_spend,
@@ -252,8 +253,11 @@ def test_blacklisted_sender_is_refused_outright():
     for _ in range(3):
         update_experience(b.experience, a.public_key, ObservationKind.DOUBLE_SPEND)
     pending = create_fuel_tx(a.chain, b.public_key, 1, 2)
-    with pytest.raises(FuelError):
+    rejections = net.metrics.rejections
+    with pytest.raises(TransferRefused):
         accept_fuel_tx(b, pending, net, 2, random.Random(0))
+    assert net.metrics.rejections == rejections + 1
+    assert not has_transfer(b.chain, pending.tx_id)
 
 
 def test_conservation_over_a_transfer_storm():

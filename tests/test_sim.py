@@ -7,8 +7,6 @@ every source of randomness derives from the scenario seed.
 """
 
 import hashlib
-import math
-import random
 import re
 from pathlib import Path
 
