@@ -16,6 +16,7 @@ and the seed, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -67,19 +68,16 @@ def _resolve_seed(flag_value: int | None) -> int | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import dataclasses
-
     config = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     result = run_scenario(config)
-    out = args.out
+    out, summary = args.out, result.summary()
     _atomic_write(os.path.join(out, "metrics.csv"), result.metrics_log.to_csv())
-    _atomic_write(os.path.join(out, "summary.json"), _dump_json(result.summary()))
+    _atomic_write(os.path.join(out, "summary.json"), _dump_json(summary))
     for name, text in sorted(export_all_chains(result).items()):
         _atomic_write(os.path.join(out, "chains", name), text)
-    summary = result.summary()
     print(
         f"{config.name}: {config.n_agents} agents, {config.ticks} ticks, "
         f"{summary['metrics']['messages']} messages, "

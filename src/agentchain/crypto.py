@@ -26,7 +26,6 @@ SIGNATURE_SIZE = 64
 ZERO_DIGEST = bytes(DIGEST_SIZE)
 
 HASH_ALG_ID = "sha-256"
-SIG_ALG_ID = "ed25519"
 
 
 def hash_bytes(data: bytes) -> bytes:

@@ -188,7 +188,6 @@ class Agent:
     news_bits: int = 0  # the claim bits of news; see Network._accept_claim
     published: set[bytes] = field(default_factory=set)
     rate_window: dict[bytes, int] = field(default_factory=dict)
-    adversary: str | None = None
     node_id: int = 0
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .chain import (
     Record,
@@ -55,6 +55,8 @@ from .fuel import (
 from .healthcare import (
     GRANT_TYPE,
     CapabilityGrant,
+    DenialReason,
+    HealthcareError,
     VITALS_METRICS,
     create_grant,
     healthcare_dna,
@@ -88,146 +90,181 @@ class AttackKind(enum.Enum):
     DOS_FLOOD = "dos_flood"
 
 
-# fields each script op's handler reads unconditionally; attacks are keyed
-# by kind. Checked when the script loads, so a malformed op never runs.
-_OP_FIELDS: dict[str, tuple[str, ...]] = {
-    "vitals": ("patient",),
-    "report": ("agent",),
-    "grant": ("patient", "grantee"),
-    "revoke": ("patient", "token"),
-    "access": ("patient", "requester", "token"),
-    "seed_fuel": ("agent", "amount"),
-    "transfer": ("sender", "receiver", "amount"),
-    "presence": ("agent", "online"),
-    "publish_seq": ("agent", "seq"),
-    "attack:tamper_own_history": ("agent",),
-    "attack:mitm_mutation": ("victim",),
-    "attack:double_spend": ("agent",),
-    "attack:forged_token": ("agent", "patient"),
-    "attack:dna_fork": (),
-    "attack:unauthorized_access": ("agent", "patient", "token"),
-    "attack:dos_flood": ("agent", "victim"),
-}
+# ---------------------------------------------------------------------------
+# the input contract: each scenario key (a ScenarioConfig field) and op field
+# has one (check, default). check(name, value, config, fields so far) returns
+# a complaint or None; a default is a value, _REQUIRED, or a function of
+# (fields so far, config), and a default of None lets the field be null.
 
-
-# required fields that name an agent by index; dna_fork's optional agent
-# names a rogue outside the population and is not one of them
-_AGENT_FIELDS = frozenset(
-    ("agent", "patient", "grantee", "requester", "sender", "receiver", "victim")
-)
+_REQUIRED = object()
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_op(op: dict, n_agents: int) -> None:
-    where = f"tick {op['tick']} op {op['op']}"
-    if not _is_int(op["tick"]):
-        raise ConfigError(f"{where}: tick must be an integer")
-    name = op["op"]
+def _range(lo: Any = 0, hi: Any = None, hi_open: bool = False, what: str = "an integer",
+           ok: Callable[[Any], bool] = _is_int) -> Callable:
+    """A value passing `ok` in [lo, hi], or [lo, hi) if hi_open; a None
+    bound is no bound, and a callable one is a function of the config."""
+
+    def check(name: str, value: Any, cfg: Any, _fields: dict) -> str | None:
+        low, high = (b(cfg) if callable(b) else b for b in (lo, hi))
+        if ok(value) and (low is None or low <= value) and (
+            high is None or (value < high if hi_open else value <= high)
+        ):
+            return None
+        if high is None:
+            return f"{name} must be {what}" + ("" if low is None else f" >= {low}")
+        return f"{name} must be {what} in [{low}, {high}{')' if hi_open else ']'}"
+
+    return check
+
+
+def _is(kind: type | tuple, what: str) -> Callable:
+    return lambda name, value, *_: None if isinstance(value, kind) else f"{name} must be {what}"
+
+
+def _string(name: str, value: Any, _cfg: Any, _fields: dict) -> str | None:
+    """A string UTF-8 can encode, which a lone surrogate (a JSON escape) is not."""
+    if isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value):
+        return None
+    return f"{name} must be a UTF-8 string"
+
+
+def _one_of(options: Any) -> Callable:
+    return lambda name, value, *_: (
+        None if isinstance(value, str) and value in options else f"unknown {name} {value!r}"
+    )
+
+
+def _token(name: str, value: Any, _cfg: Any, _fields: dict) -> str | None:
+    """A $slot, or a non-empty hex string."""
+    try:
+        if value.startswith("$") or bytes.fromhex(value):
+            return None
+    except (AttributeError, ValueError):
+        pass
+    return f"{name} {value!r} is neither a $slot nor hex"
+
+
+def _vitals_value(_name: str, value: Any, _cfg: Any, fields: dict) -> str | None:
+    _unit, lo, hi = VITALS_METRICS[fields["metric"]]
+    ok = _is_int(value) and lo <= value <= hi
+    return None if ok else f"{fields['metric']} value {value!r} outside [{lo}, {hi}]"
+
+
+_NUMBER = {"what": "a number", "ok": lambda v: _is_int(v) or type(v) is float and math.isfinite(v)}
+_BOOL = _is(bool, "a boolean")
+_AGENT = (_range(0, lambda cfg: cfg.n_agents, hi_open=True, what="an agent index"), _REQUIRED)
+_AMOUNT = _range(1, AMOUNT_CAP)
+_I64 = (_range(0, 2**63 - 1), None)  # payload ints are signed 64-bit
+_TOKEN = (_token, _REQUIRED)
+_OP = {"tick": (_range(0, lambda cfg: cfg.ticks, hi_open=True), _REQUIRED), "op": (_string, _REQUIRED)}
+_ATTACK = {**_OP, "kind": (_string, _REQUIRED)}
+_OUTCOMES = ["granted", "unreachable"] + [f"denied:{reason.value}" for reason in DenialReason]
+
+# each script op's fields; attacks are keyed by kind
+_OPS: dict[str, dict[str, tuple]] = {
+    # a vitals value defaults to the middle of its metric's range
+    "vitals": {**_OP, "patient": _AGENT, "metric": (_one_of(VITALS_METRICS), "pulse"),
+               "value": (_vitals_value, lambda fields, _cfg: sum(VITALS_METRICS[fields["metric"]][1:]) // 2),
+               "share": (_BOOL, False), "track": (_BOOL, False)},
+    "report": {**_OP, "agent": _AGENT, "text": (_string, "status ok"), "share": (_BOOL, True),
+               "track": (_BOOL, False)},
+    "grant": {**_OP, "patient": _AGENT, "grantee": _AGENT, "entry_type": (_string, "vitals_*"),
+              "seq_lo": _I64, "seq_hi": _I64, "expires_at": _I64, "publish": (_BOOL, True),
+              "save_as": (_string, None)},
+    "revoke": {**_OP, "patient": _AGENT, "token": _TOKEN, "publish": (_BOOL, True)},
+    "access": {**_OP, "patient": _AGENT, "requester": _AGENT, "token": _TOKEN,
+               "expect": (_one_of(_OUTCOMES), None)},
+    "seed_fuel": {**_OP, "agent": _AGENT, "amount": (_AMOUNT, _REQUIRED)},
+    "transfer": {**_OP, "sender": _AGENT, "receiver": _AGENT, "amount": (_AMOUNT, _REQUIRED),
+                 "publish": (_BOOL, True), "expect_ok": (_BOOL, True)},
+    "presence": {**_OP, "agent": _AGENT, "online": (_BOOL, _REQUIRED)},
+    # a seq past the chain's end is refused when the op's tick runs
+    "publish_seq": {**_OP, "agent": _AGENT, "seq": (_range(), _REQUIRED), "track": (_BOOL, False)},
+    "attack:tamper_own_history": {**_ATTACK, "agent": _AGENT, "seq": (_range(), None)},
+    "attack:mitm_mutation": {**_ATTACK, "victim": _AGENT, "text": (_string, "routine")},
+    "attack:double_spend": {**_ATTACK, "agent": _AGENT, "amount": (_AMOUNT, 1)},
+    "attack:forged_token": {**_ATTACK, "agent": _AGENT, "patient": _AGENT, "probes": (_range(), 100)},
+    # the rogue is outside the population; its key seed index, 10_000 + agent, is a u32
+    "attack:dna_fork": {**_ATTACK, "agent": (_range(lambda cfg: cfg.n_agents, 2**32 - 10_001),
+                                             lambda _fields, cfg: cfg.n_agents)},
+    "attack:unauthorized_access": {**_ATTACK, "agent": _AGENT, "patient": _AGENT, "token": _TOKEN},
+    "attack:dos_flood": {**_ATTACK, "agent": _AGENT, "victim": _AGENT,
+                         "count": (_range(), lambda _fields, cfg: cfg.rate_limit + 50)},
+}
+
+
+def _checked_op(op: Any, cfg: ScenarioConfig) -> dict:
+    """A copy of `op` holding each of its op's fields, absent optional ones
+    filled with their defaults, once every field passed its check."""
+    if not (isinstance(op, dict) and "tick" in op and "op" in op):
+        raise ConfigError(f"script op needs tick and op: {op}")
+    where, name = f"tick {op['tick']} op {op['op']}", op["op"]
     if name == "attack":
         if "kind" not in op:
             raise ConfigError(f"{where}: missing field 'kind'")
         name = f"attack:{op['kind']}"
-    required = _OP_FIELDS.get(name) if isinstance(name, str) else None
-    if required is None:
+    table = _OPS.get(name) if isinstance(name, str) else None
+    if table is None:
         raise ConfigError(f"{where}: unknown script op {name!r}")
-    missing = [f for f in required if f not in op]
-    if missing:
-        raise ConfigError(f"{where}: missing field(s) {', '.join(missing)}")
-    for f in _AGENT_FIELDS.intersection(required):
-        if not (_is_int(op[f]) and 0 <= op[f] < n_agents):
-            raise ConfigError(f"{where}: {f} must be an agent index in [0, {n_agents})")
-    if name == "publish_seq" and not _is_int(op["seq"]):
-        raise ConfigError(f"{where}: seq must be an integer")
-    # required for seed_fuel and transfer, optional for a double spend
-    if name in ("seed_fuel", "transfer", "attack:double_spend") and "amount" in op:
-        if not (_is_int(op["amount"]) and 0 < op["amount"] <= AMOUNT_CAP):
-            raise ConfigError(f"{where}: amount must be an integer in [1, {AMOUNT_CAP}]")
-    if "token" in required:
-        token = op["token"]
-        if not isinstance(token, str):
-            raise ConfigError(f"{where}: token must be a $slot or a hex string")
-        if not token.startswith("$"):
-            try:
-                bytes.fromhex(token)
-            except ValueError:
-                raise ConfigError(f"{where}: token {token!r} is neither a $slot nor hex") from None
-    if name == "vitals":
-        metric = op.get("metric", "pulse")
-        if not (isinstance(metric, str) and metric in VITALS_METRICS):
-            raise ConfigError(f"{where}: unknown metric {metric!r}")
-        _unit, lo, hi = VITALS_METRICS[metric]
-        value = op.get("value", lo)
-        if not (_is_int(value) and lo <= value <= hi):
-            raise ConfigError(f"{where}: {metric} value {value!r} outside [{lo}, {hi}]")
+    unknown = [f for f in op if f not in table]
+    missing = [f for f, (_check, default) in table.items() if default is _REQUIRED and f not in op]
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ConfigError(f"{where}: {problem} field(s) {', '.join(map(str, names))}")
+    fields: dict = {}
+    for f, (check, default) in table.items():
+        value = op[f] if f in op else default(fields, cfg) if callable(default) else default
+        problem = None if value is None and default is None else check(f, value, cfg, fields)
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
+        fields[f] = value
+    return fields
 
 
-_CONFIG_KEYS = {
-    "name",
-    "seed",
-    "n_agents",
-    "ticks",
-    "redundancy",
-    "fanout",
-    "witnesses",
-    "audit_samples",
-    "blacklist_threshold",
-    "rate_limit",
-    "backup_factor",
-    "churn",
-    "churn_start_tick",
-    "holder_serve",
-    "seed_fuel",
-    "script",
-}
+def _key(default: Any, check: Callable) -> Any:
+    return field(default=default, metadata={"check": check})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str = "scenario"
-    seed: int = 1
-    n_agents: int = 12
-    ticks: int = 20
-    redundancy: int = 4
-    fanout: int = 2
-    witnesses: int = 8
-    audit_samples: int = 8
-    blacklist_threshold: float = 0.1
-    rate_limit: int = 100
-    backup_factor: float = 2.0
-    churn: float = 0.0
-    churn_start_tick: int = 0
-    holder_serve: bool = False
-    seed_fuel: int = 0
-    script: tuple = ()
+    """A checked scenario: each field's default and check are that key's
+    contract, and each op of `script` has passed `_checked_op`."""
+
+    name: str = _key("scenario", _string)
+    seed: int = _key(1, _range(None))
+    n_agents: int = _key(12, _range(1))
+    ticks: int = _key(20, _range(1))
+    redundancy: int = _key(4, _range(1))
+    fanout: int = _key(2, _range(1))
+    witnesses: int = _key(8, _range(1))
+    audit_samples: int = _key(8, _range(0))
+    blacklist_threshold: float = _key(0.1, _range(0, 1, **_NUMBER))
+    rate_limit: int = _key(100, _range(1))
+    backup_factor: float = _key(2.0, _range(1, **_NUMBER))
+    churn: float = _key(0.0, _range(0, 1, hi_open=True, **_NUMBER))
+    churn_start_tick: int = _key(0, _range(0))
+    holder_serve: bool = _key(False, _BOOL)
+    seed_fuel: int = _key(0, _range(0, AMOUNT_CAP))
+    script: tuple = _key((), _is((list, tuple), "a list of ops"))
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigError("n_agents must be at least 1")
-        if self.ticks < 1:
-            raise ConfigError("ticks must be at least 1")
-        if self.redundancy < 1:
-            raise ConfigError("redundancy must be at least 1")
+        for key in dataclasses.fields(self):
+            problem = key.metadata["check"](key.name, getattr(self, key.name), self, {})
+            if problem:
+                raise ConfigError(problem)
         if self.n_agents < self.redundancy:
-            raise ConfigError(
-                f"population {self.n_agents} cannot host {self.redundancy} "
-                "holders per record"
-            )
-        if not 0.0 <= self.churn < 1.0:
-            raise ConfigError("churn must be in [0, 1)")
-        if self.fanout < 1:
-            raise ConfigError("fanout must be at least 1")
+            raise ConfigError(f"n_agents {self.n_agents} is below redundancy {self.redundancy}")
+        object.__setattr__(self, "script", tuple(_checked_op(op, self) for op in self.script))
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {key.name for key in dataclasses.fields(ScenarioConfig)}
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    doc = dict(doc)
-    if "script" in doc:
-        doc["script"] = tuple(doc["script"])
     return ScenarioConfig(**doc)
 
 
@@ -235,7 +272,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario file must hold a JSON object")
@@ -320,9 +357,6 @@ class Simulation:
         self._tampered: dict[int, set[int]] = {}
         self._script_by_tick: dict[int, list[dict]] = {}
         for op in config.script:
-            if "tick" not in op or "op" not in op:
-                raise ConfigError(f"script op needs tick and op: {op}")
-            _check_op(op, config.n_agents)
             self._script_by_tick.setdefault(op["tick"], []).append(op)
 
     # -- helpers -------------------------------------------------------------
@@ -411,25 +445,22 @@ class Simulation:
 
     def _op_vitals(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
-        metric = op.get("metric", "pulse")
-        lo, hi = VITALS_METRICS[metric][1], VITALS_METRICS[metric][2]
-        value = op.get("value", (lo + hi) // 2)
         record = publish_vitals(
             patient,
-            VitalsReading(metric=metric, value=value, taken_at=tick),
+            VitalsReading(metric=op["metric"], value=op["value"], taken_at=tick),
             tick,
             network=self.network,
-            to_dht=bool(op.get("share", False)),
+            to_dht=op["share"],
         )
-        if op.get("track", False):
+        if op["track"]:
             self.tracked_keys.append(record_key(record))
 
     def _op_report(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
-        record = agent.append("report", {"text": op.get("text", "status ok")}, tick)
-        if op.get("share", True):
+        record = agent.append("report", {"text": op["text"]}, tick)
+        if op["share"]:
             self.network.publish(agent, record)
-            if op.get("track", False):
+            if op["track"]:
                 self.tracked_keys.append(record_key(record))
 
     def _op_grant(self, tick: int, op: dict) -> None:
@@ -437,50 +468,48 @@ class Simulation:
         grantee = self.agent(op["grantee"])
         grant = CapabilityGrant(
             grantee=grantee.public_key,
-            entry_type=op.get("entry_type", "vitals_*"),
-            seq_lo=op.get("seq_lo"),
-            seq_hi=op.get("seq_hi"),
-            expires_at=op.get("expires_at"),
+            entry_type=op["entry_type"],
+            seq_lo=op["seq_lo"],
+            seq_hi=op["seq_hi"],
+            expires_at=op["expires_at"],
         )
-        token, _record = create_grant(
-            patient, grant, tick, network=self.network,
-            publish=bool(op.get("publish", True)),
-        )
+        try:
+            token = create_grant(patient, grant, tick, network=self.network, publish=op["publish"])[0]
+        except HealthcareError as exc:
+            raise ScenarioAssertion(f"tick {tick}: grant refused: {exc}") from None
         note_token(grantee, token, tick)
-        if "save_as" in op:
+        if op["save_as"] is not None:
             self.slots[op["save_as"]] = token
 
     def _op_revoke(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
         token = self._token(tick, op)
-        publish = bool(op.get("publish", True))
-        revoke_grant(patient, token, tick, network=self.network, publish=publish)
-        if publish:
+        try:
+            revoke_grant(patient, token, tick, network=self.network, publish=op["publish"])
+        except HealthcareError as exc:
+            raise ConfigError(f"tick {tick} op revoke: {exc}") from None
+        if op["publish"]:
             self.revoke_published[token] = tick
 
     def _op_access(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
         requester = self.agent(op["requester"])
-        token = self._token(tick, op)
+        outcome = self._logged_access(tick, patient, requester, self._token(tick, op))
+        expect = op["expect"]
+        if expect is not None and expect != outcome:
+            raise ScenarioAssertion(f"tick {tick}: access expected {expect!r}, got {outcome!r}")
+
+    def _logged_access(self, tick: int, patient: Agent, requester: Agent, token: bytes) -> str:
+        """One access attempt, entered in the access log; returns its outcome."""
         outcome, n_records, served_by = self._attempt_access(
             tick, patient, requester.public_key, token
         )
-        entry = {
-            "tick": tick,
-            "patient": patient.index,
-            "requester": requester.index,
-            "token": token.hex(),
-            "outcome": outcome,
-            "records": n_records,
-            "served_by": served_by,
-            "chain_length": len(patient.chain),
-        }
-        self.access_log.append(entry)
-        expect = op.get("expect")
-        if expect is not None and expect != outcome:
-            raise ScenarioAssertion(
-                f"tick {tick}: access expected {expect!r}, got {outcome!r}"
-            )
+        self.access_log.append(
+            {"tick": tick, "patient": patient.index, "requester": requester.index,
+             "token": token.hex(), "outcome": outcome, "records": n_records,
+             "served_by": served_by, "chain_length": len(patient.chain)}
+        )
+        return outcome
 
     def _attempt_access(
         self, tick: int, patient: Agent, requester_key: bytes, token: bytes
@@ -529,15 +558,15 @@ class Simulation:
                 op["amount"],
                 tick,
                 self.rng,
-                publish=bool(op.get("publish", True)),
+                publish=op["publish"],
             )
         except TransferRefused as exc:
-            if op.get("expect_ok", True):
+            if op["expect_ok"]:
                 raise ScenarioAssertion(f"tick {tick}: transfer refused: {exc}") from None
             return
         except FuelError as exc:
             raise ConfigError(f"tick {tick} op transfer: {exc}") from None
-        if op.get("expect_ok", True) and tx is None:
+        if op["expect_ok"] and tx is None:
             raise ScenarioAssertion(
                 f"tick {tick}: transfer rejected: conflict "
                 f"{verdict.conflicting_tx.hex()[:12]}"
@@ -546,16 +575,13 @@ class Simulation:
     def _op_presence(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
         agent.pinned_presence = True
-        agent.online = bool(op["online"])
+        agent.online = op["online"]
 
     def _op_publish_seq(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
-        seq, length = op["seq"], len(agent.chain.records)
-        if not 0 <= seq < length:
-            raise ConfigError(f"tick {tick} op publish_seq: seq {seq} outside the chain [0, {length})")
-        record = agent.chain.records[seq]
+        record = _record_at(tick, op, agent, op["seq"])
         self.network.publish(agent, record)
-        if op.get("track", False):
+        if op["track"]:
             self.tracked_keys.append(record_key(record))
 
     # -- attacks -----------------------------------------------------------------
@@ -579,7 +605,7 @@ class Simulation:
         bytes, so every honest check must fail."""
         agent = self.agent(op["agent"])
         already = self._tampered.setdefault(agent.index, set())
-        seq = op.get("seq")
+        seq = op["seq"]
         if seq is None:
             candidates = [
                 r.header.seq
@@ -590,8 +616,8 @@ class Simulation:
                 agent.append("report", {"text": "padding"}, tick)
                 candidates = [agent.chain.records[-1].header.seq]
             seq = self.rng.choice(candidates)
+        original = _record_at(tick, op, agent, seq)
         already.add(seq)
-        original = agent.chain.records[seq]
         mutated_payload = bytes(original.payload[:-1]) + bytes(
             [original.payload[-1] ^ 0x01]
         )
@@ -611,7 +637,7 @@ class Simulation:
                 return payload[:-1] + bytes([payload[-1] ^ 0x80])
             return payload
 
-        record = victim.append("report", {"text": op.get("text", "routine")}, tick)
+        record = victim.append("report", {"text": op["text"]}, tick)
         key = record_key(record)
         self.network.wire_hooks.append(flip)
         try:
@@ -633,9 +659,9 @@ class Simulation:
         sender = self.agent(op["agent"])
         try:
             tx1, detected = double_spend(
-                self.network, sender, op.get("amount", 1), tick, self.rng
+                self.network, sender, op["amount"], tick, self.rng
             )
-        except FuelError as exc:
+        except (FuelError, ConfigError) as exc:
             raise ConfigError(f"tick {tick} op attack: {exc}") from None
         complete_transfer(sender, tx1, self.network, tick, publish=False)
         self._tally(detected)
@@ -645,7 +671,7 @@ class Simulation:
         signed grant records, so guessing is the only move without one."""
         requester = self.agent(op["agent"])
         patient = self.agent(op["patient"])
-        probes = int(op.get("probes", 100))
+        probes = op["probes"]
         held = 0
         for _ in range(probes):
             fake = self.rng.randbytes(32)
@@ -669,7 +695,7 @@ class Simulation:
     def _attack_dna_fork(self, tick: int, op: dict) -> None:
         """Agent bootstrapped from an altered blueprint tries to take part
         in this network."""
-        index = op.get("agent", self.config.n_agents)
+        index = op["agent"]
         forked_dna = dataclasses.replace(
             self.network.dna, app_name=self.network.dna.app_name + "-fork"
         )
@@ -690,29 +716,14 @@ class Simulation:
         """Present a real token that was granted to somebody else."""
         requester = self.agent(op["agent"])
         patient = self.agent(op["patient"])
-        token = self._token(tick, op)
-        outcome, _, _ = self._attempt_access(
-            tick, patient, requester.public_key, token
-        )
+        outcome = self._logged_access(tick, patient, requester, self._token(tick, op))
         self._tally(outcome != "granted")
-        self.access_log.append(
-            {
-                "tick": tick,
-                "patient": patient.index,
-                "requester": requester.index,
-                "token": token.hex(),
-                "outcome": outcome,
-                "records": 0,
-                "served_by": "patient" if patient.online else "none",
-                "chain_length": len(patient.chain),
-            }
-        )
 
     def _attack_dos_flood(self, tick: int, op: dict) -> None:
         """Burst junk claims at one victim well past the per-tick rate cap."""
         attacker = self.agent(op["agent"])
         victim = self.agent(op["victim"])
-        count = int(op.get("count", self.config.rate_limit + 50))
+        count = op["count"]
         before = self.metrics.rejections
         for i in range(count):
             junk = NewsClaim(
@@ -723,6 +734,13 @@ class Simulation:
             )
             self.network.send_claim(attacker, victim, junk)
         self._tally(self.metrics.rejections > before)
+
+
+def _record_at(tick: int, op: dict, agent: Agent, seq: int) -> Record:
+    length = len(agent.chain.records)
+    if seq >= length:
+        raise ConfigError(f"tick {tick} op {op['op']}: seq {seq} outside the chain [0, {length})")
+    return agent.chain.records[seq]
 
 
 def run_scenario(config: ScenarioConfig, marketplace: Marketplace | None = None) -> SimResult:

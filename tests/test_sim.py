@@ -6,7 +6,10 @@ observed on the first verified-clean runs and must stay byte-stable because
 every source of randomness derives from the scenario seed.
 """
 
+import ast
+import dataclasses
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -102,10 +105,14 @@ def test_script_ops_are_checked():
          "victim must be an agent index in [0, 8)"),
         ({"tick": 3, "op": "transfer", "sender": 0, "receiver": 1.0, "amount": 1},
          "receiver must be an agent index in [0, 8)"),
+        ({"tick": 3, "op": "report", "agent": 0, "txt": "ok"}, "unknown field(s) txt"),
+        ({"tick": 3, "op": "presence", "agent": 0, "online": 1}, "online must be a boolean"),
+        ({"tick": 3, "op": "attack", "kind": "dna_fork", "agent": 3},
+         "agent must be an integer in [8, 4294957295]"),
     ):
         with pytest.raises(ConfigError, match=re.escape(f"tick 3 op {op['op']}: {problem}")):
             Simulation(_cfg(script=(op,)))
-    for tick in ("1", 1.0, True):
+    for tick in ("1", 1.0, True, 4, -1):
         with pytest.raises(ConfigError, match="tick must be an integer"):
             Simulation(_cfg(script=({"tick": tick, "op": "report", "agent": 0},)))
     with pytest.raises(ConfigError):
@@ -122,6 +129,58 @@ def test_script_ops_are_checked():
     unfilled = ({"tick": 1, "op": "access", "patient": 0, "requester": 1, "token": "$nope"},)
     with pytest.raises(ConfigError):
         Simulation(_cfg(script=unfilled)).run()
+
+
+def test_a_checked_config_rebuilds_to_itself():
+    """The command line's --seed rebuilds a loaded config with
+    dataclasses.replace, which checks its filled-in script again."""
+    from perfbench import workloads  # importable from the repository root only
+
+    docs = [json.loads(path.read_text()) for path in SCENARIO_FILES]
+    docs += [workloads.ward_churn_doc(1), workloads.fuel_market_doc(1)]
+    for doc in docs:
+        config = config_from_dict(doc)
+        reseeded = dataclasses.replace(config, seed=config.seed + 1)
+        assert reseeded != config
+        assert dataclasses.replace(reseeded, seed=config.seed) == config
+
+
+def default_rereads(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, handler) for each op.get call, and each bool() or int() of an
+    op field, in a script op or attack handler: the config holds every
+    field already checked and defaulted, so a handler reads op[field]."""
+    found = []
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.FunctionDef) and handler.name.startswith(("_op_", "_attack_"))):
+            continue
+        for node in ast.walk(handler):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "get" and (
+                isinstance(func.value, ast.Name) and func.value.id == "op"
+            ):
+                found.append((node.lineno, handler.name))
+            elif isinstance(func, ast.Name) and func.id in ("bool", "int") and any(
+                isinstance(name, ast.Name) and name.id == "op"
+                for arg in node.args
+                for name in ast.walk(arg)
+            ):
+                found.append((node.lineno, handler.name))
+    return sorted(found)
+
+
+def test_script_handlers_read_op_fields_by_subscript():
+    sim_source = Path(__file__).parent.parent / "src" / "agentchain" / "sim.py"
+    assert default_rereads(ast.parse(sim_source.read_text())) == []
+    # the detector itself fires on each kind of reread, and only in handlers
+    probe = ast.parse(
+        "def _op_x(self, tick, op):\n    a = op.get('a', 1)\n    b = bool(op['b'])\n"
+        "    c = op['c']\n    d = self.rng.get()\n"
+        "def _attack_y(self, tick, op):\n    return int(op['n'])\n"
+        "def helper(op):\n    return op.get('a')\n"
+    )
+    assert default_rereads(probe) == [(2, "_op_x"), (3, "_op_x"), (7, "_attack_y")]
 
 
 def test_expectation_mismatch_fails_the_run():
@@ -178,6 +237,20 @@ def test_the_audit_flags_a_patient_serve_after_the_revoke():
 
 # --- the engine itself ---------------------------------------------------------
 
+def test_a_holder_served_unauthorized_access_is_logged_by_its_holder():
+    script = (
+        {"tick": 1, "op": "grant", "patient": 0, "grantee": 1, "save_as": "cap"},
+        {"tick": 2, "op": "presence", "agent": 0, "online": False},
+        {"tick": 3, "op": "attack", "kind": "unauthorized_access", "agent": 2, "patient": 0,
+         "token": "$cap"},
+    )
+    result = Simulation(_cfg(ticks=5, holder_serve=True, script=script)).run()
+    [entry] = result.access_log
+    assert entry["outcome"] == "denied:wrong_grantee"
+    assert re.fullmatch(r"holder:\d+", entry["served_by"])
+    assert result.metrics.attacks_detected == 1
+
+
 def test_empty_script_runs_clean():
     result = Simulation(_cfg(ticks=6)).run()
     assert len(result.metrics_log.rows) == 6
@@ -202,9 +275,6 @@ def test_same_seed_same_bytes_different_seed_different_bytes():
     b = Simulation(cfg).run()
     assert a.metrics_log.to_csv() == b.metrics_log.to_csv()
     assert export_all_chains(a) == export_all_chains(b)
-
-    import dataclasses
-
     c = Simulation(dataclasses.replace(cfg, seed=cfg.seed + 1)).run()
     assert export_all_chains(a) != export_all_chains(c)
 
