@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .canonical import Writer
-from .chain import record_key
+from .chain import DEFAULT_REDUNDANCY, record_key
 from .crypto import KeyPair, generate_keypair, hash_bytes, sign, verify
 from .dht import Network, agent_seed, make_agent
 from .healthcare import healthcare_dna
@@ -126,7 +126,7 @@ def run_blockchain_baseline(n: int, m: int, seed: int = 7) -> dict:
 # ---------------------------------------------------------------------------
 # sharded run, executed
 
-def run_holochain_count(n: int, m: int, r: int = 4, seed: int = 7) -> dict:
+def run_holochain_count(n: int, m: int, r: int = DEFAULT_REDUNDANCY, seed: int = 7) -> dict:
     """n agents, m published entries, r validators per entry, counted.
 
     Storage materialized: every agent's two bootstrap records (2n), the
@@ -171,7 +171,10 @@ DEFAULT_SIZES = (8, 16, 32, 64, 128)
 
 
 def compare_sweep(
-    sizes: tuple[int, ...] = DEFAULT_SIZES, m: int = 100, r: int = 4, seed: int = 7
+    sizes: tuple[int, ...] = DEFAULT_SIZES,
+    m: int = 100,
+    r: int = DEFAULT_REDUNDANCY,
+    seed: int = 7,
 ) -> list[dict]:
     rows = []
     for n in sizes:

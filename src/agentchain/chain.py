@@ -63,6 +63,10 @@ class EntryTypeDef:
             raise ChainError(f"unknown cost class {self.validation_cost_class!r}")
 
 
+# holders per record, unless a blueprint says otherwise
+DEFAULT_REDUNDANCY = 4
+
+
 @dataclass(frozen=True)
 class DnaDocument:
     """App blueprint. Its canonical-encoding digest is the network id."""
@@ -72,7 +76,7 @@ class DnaDocument:
     entry_type_defs: tuple[EntryTypeDef, ...]
     validation_function_ids: tuple[str, ...] = ()
     params: tuple[tuple[str, str], ...] = ()
-    dht_redundancy: int = 4
+    dht_redundancy: int = DEFAULT_REDUNDANCY
     dht_neighborhood_rule: str = "xor-distance"
     hash_alg_id: str = HASH_ALG_ID
 

@@ -23,7 +23,8 @@ import sys
 import tempfile
 
 from .bench import DEFAULT_SIZES, compare_sweep, sweep_to_csv
-from .chain import parse_chain_text, verify_records
+from .chain import DEFAULT_REDUNDANCY, parse_chain_text, verify_records
+from .dht import DEFAULT_AUDIT_SAMPLES, DEFAULT_WITNESS_COUNT
 from .sim import (
     AttackKind,
     ConfigError,
@@ -68,7 +69,11 @@ def _resolve_seed(flag_value: int | None) -> int | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    try:
+        config = load_scenario(args.scenario)
+    except OSError as exc:
+        print(f"{args.scenario}: unreadable: {exc}", file=sys.stderr)
+        return 2
     seed = _resolve_seed(args.seed)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
@@ -169,15 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_attack.add_argument("--trials", type=int, default=1000)
     p_attack.add_argument("--agents", type=int, default=50)
-    p_attack.add_argument("--witnesses", type=int, default=8)
-    p_attack.add_argument("--audit", type=int, default=8)
+    p_attack.add_argument("--witnesses", type=int, default=DEFAULT_WITNESS_COUNT)
+    p_attack.add_argument("--audit", type=int, default=DEFAULT_AUDIT_SAMPLES)
     p_attack.add_argument("--seed", type=int, default=None)
     p_attack.add_argument("--out", default=None, help="write report JSON here")
     p_attack.set_defaults(func=_cmd_attack)
 
     p_bench = sub.add_parser("bench", help="cost comparison sweep")
     p_bench.add_argument("--entries", type=int, default=100, help="entries per run")
-    p_bench.add_argument("--redundancy", type=int, default=4)
+    p_bench.add_argument("--redundancy", type=int, default=DEFAULT_REDUNDANCY)
     p_bench.add_argument("--sizes", default=None, help="comma separated node counts")
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=None, help="write CSV here instead of stdout")
@@ -195,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScenarioAssertion as exc:

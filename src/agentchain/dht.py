@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -46,6 +47,8 @@ from .validation import Marketplace, RuleContext, authenticate_channel, validati
 DEFAULT_FANOUT = 2
 DEFAULT_RATE_LIMIT = 100
 DEFAULT_BACKUP_FACTOR = 2.0
+DEFAULT_WITNESS_COUNT = 8
+DEFAULT_AUDIT_SAMPLES = 8
 
 # DNA param key listing entry-type prefixes that must never replicate
 # beyond the static neighborhood (privacy cap)
@@ -245,8 +248,8 @@ class Network:
         fanout: int = DEFAULT_FANOUT,
         rate_limit: int = DEFAULT_RATE_LIMIT,
         backup_factor: float = DEFAULT_BACKUP_FACTOR,
-        witness_count: int = 8,
-        audit_samples: int = 8,
+        witness_count: int = DEFAULT_WITNESS_COUNT,
+        audit_samples: int = DEFAULT_AUDIT_SAMPLES,
     ) -> None:
         self.dna = dna
         self.network_id = dna.network_id
@@ -264,7 +267,12 @@ class Network:
         self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
         self._restricted = tuple(p for p in dna.param(RESTRICTED_PREFIX_PARAM).split(",") if p)
         self.current_tick = 0
-        # key -> every member, nearest first; see _ranking
+        # the members by node id, ties in join order, and their ids, for
+        # the walk; built on the first ranking after a join
+        self._by_id: list[Agent] = []
+        self._ids: list[int] = []
+        # key -> the members nearest it, as far as readers have walked; see
+        # _ranking
         self._rankings: dict[bytes, list[Agent]] = {}
         # (sender, sender_prev_tx) -> {claim id: tx_id} for every transfer
         # claim some agent holds, one entry per distinct claim; written by
@@ -279,6 +287,8 @@ class Network:
         if agent.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
         self.agents.append(agent)
+        self._by_id.clear()
+        self._ids.clear()
         self._rankings.clear()
 
     def begin_tick(self, tick: int | None = None) -> None:
@@ -289,21 +299,53 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def _ranking(self, key: bytes) -> list[Agent]:
-        """Every member, nearest to key first by XOR over node ids; ties
-        keep join order.
+    def _ranking(self, key: bytes, want: int) -> list[Agent]:
+        """At least the min(want, n) members nearest to key by XOR over
+        node ids, nearest first; ties keep join order.
 
-        The ranking depends on the key and on membership only, so it is
-        computed once per key and dropped when an agent joins. Presence is
-        not part of it: readers skip offline agents as they walk it, which
-        is why flipping ``agent.online`` needs no invalidation.
+        The ranking depends on the key and on membership only, so the
+        walked prefix is kept per key and dropped when an agent joins. A
+        reader that needs more than is kept gets at least twice as much.
+        Presence is not part of it: readers skip offline agents as they
+        walk it, which is why flipping ``agent.online`` needs no
+        invalidation.
         """
         ranking = self._rankings.get(key)
-        if ranking is None:
-            k = int.from_bytes(key, "big")
-            ranking = sorted(self.agents, key=lambda a: a.node_id ^ k)
-            self._rankings[key] = ranking
+        if ranking is None or len(ranking) < want and len(ranking) < len(self.agents):
+            if ranking is not None:
+                want = max(want, 2 * len(ranking))
+            ranking = self._rankings[key] = self._walk(int.from_bytes(key, "big"), want)
         return ranking
+
+    def _walk(self, k: int, want: int) -> list[Agent]:
+        """The min(want, n) members nearest to k, by a walk of the binary
+        trie over the members sorted by node id (Kademlia's XOR order).
+
+        A range of that order shares every id bit above the highest bit in
+        which its ends differ; the half whose bit there matches k's comes
+        first. A range that fits in what is still wanted is ordered with
+        one stable sort, so ties keep join order throughout.
+        """
+        if not self._by_id:
+            self._by_id = sorted(self.agents, key=lambda a: a.node_id)
+            self._ids = [a.node_id for a in self._by_id]
+        by_id, ids = self._by_id, self._ids
+        out: list[Agent] = []
+        ranges = [(0, len(ids))]  # nearest range last
+        while ranges and len(out) < want:
+            lo, hi = ranges.pop()
+            left = want - len(out)
+            if hi - lo <= left:
+                out.extend(sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k))
+                continue
+            bit = (ids[lo] ^ ids[hi - 1]).bit_length() - 1
+            if bit < 0:  # one id throughout: join order
+                out.extend(by_id[lo : lo + left])
+                break
+            mid = bisect_left(ids, ids[hi - 1] >> bit << bit, lo, hi)
+            near, far = ((mid, hi), (lo, mid)) if k >> bit & 1 else ((lo, mid), (mid, hi))
+            ranges += (far, near)
+        return out
 
     def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
         """The min(r, n) agents nearest to key, online or not, stable order.
@@ -311,8 +353,8 @@ class Network:
         A prefix of the key's memoized ranking: it changes only when an
         agent joins, never with presence.
         """
-        r = self.redundancy if r is None else r
-        return self._ranking(key)[: max(0, r)]
+        r = max(0, self.redundancy if r is None else r)
+        return self._ranking(key, r)[:r]
 
     def is_restricted(self, entry_type: str) -> bool:
         return any(entry_type.startswith(p) for p in self._restricted)
@@ -325,14 +367,19 @@ class Network:
         headroom over the bare redundancy target so flapping holders do not
         leave a record unreachable.
 
-        The ranking is memoized per key and depends on membership only;
-        presence is applied here, at read time, by skipping offline agents.
+        The ranking's walked prefix is memoized per key and depends on
+        membership only; presence is applied here, at read time, by skipping
+        offline agents, and a walk past the prefix grows it.
         """
         if self.is_restricted(record.header.entry_type):
             return self.neighborhood(key)
-        want = math.ceil(self.redundancy * self.backup_factor)
-        online = (a for a in self._ranking(key) if a.online)
-        return list(itertools.islice(online, max(0, want)))
+        want = max(0, math.ceil(self.redundancy * self.backup_factor))
+        ranking = self._ranking(key, want)
+        while True:
+            online = list(itertools.islice((a for a in ranking if a.online), want))
+            if len(online) == want or len(ranking) == len(self.agents):
+                return online
+            ranking = self._ranking(key, len(ranking) + 1)
 
     # -- reputation plumbing ------------------------------------------------
 
@@ -499,16 +546,21 @@ class Network:
         local = requester.lookup(key)
         if local is not None:
             return local
-        for holder in self._ranking(key):
-            if holder is requester:
-                continue
-            if count_messages:
-                self.metrics.messages += 1
-            if not holder.online:
-                continue
-            found = holder.lookup(key)
-            if found is not None:
-                return found
+        ranking = self._ranking(key, self.redundancy)
+        walked = 0
+        while walked < len(ranking):
+            for holder in itertools.islice(ranking, walked, None):
+                if holder is requester:
+                    continue
+                if count_messages:
+                    self.metrics.messages += 1
+                if not holder.online:
+                    continue
+                found = holder.lookup(key)
+                if found is not None:
+                    return found
+            walked = len(ranking)
+            ranking = self._ranking(key, walked + 1)
         return None
 
     # -- claims ---------------------------------------------------------------

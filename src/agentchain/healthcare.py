@@ -18,6 +18,7 @@ from .chain import (
     COST_HEAVY,
     COST_LIGHT,
     COST_STANDARD,
+    DEFAULT_REDUNDANCY,
     DnaDocument,
     EntryTypeDef,
     Record,
@@ -55,7 +56,7 @@ def vitals_entry_type(metric: str) -> str:
     return VITALS_PREFIX + metric
 
 
-def healthcare_dna(redundancy: int = 4, credit_limit: int = 0) -> DnaDocument:
+def healthcare_dna(redundancy: int = DEFAULT_REDUNDANCY, credit_limit: int = 0) -> DnaDocument:
     """The deployed app blueprint all honest agents bootstrap from."""
     defs = []
     for metric, (unit, lo, hi) in sorted(VITALS_METRICS.items()):

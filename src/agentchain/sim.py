@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .chain import (
+    DEFAULT_REDUNDANCY,
     Record,
     export_records,
     header_hash,
@@ -30,6 +31,11 @@ from .chain import (
 )
 from .crypto import hash_bytes
 from .dht import (
+    DEFAULT_AUDIT_SAMPLES,
+    DEFAULT_BACKUP_FACTOR,
+    DEFAULT_FANOUT,
+    DEFAULT_RATE_LIMIT,
+    DEFAULT_WITNESS_COUNT,
     Agent,
     CrossNetworkError,
     Network,
@@ -68,7 +74,7 @@ from .healthcare import (
     VitalsReading,
 )
 from .metrics import Metrics, MetricsLog
-from .reputation import is_blacklisted
+from .reputation import DEFAULT_BLACKLIST_THRESHOLD, is_blacklisted
 from .validation import Marketplace
 
 
@@ -238,13 +244,13 @@ class ScenarioConfig:
     seed: int = _key(1, _range(None))
     n_agents: int = _key(12, _range(1))
     ticks: int = _key(20, _range(1))
-    redundancy: int = _key(4, _range(1))
-    fanout: int = _key(2, _range(1))
-    witnesses: int = _key(8, _range(1))
-    audit_samples: int = _key(8, _range(0))
-    blacklist_threshold: float = _key(0.1, _range(0, 1, **_NUMBER))
-    rate_limit: int = _key(100, _range(1))
-    backup_factor: float = _key(2.0, _range(1, **_NUMBER))
+    redundancy: int = _key(DEFAULT_REDUNDANCY, _range(1))
+    fanout: int = _key(DEFAULT_FANOUT, _range(1))
+    witnesses: int = _key(DEFAULT_WITNESS_COUNT, _range(1))
+    audit_samples: int = _key(DEFAULT_AUDIT_SAMPLES, _range(0))
+    blacklist_threshold: float = _key(DEFAULT_BLACKLIST_THRESHOLD, _range(0, 1, **_NUMBER))
+    rate_limit: int = _key(DEFAULT_RATE_LIMIT, _range(1))
+    backup_factor: float = _key(DEFAULT_BACKUP_FACTOR, _range(1, **_NUMBER))
     churn: float = _key(0.0, _range(0, 1, hi_open=True, **_NUMBER))
     churn_start_tick: int = _key(0, _range(0))
     holder_serve: bool = _key(False, _BOOL)
@@ -274,6 +280,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"scenario file {path} nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("scenario file must hold a JSON object")
     return config_from_dict(doc)
@@ -855,15 +863,15 @@ def run_double_spend_experiment(
     seed: int,
     trials: int,
     n_agents: int = 50,
-    witnesses: int = 8,
-    audit_samples: int = 8,
+    witnesses: int = DEFAULT_WITNESS_COUNT,
+    audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> dict:
     """Monte Carlo double-spend detection rate under witness sampling.
 
     Agent 0 double-spends once per trial; every chain, score and news pool
     goes back to its starting state between trials."""
     rng = random.Random(seed)
-    dna = healthcare_dna(redundancy=4)
+    dna = healthcare_dna()
     network = Network(
         dna,
         Marketplace(),

@@ -104,6 +104,37 @@ def transfer_signing_fields(fields: Mapping) -> dict:
     return {k: fields[k] for k in TRANSFER_BODY_FIELDS if k in fields}
 
 
+def _cosign_violation(record: Record) -> str | None:
+    """The fuel-cosigned verdict on a transfer record: whether its tx_id
+    and both signatures commit to the transfer body in its fields.
+
+    It depends on the payload only, so it is checked once per record and
+    kept on it, as Record.signature_ok is.
+    """
+    try:
+        return record._cosign_violation
+    except AttributeError:
+        pass
+    fields = record.fields
+    body = canonical.encode_fields(transfer_signing_fields(fields))
+    sender = fields.get("sender")
+    receiver = fields.get("receiver")
+    s_sig = fields.get("sender_sig")
+    r_sig = fields.get("receiver_sig")
+    if not all(isinstance(x, bytes) for x in (sender, receiver, s_sig, r_sig)):
+        violation = "transfer signature fields missing"
+    elif fields.get("tx_id") != hash_bytes(body):
+        violation = "tx_id does not commit to the transfer body"
+    elif not verify(sender, body, s_sig):
+        violation = "sender signature invalid"
+    elif not verify(receiver, body, r_sig):
+        violation = "receiver signature invalid"
+    else:
+        violation = None
+    object.__setattr__(record, "_cosign_violation", violation)
+    return violation
+
+
 def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext) -> str | None:
     """None if the rule holds, otherwise a short violation description."""
     name, _, arg = rule_id.partition(":")
@@ -151,20 +182,7 @@ def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext)
             return "referenced grant not found"
         return None
     if name == "fuel-cosigned":
-        body = canonical.encode_fields(transfer_signing_fields(fields))
-        sender = fields.get("sender")
-        receiver = fields.get("receiver")
-        s_sig = fields.get("sender_sig")
-        r_sig = fields.get("receiver_sig")
-        if not all(isinstance(x, bytes) for x in (sender, receiver, s_sig, r_sig)):
-            return "transfer signature fields missing"
-        if fields.get("tx_id") != hash_bytes(body):
-            return "tx_id does not commit to the transfer body"
-        if not verify(sender, body, s_sig):
-            return "sender signature invalid"
-        if not verify(receiver, body, r_sig):
-            return "receiver signature invalid"
-        return None
+        return _cosign_violation(record)
     # fail closed: a rule we cannot interpret never passes
     return f"unknown rule {rule_id!r}"
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentchain import sim
 from agentchain.bench import SWEEP_HEADER
 from agentchain.chain import Record, export_records, parse_chain_text
 from agentchain.cli import SEED_ENV, main
@@ -189,6 +190,22 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["run", _scenario(tmp_path, **overrides), "--out", str(tmp_path / "k")]) == 2
         assert f"error: {problem}" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["run", str(tmp_path)]) == 2
+    assert f"{tmp_path}: unreadable: " in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"script": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["run", str(deep), "--out", str(tmp_path / "d")]) == 2
+    assert f"error: scenario file {deep} nests too deeply to parse" in capsys.readouterr().err
+    locked = _scenario(tmp_path)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "open", refuse, raising=False)
+        assert main(["run", locked, "--out", str(tmp_path / "p")]) == 2
+    assert f"{locked}: unreadable: [Errno 13] Permission denied" in capsys.readouterr().err
     monkeypatch.setenv(SEED_ENV, "not-a-number")
     assert main(["run", _scenario(tmp_path), "--out", str(tmp_path / "y")]) == 2
 

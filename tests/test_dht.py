@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentchain import bench
 from agentchain.chain import Record, record_key
 from agentchain.dht import (
     CrossNetworkError,
@@ -173,6 +174,90 @@ def test_scenarios_give_the_same_bytes_with_the_sorting_oracle(name, monkeypatch
     oracle = run_scenario(load_scenario(path))
     assert production.metrics_log.to_csv() == oracle.metrics_log.to_csv()
     assert export_all_chains(production) == export_all_chains(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
+    dna = healthcare_dna()
+    net = Network(dna, Marketplace())
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="rng seed"))
+    readers = ["r0", "r1", "r", "r9", "past n", "backup", "fetch held", "fetch missing"]
+    for step in range(data.draw(st.integers(1, 12), label="steps")):
+        if len(net.agents) < 2 or data.draw(st.booleans(), label="join"):
+            # few keypairs, so one often joins twice; the index is drawn
+            # apart from the join order, which alone must break ties
+            seed = agent_seed(0, data.draw(st.integers(0, 5), label="keypair"))
+            net.join(make_agent(data.draw(st.integers(0, 99), label="index"), seed, dna))
+            continue
+        n = len(net.agents)
+        near_member = rng.choice(net.agents).node_id ^ rng.getrandbits(rng.choice([0, 8, 255]))
+        key = data.draw(
+            st.sampled_from([rng.randbytes(32), near_member.to_bytes(32, "big")]), label="key"
+        )
+        author = rng.choice(net.agents)
+        record = author.append("report", {"text": f"step {step}"}, step + 1)
+        for holder in rng.sample(net.agents, rng.randint(1, min(3, n))):
+            holder.shard[record_key(record)] = record
+        for agent in net.agents:
+            agent.online = rng.random() < 0.5
+        for reader in data.draw(st.permutations(readers), label="reader order"):
+            if reader == "backup":
+                assert net.backup_targets(key, record) == oracle_backup_targets(net, key, record)
+            elif reader.startswith("fetch"):
+                wanted = record_key(record) if reader == "fetch held" else key
+                requester = rng.choice(net.agents)
+                before = net.metrics.messages
+                found = net.fetch(requester, wanted)
+                used = net.metrics.messages - before
+                assert oracle_fetch(net, requester, wanted) is found
+                assert net.metrics.messages - before == 2 * used
+            else:
+                r = {"r0": 0, "r1": 1, "r": None, "r9": 9, "past n": n + 1}[reader]
+                assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
+
+
+def test_a_keypair_joined_twice_ranks_in_join_order_not_by_index():
+    net = _network(n=5)
+    dna, seed = net.dna, agent_seed(99, 3)
+    first, second = make_agent(50, seed, dna), make_agent(7, seed, dna)
+    net.join(first)
+    net.join(second)
+    key = first.node_id.to_bytes(32, "big")
+    assert net.neighborhood(key, 3) == [net.agents[3], first, second]
+    assert net.neighborhood(key, 2) == oracle_neighborhood(net, key, 2)
+
+
+def test_a_walk_past_the_kept_prefix_doubles_it():
+    net = _network(n=40)
+    key = b"\x3c" * 32
+    ranked = _xor_sorted(net.agents, key)
+    assert net.neighborhood(key, 3) == ranked[:3]
+    assert len(net._rankings[key]) == 3
+    for agent in ranked[:20]:
+        agent.online = False
+    record = net.agents[0].append("report", {"text": "far"}, 1)
+    # 8 online targets lie at ranks 20..27: the prefix grows 8, 16, 32
+    assert net.backup_targets(key, record) == ranked[20:28]
+    assert len(net._rankings[key]) == 32
+    assert net.fetch(net.agents[0], key) is None
+    assert net._rankings[key] == ranked
+
+
+def test_publishing_keeps_only_the_walked_prefix_of_each_ranking(monkeypatch):
+    networks = []
+
+    class Recorded(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            networks.append(self)
+
+    monkeypatch.setattr(bench, "Network", Recorded)
+    bench.run_holochain_count(256, 1000, 4)
+    (net,) = networks
+    # one ranked key per publish, each walked r deep, not all 256 members
+    assert len(net._rankings) == 1000
+    assert sum(len(ranking) for ranking in net._rankings.values()) == 1000 * 4
 
 
 def test_neighborhood_ignores_presence():

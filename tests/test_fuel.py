@@ -748,3 +748,21 @@ def test_generated_fuel_scenarios_keep_every_running_balance_on_the_walk(doc):
     again = run_scenario(config_from_dict(doc))
     assert again.metrics_log.to_csv() == result.metrics_log.to_csv()
     assert export_all_chains(again) == export_all_chains(result)
+
+
+def test_a_published_transfer_checks_its_cosignatures_once(verify_calls):
+    net = _network()
+    a, b = net.agents[0], net.agents[1]
+    append_seed_grant(a, 5, 1)
+    tx = countersign(b.keys, create_fuel_tx(a.chain, b.public_key, 2, 2))
+    record = b.append(FUEL_TX_TYPE, tx.payload, 2)
+    verify_calls.clear()
+    receipts = net.publish(b, record)
+    assert len(receipts) == net.redundancy == 4
+    # the envelope's, the header's and the two transfer signatures, once
+    # each for all r validators of the one record object
+    assert len(verify_calls) == 4
+    key = record_key(record)
+    (held,) = {id(h.shard[key]): h.shard[key] for h in net.agents if key in h.shard}.values()
+    assert validate_transaction(held, net.dna).valid
+    assert len(verify_calls) == 4
