@@ -166,7 +166,8 @@ def run_holochain_count(n: int, m: int, r: int = DEFAULT_REDUNDANCY, seed: int =
 # ---------------------------------------------------------------------------
 # the sweep
 
-SWEEP_HEADER = "n,m,r,bc_stores,bc_msgs,hc_stores,hc_msgs,model_bc,model_hc"
+SWEEP_COLUMNS = ("n", "m", "r", "bc_stores", "bc_msgs", "hc_stores", "hc_msgs", "model_bc", "model_hc")
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 DEFAULT_SIZES = (8, 16, 32, 64, 128)
 
 
@@ -182,30 +183,11 @@ def compare_sweep(
         if not bc["replicas_identical"]:
             raise AssertionError(f"baseline replicas diverged at n={n}")
         hc = run_holochain_count(n, m, r, seed)
-        model_bc, model_hc = eval_model(n, m)
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "r": r,
-                "bc_stores": bc["stores"],
-                "bc_msgs": bc["messages"],
-                "hc_stores": hc["stores"],
-                "hc_msgs": hc["messages"],
-                "model_bc": model_bc,
-                "model_hc": model_hc,
-            }
-        )
+        values = (n, m, r, bc["stores"], bc["messages"], hc["stores"], hc["messages"], *eval_model(n, m))
+        rows.append(dict(zip(SWEEP_COLUMNS, values)))
     return rows
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(row[c])
-                for c in ("n", "m", "r", "bc_stores", "bc_msgs", "hc_stores", "hc_msgs", "model_bc", "model_hc")
-            )
-        )
+    lines = [SWEEP_HEADER] + [",".join(str(row[c]) for c in SWEEP_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"

@@ -66,6 +66,11 @@ class EntryTypeDef:
 # holders per record, unless a blueprint says otherwise
 DEFAULT_REDUNDANCY = 4
 
+# DNA param names; DnaDocument derives each value once per document, from
+# the first pair that carries the name
+RESTRICTED_PREFIXES_PARAM = "dht.restricted_prefixes"
+CREDIT_LIMIT_PARAM = "fuel.credit_limit"
+
 
 @dataclass(frozen=True)
 class DnaDocument:
@@ -99,17 +104,24 @@ class DnaDocument:
         """Digest of the canonical encoding, computed once per document."""
         return hash_bytes(self.encoded)
 
-    def entry_type(self, name: str) -> EntryTypeDef | None:
-        for etd in self.entry_type_defs:
-            if etd.type_name == name:
-                return etd
-        return None
+    @cached_property
+    def _types(self) -> dict[str, EntryTypeDef]:
+        # of two definitions sharing a name, the first wins
+        return {etd.type_name: etd for etd in reversed(self.entry_type_defs)}
 
-    def param(self, key: str, default: str = "") -> str:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def entry_type(self, name: str) -> EntryTypeDef | None:
+        return self._types.get(name)
+
+    @cached_property
+    def credit_limit(self) -> int:
+        """How far below zero a fuel balance may go; 0 unless set."""
+        return int(dict(reversed(self.params)).get(CREDIT_LIMIT_PARAM, 0))
+
+    @cached_property
+    def restricted_prefixes(self) -> tuple[str, ...]:
+        """Entry-type prefixes that never leave their static neighborhood."""
+        value = dict(reversed(self.params)).get(RESTRICTED_PREFIXES_PARAM, "")
+        return tuple(p for p in value.split(",") if p)
 
 
 def validate_dna(dna: DnaDocument) -> None:

@@ -29,6 +29,8 @@ from .sim import (
     AttackKind,
     ConfigError,
     ScenarioAssertion,
+    ScenarioConfig,
+    _range,
     export_all_chains,
     load_scenario,
     run_experiment,
@@ -36,6 +38,15 @@ from .sim import (
 )
 
 SEED_ENV = "AGENTCHAIN_SEED"
+
+# each numeric flag's check: the one of the scenario key it stands for, else a
+# range, whose callable bound is a function of the parsed args
+_KEY = {key.name: key.metadata["check"] for key in dataclasses.fields(ScenarioConfig)}
+_ATTACK_FLAGS = {"trials": _range(), "agents": _KEY["n_agents"], "witnesses": _KEY["witnesses"],
+                 "audit": _KEY["audit_samples"]}
+# each size hosts more than redundancy holders, so it is at least two replicas
+_BENCH_FLAGS = {"entries": _range(), "redundancy": _KEY["redundancy"],
+                "sizes": _range(lambda args: args.redundancy + 1)}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -68,6 +79,22 @@ def _resolve_seed(flag_value: int | None) -> int | None:
     return None
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma separated integers, got {text!r}") from None
+
+
+def _check_flags(args: argparse.Namespace, checks: dict) -> None:
+    """Refuse the first flag value its check rejects, naming the flag."""
+    for flag, check in checks.items():
+        for value in getattr(args, flag) if flag == "sizes" else [getattr(args, flag)]:
+            problem = check(f"--{flag}", value, args, {})
+            if problem:
+                raise ConfigError(problem)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_scenario(args.scenario)
@@ -94,6 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    _check_flags(args, _ATTACK_FLAGS)
     seed = _resolve_seed(args.seed)
     if seed is None:
         seed = 1
@@ -118,11 +146,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
+    _check_flags(args, _BENCH_FLAGS)
     seed = _resolve_seed(args.seed)
     if seed is None:
         seed = 7
-    rows = compare_sweep(sizes=sizes, m=args.entries, r=args.redundancy, seed=seed)
+    rows = compare_sweep(sizes=args.sizes, m=args.entries, r=args.redundancy, seed=seed)
     csv_text = sweep_to_csv(rows)
     if args.out:
         _atomic_write(args.out, csv_text)
@@ -183,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="cost comparison sweep")
     p_bench.add_argument("--entries", type=int, default=100, help="entries per run")
     p_bench.add_argument("--redundancy", type=int, default=DEFAULT_REDUNDANCY)
-    p_bench.add_argument("--sizes", default=None, help="comma separated node counts")
+    p_bench.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES, help="comma separated node counts")
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_bench.set_defaults(func=_cmd_bench)

@@ -42,17 +42,13 @@ from .reputation import (
     is_blacklisted,
     update_experience,
 )
-from .validation import Marketplace, RuleContext, authenticate_channel, validation_work
+from .validation import Marketplace, authenticate_channel, validation_work
 
 DEFAULT_FANOUT = 2
 DEFAULT_RATE_LIMIT = 100
 DEFAULT_BACKUP_FACTOR = 2.0
 DEFAULT_WITNESS_COUNT = 8
 DEFAULT_AUDIT_SAMPLES = 8
-
-# DNA param key listing entry-type prefixes that must never replicate
-# beyond the static neighborhood (privacy cap)
-RESTRICTED_PREFIX_PARAM = "dht.restricted_prefixes"
 
 
 class DhtError(Exception):
@@ -265,7 +261,6 @@ class Network:
         self.redundancy = dna.dht_redundancy
         # hooks see (kind, sender, receiver, payload) and may mutate payload
         self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
-        self._restricted = tuple(p for p in dna.param(RESTRICTED_PREFIX_PARAM).split(",") if p)
         self.current_tick = 0
         # the members by node id, ties in join order, and their ids, for
         # the walk; built on the first ranking after a join
@@ -291,9 +286,8 @@ class Network:
         self._ids.clear()
         self._rankings.clear()
 
-    def begin_tick(self, tick: int | None = None) -> None:
-        if tick is not None:
-            self.current_tick = tick
+    def begin_tick(self, tick: int) -> None:
+        self.current_tick = tick
         for agent in self.agents:
             agent.rate_window.clear()
 
@@ -357,7 +351,7 @@ class Network:
         return self._ranking(key, r)[:r]
 
     def is_restricted(self, entry_type: str) -> bool:
-        return any(entry_type.startswith(p) for p in self._restricted)
+        return entry_type.startswith(self.dna.restricted_prefixes)
 
     def backup_targets(self, key: bytes, record: Record) -> list[Agent]:
         """Who should hold this record right now.
@@ -448,7 +442,7 @@ class Network:
         them. Returns whether the record was valid."""
         verdict = authenticate_channel(
             record, dst.chain.dna, self.marketplace, app_id=self.network_id,
-            ctx=self._rule_context(dst),
+            resolve=lambda key: self.fetch(dst, key, count_messages=False),
         )
         self.metrics.validations += 1
         self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
@@ -533,12 +527,6 @@ class Network:
         if not self._store_if_valid(validator, record, key, envelope.sender):
             return None
         return Receipt(holder=validator.public_key, key=key)
-
-    def _rule_context(self, validator: Agent) -> RuleContext:
-        return RuleContext(
-            resolve=lambda key: self.fetch(validator, key, count_messages=False),
-            credit_limit=int(validator.chain.dna.param("fuel.credit_limit", "0")),
-        )
 
     def fetch(self, requester: Agent, key: bytes, count_messages: bool = True) -> Record | None:
         """Look a record up by key: own holdings first, then online holders
@@ -675,7 +663,8 @@ class Network:
                 record = agent.shard[key]
                 verdict = authenticate_channel(
                     record, agent.chain.dna, self.marketplace,
-                    app_id=self.network_id, ctx=self._rule_context(agent),
+                    app_id=self.network_id,
+                    resolve=lambda key: self.fetch(agent, key, count_messages=False),
                 )
                 if not verdict.valid:
                     raise AssertionError(

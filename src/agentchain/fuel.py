@@ -213,7 +213,7 @@ def create_fuel_tx(
     sender = sender_chain.owner.public_key
     if receiver == sender:
         raise FuelError("cannot transfer to self")
-    credit_limit = int(sender_chain.dna.param("fuel.credit_limit", "0"))
+    credit_limit = sender_chain.dna.credit_limit
     prior = balance(sender_chain)
     if prior - amount < -credit_limit:
         raise FuelError(f"balance {prior} cannot cover {amount} (limit {credit_limit})")

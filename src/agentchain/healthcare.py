@@ -18,7 +18,9 @@ from .chain import (
     COST_HEAVY,
     COST_LIGHT,
     COST_STANDARD,
+    CREDIT_LIMIT_PARAM,
     DEFAULT_REDUNDANCY,
+    RESTRICTED_PREFIXES_PARAM,
     DnaDocument,
     EntryTypeDef,
     Record,
@@ -153,10 +155,7 @@ def healthcare_dna(redundancy: int = DEFAULT_REDUNDANCY, credit_limit: int = 0) 
         description="continuous patient monitoring with capability-gated sharing",
         entry_type_defs=tuple(defs),
         validation_function_ids=("channel-auth-v1",),
-        params=(
-            ("dht.restricted_prefixes", VITALS_PREFIX),
-            ("fuel.credit_limit", str(credit_limit)),
-        ),
+        params={RESTRICTED_PREFIXES_PARAM: VITALS_PREFIX, CREDIT_LIMIT_PARAM: credit_limit},
         dht_redundancy=redundancy,
     )
 

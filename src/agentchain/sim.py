@@ -297,7 +297,6 @@ class SimResult:
     metrics: Metrics
     metrics_log: MetricsLog
     access_log: list[dict]
-    slots: dict[str, bytes]
     revoke_published: dict[bytes, int] = field(default_factory=dict)
     availability_hits: int = 0
     availability_slots: int = 0
@@ -326,14 +325,14 @@ class SimResult:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig, marketplace: Marketplace | None = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
         self.rng = random.Random(config.seed)
         self.metrics = Metrics()
         dna = healthcare_dna(redundancy=config.redundancy)
         self.network = Network(
             dna,
-            marketplace if marketplace is not None else Marketplace(),
+            Marketplace(),
             metrics=self.metrics,
             fanout=config.fanout,
             rate_limit=config.rate_limit,
@@ -402,7 +401,6 @@ class Simulation:
             metrics=self.metrics,
             metrics_log=self.metrics_log,
             access_log=self.access_log,
-            slots=self.slots,
             revoke_published=self.revoke_published,
             availability_hits=self.availability_hits,
             availability_slots=self.availability_slots,
@@ -751,8 +749,8 @@ def _record_at(tick: int, op: dict, agent: Agent, seq: int) -> Record:
     return agent.chain.records[seq]
 
 
-def run_scenario(config: ScenarioConfig, marketplace: Marketplace | None = None) -> SimResult:
-    return Simulation(config, marketplace).run()
+def run_scenario(config: ScenarioConfig) -> SimResult:
+    return Simulation(config).run()
 
 
 def audit_access_log(result: SimResult) -> list[str]:

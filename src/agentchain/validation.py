@@ -19,12 +19,7 @@ from typing import Callable, Mapping, Optional
 
 from . import canonical
 from .canonical import EncodingError
-from .chain import (
-    COST_UNITS,
-    DnaDocument,
-    EntryTypeDef,
-    Record,
-)
+from .chain import COST_UNITS, DnaDocument, Record
 from .crypto import hash_bytes, verify
 
 
@@ -78,19 +73,14 @@ class Marketplace:
 #   range:<field>:<lo>:<hi>       integer field within [lo, hi]
 #   author-field:<field>          header author equals the named bytes field
 #   author-party:<f1>,<f2>,...    header author equals one of the named fields
-#   balance-nonneg                claimed prior balance covers the amount
+#   balance-nonneg                claimed prior balance covers the amount, down
+#                                 to minus the validator's dna.credit_limit
 #   grant-exists:<field>          named digest field resolves to a grant record
+#                                 through the validator's resolve callable
 #   fuel-cosigned                 both embedded transfer signatures verify
+# What a rule reads of the blueprint is derived once per DnaDocument.
 
 Resolver = Callable[[bytes], Optional[Record]]
-
-
-@dataclass
-class RuleContext:
-    """What stateful rules may consult. resolve looks records up by key."""
-
-    resolve: Resolver | None = None
-    credit_limit: int = 0
 
 
 # the co-signed core of a transfer: what both parties sign and tx_id hashes
@@ -135,7 +125,9 @@ def _cosign_violation(record: Record) -> str | None:
     return violation
 
 
-def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext) -> str | None:
+def _check_rule(
+    rule_id: str, record: Record, fields: Mapping, dna: DnaDocument, resolve: Resolver | None
+) -> str | None:
     """None if the rule holds, otherwise a short violation description."""
     name, _, arg = rule_id.partition(":")
     if name == "required":
@@ -168,16 +160,16 @@ def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext)
         amount = fields.get("amount")
         if not isinstance(prior, int) or not isinstance(amount, int):
             return "balance fields missing"
-        if prior - amount < -ctx.credit_limit:
+        if prior - amount < -dna.credit_limit:
             return f"balance {prior} cannot cover {amount}"
         return None
     if name == "grant-exists":
         token = fields.get(arg)
         if not isinstance(token, bytes):
             return f"field {arg!r} missing or not a digest"
-        if ctx.resolve is None:
+        if resolve is None:
             return "no resolver available for grant lookup"
-        target = ctx.resolve(token)
+        target = resolve(token)
         if target is None or target.header.entry_type != "cap_grant":
             return "referenced grant not found"
         return None
@@ -187,23 +179,10 @@ def _check_rule(rule_id: str, record: Record, fields: Mapping, ctx: RuleContext)
     return f"unknown rule {rule_id!r}"
 
 
-def check_rules(
-    etd: EntryTypeDef, record: Record, fields: Mapping, ctx: RuleContext | None = None
-) -> str | None:
-    ctx = ctx or RuleContext()
-    for rule_id in etd.rule_ids:
-        violation = _check_rule(rule_id, record, fields, ctx)
-        if violation is not None:
-            return f"{rule_id}: {violation}"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the validation gates
 
-def validate_transaction(
-    record: Record, dna: DnaDocument, ctx: RuleContext | None = None
-) -> Verdict:
+def validate_transaction(record: Record, dna: DnaDocument, resolve: Resolver | None = None) -> Verdict:
     """First gate: is this record well formed under this blueprint?"""
     etd = dna.entry_type(record.header.entry_type)
     if etd is None:
@@ -216,9 +195,10 @@ def validate_transaction(
         fields = record.fields
     except EncodingError as exc:
         return Verdict(False, Reason.RULE_VIOLATION, f"payload does not decode: {exc}")
-    violation = check_rules(etd, record, fields, ctx)
-    if violation is not None:
-        return Verdict(False, Reason.RULE_VIOLATION, violation)
+    for rule_id in etd.rule_ids:
+        violation = _check_rule(rule_id, record, fields, dna, resolve)
+        if violation is not None:
+            return Verdict(False, Reason.RULE_VIOLATION, f"{rule_id}: {violation}")
     return OK
 
 
@@ -234,7 +214,7 @@ def authenticate_channel(
     dna: DnaDocument,
     marketplace: Marketplace,
     app_id: bytes | None = None,
-    ctx: RuleContext | None = None,
+    resolve: Resolver | None = None,
 ) -> Verdict:
     """Both gates together; the first failure wins.
 
@@ -242,7 +222,7 @@ def authenticate_channel(
     the envelope so a forked blueprint cannot ride on a registered one.
     Defaults to the validator's own network id.
     """
-    tx_verdict = validate_transaction(record, dna, ctx)
+    tx_verdict = validate_transaction(record, dna, resolve)
     if not tx_verdict.valid:
         return tx_verdict
     app_verdict = validate_application(app_id if app_id is not None else dna.network_id, marketplace)

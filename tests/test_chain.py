@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from agentchain import chain as chain_module
 from agentchain.canonical import Writer
 from agentchain.chain import (
+    COST_HEAVY,
     ChainError,
     DnaDocument,
+    EntryTypeDef,
     REASON_AUTHOR,
     REASON_ENTRY_HASH,
     REASON_HEAD,
@@ -365,6 +367,49 @@ def test_nothing_outside_chain_py_writes_a_chains_records():
         "c.records.append(r)\nc.records.pop()\nc.records.sort()\nn = len(c.records)\n"
     )
     assert _writes_to_records(probe) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def _blueprint_param_reads(tree, names) -> list[int]:
+    """Line numbers that read ``<x>.params`` or ``<x>.param``, or spell one
+    of the DNA param names."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("param", "params")
+        or isinstance(node, ast.Constant) and node.value in names
+    )
+
+
+def test_only_chain_py_reads_a_blueprints_params():
+    names = {value for name, value in vars(chain_module).items() if name.endswith("_PARAM")}
+    assert names == {"dht.restricted_prefixes", "fuel.credit_limit"}
+    root = Path(__file__).parent.parent
+    sources = [p for p in (root / "src" / "agentchain").glob("*.py") if p.name != "chain.py"]
+    offenders = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(sources)
+        for line in _blueprint_param_reads(ast.parse(path.read_text(), str(path)), names)
+    ]
+    assert offenders == []
+    # the detector itself sees each kind of read, and not a blueprint built
+    # from the constants
+    probe = ast.parse(
+        'a = dna.params\nb = dna.param("k")\nc = "fuel.credit_limit"\n'
+        'd = DnaDocument(params=((CREDIT_LIMIT_PARAM, "1"),))\ne = {"params": 1}\n'
+    )
+    assert _blueprint_param_reads(probe, names) == [1, 2, 3]
+
+
+def test_entry_type_returns_the_first_of_two_definitions_sharing_a_name():
+    first = EntryTypeDef("note", (("text", "str"),), ("required:text",))
+    dna = DnaDocument(
+        "dup", "two notes", (first, EntryTypeDef("note", (), (), COST_HEAVY), EntryTypeDef("tag", (), ()))
+    )
+    assert dna.entry_type("note") is first
+    assert dna.entry_type("tag") is dna.entry_type_defs[2]
+    assert dna.entry_type("missing") is None
+    # a blueprint without params has no credit and no restricted types
+    assert (dna.credit_limit, dna.restricted_prefixes) == (0, ())
 
 
 # --- a record's bytes and key, derived once per object in chain.py -------------

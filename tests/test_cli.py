@@ -509,6 +509,28 @@ def test_attack_double_spend_reports_rates(tmp_path, capsys):
     assert "two other online agents" in capsys.readouterr().err
 
 
+def test_malformed_attack_and_bench_flags_exit_2_naming_the_flag(capsys):
+    for argv, problem in (
+        (["attack", "--kind", "double_spend", "--agents", "0"], "error: --agents must be an integer >= 1"),
+        (["attack", "--kind", "double_spend", "--audit", "-1"], "error: --audit must be an integer >= 0"),
+        (["attack", "--kind", "double_spend", "--witnesses", "-3"],
+         "error: --witnesses must be an integer >= 1"),
+        (["attack", "--kind", "double_spend", "--trials", "-1"], "error: --trials must be an integer >= 0"),
+        (["bench", "--sizes", "abc"], "argument --sizes: must be comma separated integers, got 'abc'"),
+        (["bench", "--sizes", "1"], "error: --sizes must be an integer >= 5"),
+        (["bench", "--redundancy", "0"], "error: --redundancy must be an integer >= 1"),
+        (["bench", "--entries", "-1"], "error: --entries must be an integer >= 0"),
+        (["bench", "--sizes", "4", "--redundancy", "4"], "error: --sizes must be an integer >= 5"),
+    ):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses what it cannot parse
+            code = exc.code
+        assert code == 2, argv
+        assert problem in capsys.readouterr().err
+
+
 # --- bench ---------------------------------------------------------------------
 
 def test_bench_csv(tmp_path):

@@ -63,13 +63,13 @@ from agentchain.sim import (
     run_double_spend_experiment,
     run_scenario,
 )
-from agentchain.validation import Marketplace, validate_transaction
+from agentchain.validation import Marketplace, Reason, validate_transaction
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
-def _network(n=8, seed=77, witness_count=7, **kw):
-    dna = healthcare_dna()
+def _network(n=8, seed=77, witness_count=7, dna=None, **kw):
+    dna = dna or healthcare_dna()
     net = Network(dna, Marketplace(), witness_count=witness_count, **kw)
     for i in range(n):
         net.join(make_agent(i, agent_seed(seed, i), dna))
@@ -177,6 +177,20 @@ def test_settled_transfer_validates_under_the_blueprint():
     assert tx is not None
     record = b.chain.records[-1]
     assert validate_transaction(record, net.dna).valid
+
+
+def test_a_transfer_on_credit_is_held_to_its_blueprint_limit_without_a_resolver():
+    """balance-nonneg reads the credit limit of the blueprint it validates
+    under, whether or not the caller passes a record resolver."""
+    net = _network(n=5, dna=healthcare_dna(credit_limit=5))
+    a, b = net.agents[0], net.agents[1]
+    tx, _ = settle(net, a, b, 5, 1, random.Random(0))
+    assert (tx.sender_prior_balance, tx.amount) == (0, 5)
+    record = b.chain.records[-1]
+    assert validate_transaction(record, net.dna).valid
+    verdict = validate_transaction(record, healthcare_dna(credit_limit=4))
+    assert verdict.reason is Reason.RULE_VIOLATION
+    assert verdict.detail == "balance-nonneg: balance 0 cannot cover 5"
 
 
 def test_fuel_verdict_must_name_the_conflict():

@@ -51,12 +51,12 @@ def test_blueprint_covers_every_metric():
         assert etd is not None
         assert f"range:value:{lo}:{hi}" in etd.rule_ids
         assert "author-field:patient" in etd.rule_ids
-    assert dna.param("dht.restricted_prefixes") == "vitals_"
+    assert dna.restricted_prefixes == ("vitals_",)
 
 
 def test_blueprint_knobs_change_identity_inputs():
     assert healthcare_dna(redundancy=6).dht_redundancy == 6
-    assert healthcare_dna(credit_limit=9).param("fuel.credit_limit") == "9"
+    assert healthcare_dna(credit_limit=9).credit_limit == 9
 
 
 # --- vitals -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from agentchain import canonical
 from agentchain.chain import (
     COST_LIGHT,
     COST_HEAVY,
+    CREDIT_LIMIT_PARAM,
     DnaDocument,
     EntryTypeDef,
     Record,
@@ -24,7 +25,6 @@ from agentchain.crypto import generate_keypair, hash_bytes, sign
 from agentchain.validation import (
     Marketplace,
     Reason,
-    RuleContext,
     Verdict,
     authenticate_channel,
     transfer_signing_fields,
@@ -226,10 +226,10 @@ def test_balance_nonneg(setup):
     over = {"amount": 6, "sender_prior_balance": 5}
     assert validate_transaction(_rec(chain, "spend", ok), dna).valid
     assert not validate_transaction(_rec(chain, "spend", over), dna).valid
-    # a credit limit shifts the floor
-    credit = RuleContext(credit_limit=2)
-    assert validate_transaction(_rec(chain, "spend", {"amount": 7, "sender_prior_balance": 5}), dna, credit).valid
-    assert not validate_transaction(_rec(chain, "spend", {"amount": 8, "sender_prior_balance": 5}), dna, credit).valid
+    # the validator's blueprint credit limit shifts the floor
+    credit = dataclasses.replace(dna, params={CREDIT_LIMIT_PARAM: 2})
+    assert validate_transaction(_rec(chain, "spend", {"amount": 7, "sender_prior_balance": 5}), credit).valid
+    assert not validate_transaction(_rec(chain, "spend", {"amount": 8, "sender_prior_balance": 5}), credit).valid
 
 
 def test_grant_exists(setup):
@@ -237,12 +237,11 @@ def test_grant_exists(setup):
     grant = _rec(chain, "cap_grant", {"grantee": keys.public_key})
     plain = _rec(chain, "plain", {"text": "not a grant"})
     index = {record_key(grant): grant, record_key(plain): plain}
-    ctx = RuleContext(resolve=index.get)
 
-    assert validate_transaction(_rec(chain, "cap_use", {"token": record_key(grant)}), dna, ctx).valid
-    assert not validate_transaction(_rec(chain, "cap_use", {"token": b"\x99" * 32}), dna, ctx).valid
+    assert validate_transaction(_rec(chain, "cap_use", {"token": record_key(grant)}), dna, index.get).valid
+    assert not validate_transaction(_rec(chain, "cap_use", {"token": b"\x99" * 32}), dna, index.get).valid
     # resolving to a record of the wrong type is still a failure
-    assert not validate_transaction(_rec(chain, "cap_use", {"token": record_key(plain)}), dna, ctx).valid
+    assert not validate_transaction(_rec(chain, "cap_use", {"token": record_key(plain)}), dna, index.get).valid
     # and with no resolver the rule cannot be satisfied
     assert not validate_transaction(_rec(chain, "cap_use", {"token": record_key(grant)}), dna).valid
 
