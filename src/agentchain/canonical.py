@@ -11,6 +11,30 @@ Rules, applied uniformly:
 App payloads are field maps: field name -> tagged value, encoded sorted by
 name. The tag set is closed (int/str/bytes/digest) on purpose; anything
 fancier belongs in its own record type.
+
+Byte layouts of the three hot record types. ``lp(x)`` is x's byte length
+as a big-endian u32, then x; a string is lp of its UTF-8 bytes. These three
+are written with precompiled ``struct`` packers joined once and read with
+``unpack_from`` at offsets; every other layout (DNA, genesis, claim ids,
+agent seeds, bench blocks) goes through Writer and Reader.
+
+  field map (encode_fields)     header (chain.encode_header)
+    u8   'F' (0x46)               u8   'H' (0x48)
+    u32  field count              u64  seq
+    per field, names ascending:   u64  timestamp
+      lp   name (UTF-8)           lp   entry type (UTF-8)
+      u8   tag                    32   entry hash
+      value, by tag:              lp   author key (32 bytes to decode)
+        1 int     i64             32   previous header hash
+        2 str     lp (UTF-8)      lp   signature (64 bytes to decode)
+        3 bytes   lp, length
+                  never 32      record (chain.encode_record)
+        4 digest  32 bytes        u8   'R' (0x52)
+                                  lp   header
+                                  lp   payload
+
+A bytes or bytearray value of exactly 32 bytes is always a digest. The
+author signs the header up to and excluding its signature's lp.
 """
 
 from __future__ import annotations
@@ -22,6 +46,8 @@ from .crypto import DIGEST_SIZE
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
+I64_MIN = -(2**63)
+I64_MAX = 2**63 - 1
 
 # field map value tags
 TAG_INT = 1
@@ -29,9 +55,40 @@ TAG_STR = 2
 TAG_BYTES = 3
 TAG_DIGEST = 4
 
+# the u32 in front of every string and byte array
+LEN_PREFIX = struct.Struct(">I")
+# a digest, then the length prefix of the field after it
+DIGEST_AND_LEN = struct.Struct(">32sI")
+_FIELD_MAP_HEAD = struct.Struct(">BI")  # 'F', field count
+_INT_VALUE = struct.Struct(">Bq")  # TAG_INT, value
+_LP_VALUE = struct.Struct(">BI")  # TAG_STR or TAG_BYTES, value length
+_I64 = struct.Struct(">q")
+_DIGEST_TAG = bytes([TAG_DIGEST])
+
+TRUNCATED = "truncated encoding"
+
 
 class EncodingError(ValueError):
     """Raised when bytes do not decode as the requested record type."""
+
+
+def check_tag(data: bytes, tag: int, message: str) -> None:
+    """The first-byte check of a strict decoder: a missing byte is a
+    truncation, a wrong one raises message."""
+    if not data:
+        raise EncodingError(TRUNCATED)
+    if data[0] != tag:
+        raise EncodingError(message)
+
+
+def check_end(data: bytes, pos: int) -> None:
+    """The last check of a strict decoder: nothing may follow pos."""
+    if pos != len(data):
+        raise EncodingError(f"{len(data) - pos} trailing bytes")
+
+
+def u32_out_of_range(value: int) -> EncodingError:
+    return EncodingError(f"u32 out of range: {value}")
 
 
 class Writer:
@@ -47,7 +104,7 @@ class Writer:
 
     def u32(self, value: int) -> None:
         if not 0 <= value <= U32_MAX:
-            raise EncodingError(f"u32 out of range: {value}")
+            raise u32_out_of_range(value)
         self._parts.append(struct.pack(">I", value))
 
     def u64(self, value: int) -> None:
@@ -56,7 +113,7 @@ class Writer:
         self._parts.append(struct.pack(">Q", value))
 
     def i64(self, value: int) -> None:
-        if not -(2**63) <= value < 2**63:
+        if not I64_MIN <= value <= I64_MAX:
             raise EncodingError(f"i64 out of range: {value}")
         self._parts.append(struct.pack(">q", value))
 
@@ -88,7 +145,7 @@ class Reader:
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
-            raise EncodingError("truncated encoding")
+            raise EncodingError(TRUNCATED)
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
@@ -121,8 +178,7 @@ class Reader:
             raise EncodingError(f"bad utf-8 in string field: {exc}") from exc
 
     def finish(self) -> None:
-        if self._pos != len(self._data):
-            raise EncodingError(f"{len(self._data) - self._pos} trailing bytes")
+        check_end(self._data, self._pos)
 
 
 FieldValue = Any  # int | str | bytes; 32-byte values round-trip as digests
@@ -130,59 +186,90 @@ FieldValue = Any  # int | str | bytes; 32-byte values round-trip as digests
 
 def encode_fields(fields: dict[str, FieldValue]) -> bytes:
     """Canonical encoding of an app payload (sorted field map, tag 'F')."""
-    w = Writer()
-    w.u8(ord("F"))
-    w.u32(len(fields))
+    if len(fields) > U32_MAX:
+        raise u32_out_of_range(len(fields))
+    parts = [_FIELD_MAP_HEAD.pack(0x46, len(fields))]
+    append = parts.append
     for name in sorted(fields):
         value = fields[name]
-        w.string(name)
+        raw_name = name.encode("utf-8")
+        if len(raw_name) > U32_MAX:
+            raise u32_out_of_range(len(raw_name))
+        append(LEN_PREFIX.pack(len(raw_name)))
+        append(raw_name)
         if isinstance(value, bool):
             raise EncodingError(f"field {name}: bool is not a payload type")
         if isinstance(value, int):
-            w.u8(TAG_INT)
-            w.i64(value)
+            if not I64_MIN <= value <= I64_MAX:
+                raise EncodingError(f"i64 out of range: {value}")
+            append(_INT_VALUE.pack(TAG_INT, value))
         elif isinstance(value, str):
-            w.u8(TAG_STR)
-            w.string(value)
+            raw = value.encode("utf-8")
+            if len(raw) > U32_MAX:
+                raise u32_out_of_range(len(raw))
+            append(_LP_VALUE.pack(TAG_STR, len(raw)))
+            append(raw)
         elif isinstance(value, (bytes, bytearray)):
-            value = bytes(value)
             if len(value) == DIGEST_SIZE:
-                w.u8(TAG_DIGEST)
-                w.digest(value)
+                append(_DIGEST_TAG)
+            elif len(value) > U32_MAX:
+                raise u32_out_of_range(len(value))
             else:
-                w.u8(TAG_BYTES)
-                w.lp_bytes(value)
+                append(_LP_VALUE.pack(TAG_BYTES, len(value)))
+            append(bytes(value))
         else:
             raise EncodingError(f"field {name}: unsupported type {type(value).__name__}")
-    return w.getvalue()
+    return b"".join(parts)
 
 
 def decode_fields(data: bytes) -> dict[str, FieldValue]:
     """Inverse of encode_fields; rejects malformed or unsorted input."""
-    r = Reader(data)
-    if r.u8() != ord("F"):
-        raise EncodingError("not a field map encoding")
-    count = r.u32()
+    data = bytes(data)
+    size = len(data)
+    check_tag(data, 0x46, "not a field map encoding")
     fields: dict[str, FieldValue] = {}
     prev = None
-    for _ in range(count):
-        name = r.string()
-        if prev is not None and name <= prev:
-            raise EncodingError("field map not in canonical order")
-        prev = name
-        tag = r.u8()
-        if tag == TAG_INT:
-            fields[name] = r.i64()
-        elif tag == TAG_STR:
-            fields[name] = r.string()
-        elif tag == TAG_BYTES:
-            raw = r.lp_bytes()
-            if len(raw) == DIGEST_SIZE:
+    try:
+        _, count = _FIELD_MAP_HEAD.unpack_from(data)
+        pos = _FIELD_MAP_HEAD.size
+        for _ in range(count):
+            (n,) = LEN_PREFIX.unpack_from(data, pos)
+            pos += 4
+            end = pos + n
+            if end > size:
+                raise EncodingError(TRUNCATED)
+            name = data[pos:end].decode("utf-8")
+            if prev is not None and name <= prev:
+                raise EncodingError("field map not in canonical order")
+            prev = name
+            if end == size:
+                raise EncodingError(TRUNCATED)
+            tag = data[end]
+            pos = end + 1
+            if tag == TAG_INT:
+                (fields[name],) = _I64.unpack_from(data, pos)
+                pos += 8
+                continue
+            if tag == TAG_DIGEST:
+                end = pos + DIGEST_SIZE
+            elif tag == TAG_STR or tag == TAG_BYTES:
+                (n,) = LEN_PREFIX.unpack_from(data, pos)
+                pos += 4
+                end = pos + n
+            else:
+                raise EncodingError(f"unknown field tag {tag}")
+            if end > size:
+                raise EncodingError(TRUNCATED)
+            if tag == TAG_STR:
+                fields[name] = data[pos:end].decode("utf-8")
+            elif tag == TAG_BYTES and n == DIGEST_SIZE:
                 raise EncodingError("32-byte value must use the digest tag")
-            fields[name] = raw
-        elif tag == TAG_DIGEST:
-            fields[name] = r.digest()
-        else:
-            raise EncodingError(f"unknown field tag {tag}")
-    r.finish()
+            else:
+                fields[name] = data[pos:end]
+            pos = end
+    except struct.error:
+        raise EncodingError(TRUNCATED) from None
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"bad utf-8 in string field: {exc}") from exc
+    check_end(data, pos)
     return fields

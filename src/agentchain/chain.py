@@ -10,15 +10,28 @@ from public material alone.
 
 from __future__ import annotations
 
-import dataclasses
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 from . import canonical
-from .canonical import EncodingError, Reader, Writer
+from .canonical import (
+    DIGEST_AND_LEN,
+    LEN_PREFIX,
+    TRUNCATED,
+    U32_MAX,
+    U64_MAX,
+    EncodingError,
+    Reader,
+    Writer,
+    check_end,
+    check_tag,
+    u32_out_of_range,
+)
 from .crypto import (
+    DIGEST_SIZE,
     HASH_ALG_ID,
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
@@ -235,6 +248,57 @@ class EntryHeader:
     signature: bytes
 
 
+# 'H', seq, timestamp, entry type length; the layout is in canonical.py
+_HEADER_HEAD = struct.Struct(">BQQI")
+_RECORD_HEAD = struct.Struct(">BI")  # 'R', header length
+
+
+def _signing_prefix(
+    seq: int,
+    timestamp: int,
+    entry_type: str,
+    entry_hash: bytes,
+    author: bytes,
+    prev_header_hash: bytes,
+) -> bytes:
+    """A header's encoding up to its signature's length prefix: what the
+    author signs. The one writer of a header's fields."""
+    if not 0 <= seq <= U64_MAX:
+        raise EncodingError(f"u64 out of range: {seq}")
+    if not 0 <= timestamp <= U64_MAX:
+        raise EncodingError(f"u64 out of range: {timestamp}")
+    raw_type = entry_type.encode("utf-8")
+    if len(raw_type) > U32_MAX:
+        raise u32_out_of_range(len(raw_type))
+    if len(entry_hash) != DIGEST_SIZE:
+        raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(entry_hash)}")
+    if len(author) > U32_MAX:
+        raise u32_out_of_range(len(author))
+    if len(prev_header_hash) != DIGEST_SIZE:
+        raise EncodingError(
+            f"fixed field wants {DIGEST_SIZE} bytes, got {len(prev_header_hash)}"
+        )
+    return b"".join(
+        (
+            _HEADER_HEAD.pack(0x48, seq, timestamp, len(raw_type)),
+            raw_type,
+            DIGEST_AND_LEN.pack(entry_hash, len(author)),
+            author,
+            prev_header_hash,
+        )
+    )
+
+
+def _seal(h: EntryHeader, prefix: bytes) -> bytes:
+    """Complete h's signing prefix with its signature and keep the result
+    as h's encoding."""
+    if len(h.signature) > U32_MAX:
+        raise u32_out_of_range(len(h.signature))
+    encoded = b"".join((prefix, LEN_PREFIX.pack(len(h.signature)), h.signature))
+    object.__setattr__(h, "_encoded", encoded)
+    return encoded
+
+
 def encode_header(h: EntryHeader) -> bytes:
     """The canonical encoding, written at most once per header and kept on
     it like Record.signature_ok. decode_header keeps the bytes it read and
@@ -242,17 +306,12 @@ def encode_header(h: EntryHeader) -> bytes:
     fresh encoding; a mutated copy is a new header, so none goes stale."""
     encoded = getattr(h, "_encoded", None)
     if encoded is None:
-        w = Writer()
-        w.u8(ord("H"))
-        w.u64(h.seq)
-        w.u64(h.timestamp)
-        w.string(h.entry_type)
-        w.digest(h.entry_hash)
-        w.lp_bytes(h.author)
-        w.digest(h.prev_header_hash)
-        w.lp_bytes(h.signature)
-        encoded = w.getvalue()
-        object.__setattr__(h, "_encoded", encoded)
+        encoded = _seal(
+            h,
+            _signing_prefix(
+                h.seq, h.timestamp, h.entry_type, h.entry_hash, h.author, h.prev_header_hash
+            ),
+        )
     return encoded
 
 
@@ -267,23 +326,36 @@ def header_hash(header: EntryHeader) -> bytes:
 
 
 def decode_header(data: bytes) -> EntryHeader:
-    r = Reader(data)
-    if r.u8() != ord("H"):
-        raise EncodingError("not a header encoding")
-    seq = r.u64()
-    timestamp = r.u64()
-    entry_type = r.string()
-    entry_hash = r.digest()
-    author = r.lp_bytes()
-    prev = r.digest()
-    signature = r.lp_bytes()
+    data = bytes(data)
+    size = len(data)
+    check_tag(data, 0x48, "not a header encoding")
+    try:
+        _, seq, timestamp, n = _HEADER_HEAD.unpack_from(data)
+        pos = _HEADER_HEAD.size + n
+        if pos > size:
+            raise EncodingError(TRUNCATED)
+        entry_type = data[_HEADER_HEAD.size:pos].decode("utf-8")
+        entry_hash, n = DIGEST_AND_LEN.unpack_from(data, pos)
+        pos += DIGEST_AND_LEN.size
+        end = pos + n
+        author = data[pos:end]  # if short, the next unpack_from is past the end
+        prev, n = DIGEST_AND_LEN.unpack_from(data, end)
+        pos = end + DIGEST_AND_LEN.size
+        end = pos + n
+        if end > size:
+            raise EncodingError(TRUNCATED)
+        signature = data[pos:end]
+    except struct.error:
+        raise EncodingError(TRUNCATED) from None
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"bad utf-8 in string field: {exc}") from exc
     if len(author) != PUBLIC_KEY_SIZE:
         raise EncodingError("author key has wrong size")
     if len(signature) != SIGNATURE_SIZE:
         raise EncodingError("signature has wrong size")
-    r.finish()
+    check_end(data, end)
     h = EntryHeader(seq, timestamp, entry_type, entry_hash, author, prev, signature)
-    object.__setattr__(h, "_encoded", bytes(data))
+    object.__setattr__(h, "_encoded", data)
     return h
 
 
@@ -324,21 +396,37 @@ class Record:
 
 
 def encode_record(record: Record) -> bytes:
-    w = Writer()
-    w.u8(ord("R"))
-    w.lp_bytes(encode_header(record.header))
-    w.lp_bytes(record.payload)
-    return w.getvalue()
+    header = encode_header(record.header)
+    payload = record.payload
+    if len(header) > U32_MAX:
+        raise u32_out_of_range(len(header))
+    if len(payload) > U32_MAX:
+        raise u32_out_of_range(len(payload))
+    return b"".join(
+        (_RECORD_HEAD.pack(0x52, len(header)), header, LEN_PREFIX.pack(len(payload)), payload)
+    )
 
 
 def decode_record(data: bytes) -> Record:
-    r = Reader(data)
-    if r.u8() != ord("R"):
-        raise EncodingError("not a record encoding")
-    header = decode_header(r.lp_bytes())
-    payload = r.lp_bytes()
-    r.finish()
-    return Record(header, payload)
+    data = bytes(data)
+    size = len(data)
+    check_tag(data, 0x52, "not a record encoding")
+    try:
+        (n,) = LEN_PREFIX.unpack_from(data, 1)
+        pos = _RECORD_HEAD.size
+        end = pos + n
+        if end > size:
+            raise EncodingError(TRUNCATED)
+        header = decode_header(data[pos:end])
+        (n,) = LEN_PREFIX.unpack_from(data, end)
+        pos = end + LEN_PREFIX.size
+        end = pos + n
+        if end > size:
+            raise EncodingError(TRUNCATED)
+    except struct.error:
+        raise EncodingError(TRUNCATED) from None
+    check_end(data, end)
+    return Record(header, data[pos:end])
 
 
 def record_key(record: Record) -> bytes:
@@ -404,20 +492,12 @@ def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int)
     else:
         prev = ZERO_DIGEST
         seq = 0
-    unsigned = EntryHeader(
-        seq=seq,
-        timestamp=clock,
-        entry_type=entry_type,
-        entry_hash=hash_bytes(payload),
-        author=chain.owner.public_key,
-        prev_header_hash=prev,
-        signature=b"\x00" * SIGNATURE_SIZE,
-    )
-    signature = sign(chain.owner, header_signing_bytes(unsigned))
-    signed = dataclasses.replace(unsigned, signature=signature)
-    # the placeholder has the signature's size, so only the tail differs
-    object.__setattr__(signed, "_encoded", encode_header(unsigned)[:-SIGNATURE_SIZE] + signature)
-    record = Record(signed, bytes(payload))
+    entry_hash = hash_bytes(payload)
+    author = chain.owner.public_key
+    prefix = _signing_prefix(seq, clock, entry_type, entry_hash, author, prev)
+    header = EntryHeader(seq, clock, entry_type, entry_hash, author, prev, sign(chain.owner, prefix))
+    _seal(header, prefix)
+    record = Record(header, bytes(payload))
     chain.records.append(record)
     chain.keys[record_key(record)] = seq
     return record

@@ -9,7 +9,7 @@ addressing, Ed25519 for signatures. Key generation is deterministic from a
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -37,13 +37,12 @@ def hash_bytes(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing identity. public_key doubles as the agent id on the wire."""
+    """Signing identity. public_key doubles as the agent id on the wire.
+    private_key is derived from seed once, by generate_keypair."""
 
     seed: bytes
     public_key: bytes
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_sk", Ed25519PrivateKey.from_private_bytes(self.seed))
+    private_key: Ed25519PrivateKey = field(compare=False)
 
     def __repr__(self) -> str:  # never leak the seed
         return f"KeyPair(public_key={self.public_key.hex()[:16]}...)"
@@ -54,12 +53,12 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SEED_SIZE:
         raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
     sk = Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(seed=bytes(seed), public_key=sk.public_key().public_bytes_raw())
+    return KeyPair(bytes(seed), sk.public_key().public_bytes_raw(), sk)
 
 
 def sign(keys: KeyPair, message: bytes) -> bytes:
     """Detached 64-byte signature over message."""
-    return keys._sk.sign(message)  # type: ignore[attr-defined]
+    return keys.private_key.sign(message)
 
 
 # verifying keys are immutable; cache the parsed objects

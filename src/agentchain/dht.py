@@ -18,12 +18,22 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .canonical import EncodingError, Reader, Writer
+from .canonical import (
+    DIGEST_AND_LEN,
+    LEN_PREFIX,
+    TRUNCATED,
+    U32_MAX,
+    EncodingError,
+    Writer,
+    check_end,
+    u32_out_of_range,
+)
 from .chain import (
     DnaDocument,
     Record,
@@ -34,7 +44,7 @@ from .chain import (
     init_chain,
     record_key,
 )
-from .crypto import KeyPair, generate_keypair, hash_bytes, sign, verify
+from .crypto import DIGEST_SIZE, KeyPair, generate_keypair, hash_bytes, sign, verify
 from .metrics import Metrics
 from .reputation import (
     ExperienceMatrix,
@@ -149,11 +159,19 @@ class GossipMessage:
     def publish_body(self) -> tuple[bytes, Record]:
         """A publish payload as (app_id, record); its holders share the one
         record, and so its key. Raises EncodingError, and caches nothing,
-        if the payload is not a publish encoding."""
-        r = Reader(self.payload)
-        app_id = r.digest()
-        record = decode_record(r.lp_bytes())
-        r.finish()
+        if the payload is not a publish encoding: the 32-byte app id, then
+        the record's encoding, length-prefixed."""
+        data = bytes(self.payload)
+        try:
+            app_id, n = DIGEST_AND_LEN.unpack_from(data)
+        except struct.error:
+            raise EncodingError(TRUNCATED) from None
+        pos = DIGEST_AND_LEN.size
+        end = pos + n
+        if end > len(data):
+            raise EncodingError(TRUNCATED)
+        record = decode_record(data[pos:end])
+        check_end(data, end)
         return app_id, record
 
 
@@ -489,10 +507,12 @@ class Network:
 
     @staticmethod
     def _publish_payload(app_id: bytes, record: Record) -> bytes:
-        w = Writer()
-        w.digest(app_id)
-        w.lp_bytes(encode_record(record))
-        return w.getvalue()
+        if len(app_id) != DIGEST_SIZE:
+            raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(app_id)}")
+        encoded = encode_record(record)
+        if len(encoded) > U32_MAX:
+            raise u32_out_of_range(len(encoded))
+        return b"".join((app_id, LEN_PREFIX.pack(len(encoded)), encoded))
 
     def _deliver_publish(
         self, sender: Agent, validator: Agent, envelope: GossipMessage

@@ -12,7 +12,6 @@ witness, which is what the audit samples for.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,10 +98,21 @@ class FuelVerdict:
         return self.ok
 
 
-def _signed(tx: FuelTransaction, **signature: bytes) -> FuelTransaction:
-    """tx with one more signature. Signatures lie outside the body, so its
-    bytes and tx_id carry over instead of being encoded again."""
-    signed = dataclasses.replace(tx, **signature)
+def _signed(
+    tx: FuelTransaction, sender_sig: bytes, receiver_sig: bytes
+) -> FuelTransaction:
+    """tx with the given signatures. Signatures lie outside the body, so
+    its bytes and tx_id carry over instead of being encoded again."""
+    signed = FuelTransaction(
+        tx.sender,
+        tx.receiver,
+        tx.amount,
+        tx.sender_prior_balance,
+        tx.sender_prev_tx,
+        tx.timestamp,
+        sender_sig,
+        receiver_sig,
+    )
     signed.__dict__.update(body_bytes=tx.body_bytes, tx_id=tx.tx_id)
     return signed
 
@@ -225,7 +235,7 @@ def create_fuel_tx(
         sender_prev_tx=latest_fuel_key(sender_chain),
         timestamp=clock,
     )
-    return _signed(pending, sender_sig=sign(sender_chain.owner, pending.body_bytes))
+    return _signed(pending, sign(sender_chain.owner, pending.body_bytes), pending.receiver_sig)
 
 
 def countersign(receiver_keys: KeyPair, pending: FuelTransaction) -> FuelTransaction:
@@ -234,7 +244,7 @@ def countersign(receiver_keys: KeyPair, pending: FuelTransaction) -> FuelTransac
         raise FuelError("sender signature does not verify")
     if pending.receiver != receiver_keys.public_key:
         raise FuelError("transfer is not addressed to this receiver")
-    return _signed(pending, receiver_sig=sign(receiver_keys, body))
+    return _signed(pending, pending.sender_sig, sign(receiver_keys, body))
 
 
 def audit_double_spend(

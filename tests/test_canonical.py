@@ -11,6 +11,18 @@ from agentchain.canonical import (
     decode_fields,
     encode_fields,
 )
+from agentchain.chain import (
+    EntryHeader,
+    Record,
+    append_entry,
+    decode_header,
+    decode_record,
+    encode_header,
+    encode_record,
+    init_chain,
+)
+from agentchain.crypto import generate_keypair, hash_bytes
+from agentchain.healthcare import healthcare_dna
 
 # layout computed by hand from the format rules:
 # 'F', u32 count, then per field: lp name, tag u8, tagged value
@@ -160,3 +172,276 @@ def test_reader_primitives_roundtrip():
     assert r.lp_bytes() == b"xyz"
     assert r.string() == "héllo"
     r.finish()
+
+
+# --- the struct-packed layouts against their spec ------------------------------
+#
+# The encoders below restate the byte-layout table of canonical.py's module
+# docstring with int.to_bytes; the decoders are Reader-based mirrors of the
+# same table, the reference for which inputs are rejected and with which
+# message.
+
+U64_MAX = 2**64 - 1
+
+
+def _lp(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _spec_fields(fields) -> bytes:
+    out = b"F" + len(fields).to_bytes(4, "big")
+    for name in sorted(fields):
+        value = fields[name]
+        out += _lp(name.encode("utf-8"))
+        if isinstance(value, int):
+            out += b"\x01" + value.to_bytes(8, "big", signed=True)
+        elif isinstance(value, str):
+            out += b"\x02" + _lp(value.encode("utf-8"))
+        elif len(value) == 32:
+            out += b"\x04" + bytes(value)
+        else:
+            out += b"\x03" + _lp(bytes(value))
+    return out
+
+
+def _spec_header(h) -> bytes:
+    return (
+        b"H" + h.seq.to_bytes(8, "big") + h.timestamp.to_bytes(8, "big")
+        + _lp(h.entry_type.encode("utf-8")) + h.entry_hash + _lp(h.author)
+        + h.prev_header_hash + _lp(h.signature)
+    )
+
+
+def _spec_record(record) -> bytes:
+    return b"R" + _lp(_spec_header(record.header)) + _lp(record.payload)
+
+
+def _reader_fields(data: bytes) -> dict:
+    r = Reader(data)
+    if r.u8() != ord("F"):
+        raise EncodingError("not a field map encoding")
+    fields: dict = {}
+    prev = None
+    for _ in range(r.u32()):
+        name = r.string()
+        if prev is not None and name <= prev:
+            raise EncodingError("field map not in canonical order")
+        prev = name
+        tag = r.u8()
+        if tag == 1:
+            fields[name] = r.i64()
+        elif tag == 2:
+            fields[name] = r.string()
+        elif tag == 3:
+            raw = r.lp_bytes()
+            if len(raw) == 32:
+                raise EncodingError("32-byte value must use the digest tag")
+            fields[name] = raw
+        elif tag == 4:
+            fields[name] = r.digest()
+        else:
+            raise EncodingError(f"unknown field tag {tag}")
+    r.finish()
+    return fields
+
+
+def _reader_header(data: bytes) -> EntryHeader:
+    r = Reader(data)
+    if r.u8() != ord("H"):
+        raise EncodingError("not a header encoding")
+    seq, timestamp, entry_type = r.u64(), r.u64(), r.string()
+    entry_hash, author, prev, signature = r.digest(), r.lp_bytes(), r.digest(), r.lp_bytes()
+    if len(author) != 32:
+        raise EncodingError("author key has wrong size")
+    if len(signature) != 64:
+        raise EncodingError("signature has wrong size")
+    r.finish()
+    return EntryHeader(seq, timestamp, entry_type, entry_hash, author, prev, signature)
+
+
+def _reader_record(data: bytes) -> Record:
+    r = Reader(data)
+    if r.u8() != ord("R"):
+        raise EncodingError("not a record encoding")
+    header = _reader_header(r.lp_bytes())
+    payload = r.lp_bytes()
+    r.finish()
+    return Record(header, payload)
+
+
+DECODERS = {
+    "fields": (decode_fields, _reader_fields),
+    "header": (decode_header, _reader_header),
+    "record": (decode_record, _reader_record),
+}
+
+
+def _same_verdict(kind: str, data: bytes) -> None:
+    """decode accepts exactly what the reference accepts, with the same
+    value, and rejects the rest with the same EncodingError message;
+    pytest.raises lets any other exception type through, failing the test."""
+    decode, reference = DECODERS[kind]
+    try:
+        expected = reference(data)
+    except EncodingError as exc:
+        with pytest.raises(EncodingError) as info:
+            decode(data)
+        assert (type(info.value), str(info.value)) == (EncodingError, str(exc))
+    else:
+        assert decode(data) == expected
+
+
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+_spec_values = st.one_of(
+    st.sampled_from([I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX]),
+    st.integers(min_value=I64_MIN, max_value=I64_MAX),
+    st.text(max_size=20),  # any code point below the surrogates, so non-ASCII too
+    st.sampled_from([0, 31, 32, 33]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n) | st.binary(min_size=n, max_size=n).map(bytearray)
+    ),
+    st.binary(max_size=70),
+)
+_spec_maps = st.dictionaries(st.text(min_size=0, max_size=8), _spec_values, max_size=6)
+_digests = st.binary(min_size=32, max_size=32)
+_headers = st.builds(
+    EntryHeader,
+    seq=st.integers(0, U64_MAX),
+    timestamp=st.integers(0, U64_MAX),
+    entry_type=st.text(max_size=12),
+    entry_hash=_digests,
+    author=_digests,
+    prev_header_hash=_digests,
+    signature=st.binary(min_size=64, max_size=64),
+)
+_records = st.builds(Record, header=_headers, payload=st.binary(max_size=60))
+
+
+def _valid_encodings():
+    return st.one_of(
+        _spec_maps.map(lambda f: ("fields", encode_fields(f))),
+        _headers.map(lambda h: ("header", encode_header(h))),
+        _records.map(lambda r: ("record", encode_record(r))),
+    )
+
+
+@given(_spec_maps)
+@settings(max_examples=200, deadline=None)
+def test_field_map_encoder_matches_the_spec_and_round_trips(fields):
+    encoded = encode_fields(fields)
+    assert encoded == _spec_fields(fields)
+    decoded = decode_fields(encoded)
+    assert decoded == {k: bytes(v) if isinstance(v, bytearray) else v for k, v in fields.items()}
+    assert _reader_fields(encoded) == decoded
+
+
+@given(_records)
+@settings(max_examples=100, deadline=None)
+def test_header_and_record_encoders_match_the_spec_and_round_trip(record):
+    header = record.header
+    assert encode_header(header) == _spec_header(header)
+    assert decode_header(encode_header(header)) == header
+    assert encode_record(record) == _spec_record(record)
+    assert decode_record(encode_record(record)) == record
+
+
+@given(_valid_encodings(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_decoders_reject_every_prefix_extension_and_byte_flip_like_the_reference(
+    valid, data
+):
+    kind, encoded = valid
+    _same_verdict(kind, encoded)
+    for end in range(len(encoded)):
+        _same_verdict(kind, encoded[:end])
+    for byte in range(256):
+        _same_verdict(kind, encoded + bytes([byte]))
+    pos = data.draw(st.integers(0, len(encoded) - 1))
+    flipped = bytearray(encoded)
+    flipped[pos] = data.draw(st.integers(0, 255))
+    _same_verdict(kind, bytes(flipped))
+
+
+def _int_field(name: bytes, value: int) -> bytes:
+    return _lp(name) + b"\x01" + value.to_bytes(8, "big", signed=True)
+
+
+def _header(**changes) -> EntryHeader:
+    fields = dict(
+        seq=1, timestamp=2, entry_type="report", entry_hash=b"\x01" * 32,
+        author=b"\x02" * 32, prev_header_hash=b"\x03" * 32, signature=b"\x04" * 64,
+    )
+    return EntryHeader(**{**fields, **changes})
+
+
+_VALID_HEADER = encode_header(_header())
+_BAD_UTF8 = b"\xc3\x28"
+
+MALFORMED = [
+    ("fields", b"F\x00\x00\x00\x01" + _lp(b"a") + b"\x05", "unknown field tag 5"),
+    ("fields", b"F\x00\x00\x00\x01" + _lp(b"a") + b"\x00", "unknown field tag 0"),
+    (
+        "fields",
+        b"F\x00\x00\x00\x02" + _int_field(b"b", 0) + _int_field(b"a", 0),
+        "field map not in canonical order",
+    ),
+    (
+        "fields",
+        b"F\x00\x00\x00\x02" + _int_field(b"a", 0) + _int_field(b"a", 0),
+        "field map not in canonical order",
+    ),
+    (
+        "fields",
+        b"F\x00\x00\x00\x01" + _lp(b"d") + b"\x03" + _lp(b"\x07" * 32),
+        "32-byte value must use the digest tag",
+    ),
+    ("fields", b"F\x00\x00\x00\x01" + _lp(_BAD_UTF8) + b"\x01" + bytes(8), "bad utf-8"),
+    ("fields", b"F\x00\x00\x00\x01" + _lp(b"s") + b"\x02" + _lp(_BAD_UTF8), "bad utf-8"),
+    ("fields", b"F\xff\xff\xff\xff", "truncated encoding"),
+    ("fields", b"X" + _spec_fields({"a": 1})[1:], "not a field map encoding"),
+    ("header", _VALID_HEADER[:21] + _BAD_UTF8 + _VALID_HEADER[23:], "bad utf-8"),
+    ("header", b"R" + _VALID_HEADER[1:], "not a header encoding"),
+    ("record", b"R" + _lp(b"H") + _lp(b""), "truncated encoding"),
+    ("record", b"R" + _lp(_VALID_HEADER) + b"\x00\x00\x01\x00", "truncated encoding"),
+]
+
+
+@pytest.mark.parametrize("kind,data,message", MALFORMED)
+def test_malformed_encodings_raise_the_reference_encoding_error(kind, data, message):
+    _same_verdict(kind, data)
+    with pytest.raises(EncodingError, match=message):
+        DECODERS[kind][0](data)
+
+
+@pytest.mark.parametrize(
+    "encode,message",
+    [
+        (lambda: encode_fields({"n": I64_MAX + 1}), f"i64 out of range: {I64_MAX + 1}"),
+        (lambda: encode_fields({"n": I64_MIN - 1}), f"i64 out of range: {I64_MIN - 1}"),
+        (lambda: encode_header(_header(seq=U64_MAX + 1)), f"u64 out of range: {U64_MAX + 1}"),
+        (lambda: encode_header(_header(seq=-1)), "u64 out of range: -1"),
+        (lambda: encode_header(_header(timestamp=-5)), "u64 out of range: -5"),
+        (lambda: encode_header(_header(entry_hash=b"\x01" * 31)), "fixed field wants 32 bytes, got 31"),
+        (lambda: encode_header(_header(prev_header_hash=b"")), "fixed field wants 32 bytes, got 0"),
+    ],
+)
+def test_out_of_range_encodings_raise_the_writer_messages(encode, message):
+    with pytest.raises(EncodingError) as info:
+        encode()
+    assert str(info.value) == message
+
+
+def test_out_of_range_appends_raise_the_writer_messages():
+    keys = generate_keypair(hash_bytes(b"canonical-range"))
+    dna = healthcare_dna()
+    with pytest.raises(EncodingError, match=r"^u64 out of range: -1$"):
+        init_chain(keys, dna, clock=-1)
+    chain = init_chain(keys, dna, clock=0)
+    with pytest.raises(EncodingError, match=rf"^u64 out of range: {U64_MAX + 1}$"):
+        append_entry(chain, "report", {"text": "late"}, U64_MAX + 1)
+    with pytest.raises(EncodingError, match=rf"^i64 out of range: {I64_MAX + 1}$"):
+        append_entry(chain, "report", {"n": I64_MAX + 1}, 1)
+    # a chain whose newest record already has the largest seq
+    chain.replace_at(1, Record(_header(seq=U64_MAX, timestamp=1), chain.records[1].payload))
+    with pytest.raises(EncodingError, match=rf"^u64 out of range: {U64_MAX + 1}$"):
+        append_entry(chain, "report", {"text": "next"}, 1)
+    assert len(chain) == 2

@@ -4,6 +4,7 @@ frozen golden fixtures that pin the wire format."""
 import ast
 import dataclasses
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -492,15 +493,20 @@ def test_every_derived_byte_string_and_key_matches_a_fresh_encoding(texts, sourc
 def test_one_append_writes_one_header_and_parse_plus_verify_write_none(monkeypatch):
     written = []
 
-    class CountingWriter(Writer):
-        def getvalue(self) -> bytes:
-            value = super().getvalue()
-            written.append(value[:1])
-            return value
+    def counting(packer, tag):
+        class Counting(struct.Struct):
+            def pack(self, *values) -> bytes:
+                written.append(tag)
+                return super().pack(*values)
+
+        return Counting(packer.format)
 
     chain = _chain(b"count-pin")
     append_entry(chain, "report", {"text": "first"}, 1)
-    monkeypatch.setattr(chain_module, "Writer", CountingWriter)
+    # the fixed-width head of each header and record layout is packed once
+    # per encoding, so counting its packs counts encodings
+    monkeypatch.setattr(chain_module, "_HEADER_HEAD", counting(chain_module._HEADER_HEAD, b"H"))
+    monkeypatch.setattr(chain_module, "_RECORD_HEAD", counting(chain_module._RECORD_HEAD, b"R"))
     append_entry(chain, "report", {"text": "second"}, 2)
     # the header it signs, then the record whose hash keys it
     assert written == [b"H", b"R"]
