@@ -22,6 +22,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 from .canonical import (
@@ -191,7 +192,10 @@ def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
 class Agent:
     """One network participant: identity, chain, shard, scores, news.
 
-    Agents compare by identity, so ``agent in targets`` is a pointer compare.
+    The news pool is ``news_bits``, one bit per claim in the network's
+    claim table (see ``Network._accept_claim``); ``Network.has_claim`` and
+    ``Network.claims_of`` read it. Agents compare by identity, so ``agent in
+    targets`` is a pointer compare.
     """
 
     index: int
@@ -201,8 +205,7 @@ class Agent:
     pinned_presence: bool = False  # scripted on/off overrides churn
     experience: ExperienceMatrix = field(default_factory=ExperienceMatrix)
     shard: dict[bytes, Record] = field(default_factory=dict)
-    news: dict[bytes, NewsClaim] = field(default_factory=dict)  # written by _accept_claim only
-    news_bits: int = 0  # the claim bits of news; see Network._accept_claim
+    news_bits: int = 0  # the news pool, as bits of the network's claim table
     published: set[bytes] = field(default_factory=set)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     node_id: int = 0
@@ -252,7 +255,13 @@ def agent_seed(run_seed: int, index: int) -> bytes:
 # the network
 
 class Network:
-    """All peers sharing one blueprint, plus the shared metrics sink."""
+    """All peers sharing one blueprint, plus the shared metrics sink.
+
+    The network also keeps the one claim table behind every news pool: each
+    distinct claim once, at the bit that names it in every agent's
+    ``news_bits``, and the bits of each claim kind. A pool costs its agent
+    one bit per claim, and gossip merges two pools with one OR.
+    """
 
     def __init__(
         self,
@@ -289,12 +298,15 @@ class Network:
         self._rankings: dict[bytes, list[Agent]] = {}
         # (sender, sender_prev_tx) -> {claim id: tx_id} for every transfer
         # claim some agent holds, one entry per distinct claim; written by
-        # _accept_claim, the only path into a news pool
+        # _accept_claim when a claim enters the table
         self.transfer_index: dict[tuple[bytes, bytes], dict[bytes, bytes]] = {}
-        # claim id -> its bit in every agent's news_bits, numbered in order
-        # of first acceptance, and the ids by bit; see _accept_claim
+        # the claim table: every claim some agent holds, by its bit in every
+        # agent's news_bits (numbered in order of first acceptance), the bit
+        # of each claim id, and kind -> the bits of that kind; written by
+        # _accept_claim and clear_news only
+        self._claims: list[NewsClaim] = []
         self._claim_bit: dict[bytes, int] = {}
-        self._claim_ids: list[bytes] = []
+        self._kind_bits: dict[str, int] = {}
 
     def join(self, agent: Agent) -> None:
         if agent.chain.dna.network_id != self.network_id:
@@ -397,26 +409,33 @@ class Network:
 
     def _accept_claim(self, receiver: Agent, claim: NewsClaim) -> None:
         """Keep a news claim at receiver exactly once, for further gossip.
-        A misbehavior claim also scores its offender there, once per event;
-        offenders do not score themselves. A transfer claim is also indexed
-        by the prior state it spends, for the double-spend audit.
 
-        A claim id gets a bit the first time any agent accepts it, and the
-        receiver's news_bits gains that bit, so claim sync compares two
-        pools with one integer operation."""
+        The first time any agent accepts a claim id, the claim enters the
+        network's table: it gets the next bit, joins its kind's bits and, if
+        it is a transfer claim, is indexed by the prior state it spends, for
+        the double-spend audit. At the receiver, accepting sets the bit; a
+        misbehavior claim new there also scores its offender."""
         cid = claim.claim_id
-        if cid in receiver.news:
-            return
-        receiver.news[cid] = claim
         bit = self._claim_bit.get(cid)
         if bit is None:
-            bit = self._claim_bit[cid] = len(self._claim_ids)
-            self._claim_ids.append(cid)
-        receiver.news_bits |= 1 << bit
+            bit = self._claim_bit[cid] = len(self._claims)
+            self._claims.append(claim)
+            self._kind_bits[claim.kind] = self._kind_bits.get(claim.kind, 0) | 1 << bit
+            if claim.kind == CLAIM_TRANSFER:
+                self.transfer_index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
+        flag = 1 << bit
+        if receiver.news_bits & flag:
+            return
+        receiver.news_bits |= flag
         self.metrics.news_claims += 1
-        if claim.kind == CLAIM_TRANSFER:
-            self.transfer_index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
-        if claim.kind != CLAIM_MISBEHAVIOR or claim.agent == receiver.public_key:
+        if claim.kind == CLAIM_MISBEHAVIOR:
+            self._score_misbehavior(receiver, claim)
+
+    def _score_misbehavior(self, receiver: Agent, claim: NewsClaim) -> None:
+        """Score a misbehavior claim new at receiver against its offender:
+        once per event, since a pool takes a claim once. Offenders do not
+        score themselves."""
+        if claim.agent == receiver.public_key:
             return
         was = is_blacklisted(receiver.experience, claim.agent)
         update_experience(
@@ -581,15 +600,35 @@ class Network:
         self._accept_claim(receiver, claim)
         return True
 
+    def has_claim(self, agent: Agent, cid: bytes) -> bool:
+        """Whether agent's news pool holds the claim with this id."""
+        bit = self._claim_bit.get(cid)
+        return bit is not None and agent.news_bits >> bit & 1 == 1
+
+    def claims_of(self, agent: Agent, kind: str) -> list[NewsClaim]:
+        """The claims of one kind in agent's news pool, lowest id first."""
+        return self._sorted_claims(agent.news_bits & self._kind_bits.get(kind, 0))
+
+    def _sorted_claims(self, bits: int) -> list[NewsClaim]:
+        """The claims that bits name in the table, lowest id first."""
+        claims = self._claims
+        named = []
+        while bits:
+            low = bits & -bits
+            named.append(claims[low.bit_length() - 1])
+            bits ^= low
+        named.sort(key=attrgetter("claim_id"))
+        return named
+
     def clear_news(self) -> None:
         """Empty every news pool, and the transfer index and the claim
-        numbering with them."""
+        table with them."""
         for agent in self.agents:
-            agent.news.clear()
             agent.news_bits = 0
         self.transfer_index.clear()
+        self._claims.clear()
         self._claim_bit.clear()
-        self._claim_ids.clear()
+        self._kind_bits.clear()
 
     # -- gossip ---------------------------------------------------------------
 
@@ -641,23 +680,23 @@ class Network:
             return
         self._sync_claims(a, b)
         self._sync_claims(b, a)
-        self._sync_records(a, b, wants[b])
-        self._sync_records(b, a, wants[a])
+        if wants[b]:
+            self._sync_records(a, b, wants[b])
+        if wants[a]:
+            self._sync_records(b, a, wants[a])
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
-        """Offer dst only the claims it lacks, lowest id first. The bits
-        src holds and dst lacks name them; most contacts find none."""
+        """Merge src's pool into dst's with one OR of the bits src holds
+        and dst lacks; most contacts find none. The claims are in the table
+        already, so only a misbehavior claim needs work of its own: dst
+        scores those, lowest id first."""
         missing = src.news_bits & ~dst.news_bits
         if not missing:
             return
-        ids = self._claim_ids
-        lacking = []
-        while missing:
-            low = missing & -missing
-            lacking.append(ids[low.bit_length() - 1])
-            missing ^= low
-        for cid in sorted(lacking):
-            self._accept_claim(dst, src.news[cid])
+        dst.news_bits |= missing
+        self.metrics.news_claims += missing.bit_count()
+        for claim in self._sorted_claims(missing & self._kind_bits.get(CLAIM_MISBEHAVIOR, 0)):
+            self._score_misbehavior(dst, claim)
 
     def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
         """Offer dst the keys of its want-list that src holds or has

@@ -264,7 +264,7 @@ def audit_double_spend(
         if not agent.online:
             continue
         for cid in conflicts:
-            if cid in agent.news:
+            if network.has_claim(agent, cid):
                 return FuelVerdict(False, conflicting_tx=spends[cid], witness=agent.public_key)
     return FuelVerdict(True)
 

@@ -372,9 +372,8 @@ def _holder_sees_revocation(
 
     if any(is_real_revocation(record) for record in holder.shard.values()):
         return True
-    for cid in sorted(holder.news):
-        claim = holder.news[cid]
-        if claim.kind != CLAIM_REVOKE or claim.extra != token:
+    for claim in network.claims_of(holder, CLAIM_REVOKE):
+        if claim.extra != token:
             continue
         if claim.agent != patient_key:
             continue

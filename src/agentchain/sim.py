@@ -831,7 +831,7 @@ def double_spend(
         first_receiver, pending1, network, clock, rng, audit=False, publish=False
     )
     cid = transfer_claim(tx1.tx_id, tx1.sender, tx1.sender_prev_tx).claim_id
-    witnesses = {a.index for a in network.agents if cid in a.news}
+    witnesses = {a.index for a in network.agents if network.has_claim(a, cid)}
     # the first receiver is always a witness, so the fallback is any third
     # party: re-approaching it would replay the identical transfer
     victims = [a for a in others if a.index not in witnesses]

@@ -501,9 +501,21 @@ def test_attack_double_spend_reports_rates(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(report_path.read_text())
-    assert report["attempted"] == 40
-    assert 0.0 <= report["rate"] <= 1.0
-    assert "expected" in capsys.readouterr().out
+    # exact counts: each trial's reset (clear_news) and the victim's audit
+    # over the witnesses' pools decide them
+    assert (report["attempted"], report["detected"], report["missed"]) == (40, 38, 2)
+    assert report["rate"] == 38 / 40
+    out = capsys.readouterr().out
+    assert "double_spend: 38/40 detected" in out and "expected" in out
+    # and at the default network size, witness count and audit sample
+    code = main(
+        ["attack", "--kind", "double_spend", "--trials", "200", "--seed", "1", "--out", str(report_path)]
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert (report["n_agents"], report["witnesses"], report["audit_samples"]) == (50, 8, 8)
+    assert (report["attempted"], report["detected"], report["missed"]) == (200, 156, 44)
+    assert "double_spend: 156/200 detected" in capsys.readouterr().out
     # a double spend needs a first receiver and a separate victim
     assert main(["attack", "--kind", "double_spend", "--trials", "3", "--agents", "2"]) == 2
     assert "two other online agents" in capsys.readouterr().err

@@ -7,12 +7,14 @@ whole network on every call; the memoized lookups must return the same
 lists in the same order.
 """
 
+import ast
 import copy
 import hashlib
 import math
 import os
 import random
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,17 @@ from hypothesis import strategies as st
 from agentchain import bench
 from agentchain.chain import Record, record_key
 from agentchain.dht import (
+    CLAIM_MISBEHAVIOR,
+    CLAIM_REVOKE,
+    CLAIM_TRANSFER,
     CrossNetworkError,
     DhtError,
     Network,
     agent_seed,
     make_agent,
     make_envelope,
+    misbehavior_claim,
+    revoke_claim,
     transfer_claim,
 )
 from agentchain.healthcare import healthcare_dna
@@ -47,6 +54,18 @@ def _network(n=12, seed=99, **kw):
     for i in range(n):
         net.join(make_agent(i, agent_seed(seed, i), dna))
     return net
+
+
+CLAIM_KINDS = (CLAIM_TRANSFER, CLAIM_MISBEHAVIOR, CLAIM_REVOKE)
+
+
+def _pool_ids(net, agent):
+    """agent's whole news pool as claim ids, lowest first."""
+    return sorted(
+        claim.claim_id
+        for kind in CLAIM_KINDS
+        for claim in net.claims_of(agent, kind)
+    )
 
 
 def _vitals_fields(agent, value=70):
@@ -449,7 +468,7 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
     for _ in range(3):
         update_experience(receiver.experience, sender.public_key, ObservationKind.INVALID_DATA)
     assert is_blacklisted(receiver.experience, sender.public_key)
-    rejections, news = net.metrics.rejections, dict(receiver.news)
+    rejections, news = net.metrics.rejections, _pool_ids(net, receiver)
 
     outcome = GATED_DELIVERIES[path](net, sender, receiver, record, claim)
 
@@ -457,7 +476,7 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
         assert all(r.holder != receiver.public_key for r in outcome)
     assert net.metrics.rejections == rejections + 1
     assert not receiver.holds(key)
-    assert receiver.news == news
+    assert _pool_ids(net, receiver) == news
     # dropped before the rate window ever saw the sender
     assert sender.public_key not in receiver.rate_window
 
@@ -619,7 +638,7 @@ def _fork(net):
 def _gossip_state(net):
     return (
         [[(key, id(record)) for key, record in a.shard.items()] for a in net.agents],
-        [list(a.news) for a in net.agents],
+        [_pool_ids(net, a) for a in net.agents],
         [a.experience for a in net.agents],
         [a.rate_window for a in net.agents],
         net.transfer_index,
@@ -762,7 +781,7 @@ def test_claims_reach_everyone_within_log_bound():
         claim = transfer_claim(bytes([seed]) * 32, net.agents[0].public_key, b"\x00" * 32)
         net._accept_claim(net.agents[0], claim)
         _converge(net, random.Random(seed), bound)
-        assert all(claim.claim_id in a.news for a in net.agents)
+        assert all(net.has_claim(a, claim.claim_id) for a in net.agents)
 
 
 def test_records_replicate_to_all_backup_targets():
@@ -812,6 +831,228 @@ def test_gossip_reaches_fixpoint_without_churn():
     assert (net.metrics.stores, net.metrics.news_claims) == (stores, claims)
 
 
+# --- claim pools against a dict-pool model -----------------------------------
+
+class DictPoolNetwork(Network):
+    """The model of the claim layer: a plain dict pool per agent, filled one
+    claim at a time. It keeps no claim table and never touches news_bits;
+    everything else (contacts, refusals, rate windows) is the production
+    code, so the two networks differ in how pools are held only."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.pools = {}
+
+    def _accept_claim(self, receiver, claim):
+        pool = self.pools.setdefault(receiver.index, {})
+        cid = claim.claim_id
+        if cid in pool:
+            return
+        pool[cid] = claim
+        self.metrics.news_claims += 1
+        if claim.kind == CLAIM_TRANSFER:
+            self.transfer_index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
+        if claim.kind != CLAIM_MISBEHAVIOR or claim.agent == receiver.public_key:
+            return
+        was = is_blacklisted(receiver.experience, claim.agent)
+        update_experience(receiver.experience, claim.agent, ObservationKind(claim.detail))
+        if not was and is_blacklisted(receiver.experience, claim.agent):
+            self.metrics.blacklist_events += 1
+
+    def _sync_claims(self, src, dst):
+        pool = self.pools.get(src.index, {})
+        for cid in sorted(pool):
+            self._accept_claim(dst, pool[cid])
+
+    def clear_news(self):
+        self.pools.clear()
+        self.transfer_index.clear()
+
+
+def _pool_networks(n, rate_limit):
+    dna = healthcare_dna()
+    nets = (Network(dna, Marketplace(), rate_limit=rate_limit),
+            DictPoolNetwork(dna, Marketplace(), rate_limit=rate_limit))
+    for net in nets:
+        for i in range(n):
+            net.join(make_agent(i, agent_seed(n, i), dna))
+    return nets
+
+
+@st.composite
+def claim_ops(draw):
+    """Random interleavings of direct acceptance, sent claims, gossip
+    rounds, presence flips, tick starts and pool resets over a few agents.
+    Subjects come from small ranges, so claims repeat. Agents 0 to 2 are
+    repeat offenders that cross the blacklist threshold, and reports reach
+    them too, so an offender receives its own. A low rate limit turns
+    bursts into flood reports as well."""
+    n = draw(st.integers(3, 5))
+    agents = st.integers(0, n - 1)
+    reports = st.tuples(
+        st.just("misbehavior"), st.integers(0, 5), st.integers(0, 2),
+        st.sampled_from([ObservationKind.INVALID_DATA, ObservationKind.DOUBLE_SPEND]),
+    )
+    claims = st.one_of(
+        st.tuples(st.just("transfer"), st.integers(0, 5), agents, st.integers(0, 1)),
+        reports,
+        st.tuples(st.just("revoke"), st.integers(0, 3), agents, st.integers(0, 1)),
+    )
+    ops = st.one_of(
+        st.tuples(st.just("accept"), agents, claims),
+        st.tuples(st.just("accept"), agents, reports),
+        st.tuples(st.just("send"), agents, agents, claims),
+        st.tuples(st.just("gossip"), st.integers(0, 2**16)),
+        st.tuples(st.just("flip"), agents),
+        st.tuples(st.just("tick")),
+        st.tuples(st.just("clear")),
+    )
+    return n, draw(st.integers(1, 4)), draw(st.lists(ops, min_size=10, max_size=50))
+
+
+def _make_claim(net, spec):
+    """A claim naming agent: a transfer's prior state, an offense or a
+    revoked token is the spec's last field."""
+    kind, subject, agent, last = spec
+    key = net.agents[agent].public_key
+    if kind == "transfer":
+        return transfer_claim(bytes([subject]) * 32, key, bytes([last]) * 32)
+    if kind == "misbehavior":
+        return misbehavior_claim(key, last, bytes([subject]) * 32)
+    return revoke_claim(bytes([subject]) * 32, key, bytes([last]) * 32)
+
+
+def _claim_state(net, pools):
+    return (
+        pools,
+        [list(a.experience.rows.items()) for a in net.agents],
+        [a.rate_window for a in net.agents],
+        net.transfer_index,
+        net.metrics.snapshot(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(claim_ops())
+def test_bitset_pools_match_a_dict_pool_model(case):
+    n, rate_limit, ops = case
+    production, model = _pool_networks(n, rate_limit)
+    tick = 0
+    seen = set()
+    for op in ops:
+        for net in (production, model):
+            if op[0] == "accept":
+                claim = _make_claim(net, op[2])
+                net._accept_claim(net.agents[op[1]], claim)
+            elif op[0] == "send":
+                claim = _make_claim(net, op[3])
+                net.send_claim(net.agents[op[1]], net.agents[op[2]], claim)
+            elif op[0] == "gossip":
+                net.gossip_round(random.Random(op[1]))
+            elif op[0] == "flip":
+                net.agents[op[1]].online = not net.agents[op[1]].online
+            elif op[0] == "tick":
+                net.begin_tick(tick + 1)
+            else:
+                net.clear_news()
+        tick += op[0] == "tick"
+        if op[0] in ("accept", "send"):
+            seen.add(claim.claim_id)
+        # each kind's claims lowest id first, as claims_of promises
+        model_pools = [
+            [sorted(cid for cid, c in model.pools.get(a.index, {}).items() if c.kind == kind)
+             for kind in CLAIM_KINDS]
+            for a in model.agents
+        ]
+        assert _claim_state(production, [
+            [[c.claim_id for c in production.claims_of(a, kind)] for kind in CLAIM_KINDS]
+            for a in production.agents
+        ]) == _claim_state(model, model_pools)
+        assert [[production.has_claim(a, cid) for cid in sorted(seen)] for a in production.agents] == [
+            [cid in model.pools.get(a.index, {}) for cid in sorted(seen)] for a in model.agents
+        ]
+        assert all(a.news_bits == 0 for a in model.agents)
+
+
+# the attributes that hold news pools and the claim table behind them, and
+# the only functions that may write them
+_CLAIM_STATE = {"news_bits", "_claims", "_claim_bit", "_kind_bits"}
+_CLAIM_WRITERS = {
+    "Network.__init__", "Network._accept_claim", "Network._sync_claims", "Network.clear_news",
+}
+_MUTATING_METHODS = {
+    "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+    "update", "setdefault", "popitem",
+}
+
+
+def _claim_state_writes(tree) -> list[tuple[int, str]]:
+    """(line, enclosing Class.function) of each assignment, deletion or
+    mutating call through an attribute in _CLAIM_STATE."""
+
+    def is_state(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in _CLAIM_STATE
+
+    def flat(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from flat(elt)
+        elif isinstance(target, ast.Starred):
+            yield from flat(target.value)
+        else:
+            yield target
+
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in (t for each in targets for t in flat(each)):
+            if is_state(target) or isinstance(target, ast.Subscript) and is_state(target.value):
+                writes.append((node.lineno, ".".join(scope)))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATING_METHODS
+            and is_state(node.func.value)
+        ):
+            writes.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(writes)
+
+
+def test_only_the_claim_writers_touch_news_pools_and_the_claim_table():
+    root = Path(__file__).parent.parent
+    sources = sorted((root / "src" / "agentchain").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    writers = set()
+    offenders = []
+    for path in sources:
+        for line, scope in _claim_state_writes(ast.parse(path.read_text(), str(path))):
+            if path.name == "dht.py" and scope in _CLAIM_WRITERS:
+                writers.add(scope)
+            else:
+                offenders.append(f"{path.relative_to(root)}:{line} {scope}")
+    assert offenders == []
+    assert writers == _CLAIM_WRITERS
+    # the detector itself sees every kind of write, and where it sits
+    probe = ast.parse(
+        "a.news_bits = 0\na.news_bits |= 1\nn._claims.append(c)\nn._claim_bit[k] = 1\n"
+        "del n._kind_bits[k]\nn._kind_bits.clear()\nx, (y, a.news_bits) = 1, (2, 3)\n"
+        "b = a.news_bits & 1\nclass N:\n    def f(self):\n        self._claims: list = []\n"
+    )
+    assert _claim_state_writes(probe) == [
+        (1, ""), (2, ""), (3, ""), (4, ""), (5, ""), (6, ""), (7, ""), (11, "N.f"),
+    ]
+
+
 # --- rate limiting -------------------------------------------------------
 
 def test_rate_limit_rejects_flood_and_penalizes_once_per_tick():
@@ -845,4 +1086,4 @@ def test_sustained_flooding_escalates_to_blacklist():
     net.begin_tick(9)
     claim = transfer_claim(b"\x77" * 32, sender.public_key, b"\x00" * 32)
     assert not net.send_claim(sender, receiver, claim)
-    assert claim.claim_id not in receiver.news
+    assert not net.has_claim(receiver, claim.claim_id)

@@ -4,10 +4,12 @@ The ``oracle_*`` functions are brute-force references: a sorted walk of
 every queried news pool, one ``decode_fields`` per credit record per
 ``balance`` call, reverse scans of a chain for its newest credit record and
 for a recorded tx_id, a sorted walk of the sender's whole pool per gossip
-contact. The transfer index, the running ledger per chain and the claim
-bitmaps must give the same verdicts, balances, keys and pools on every
+contact, accepting each claim the receiver lacks one at a time. The
+transfer index, the running ledger per chain and the bitset merge of claim
+pools must give the same verdicts, balances, keys and pools on every
 history below, and a generated whole scenario must keep each running
-balance equal to the walk after every tick.
+balance equal to the walk after every tick. A pool is read through
+``Network.claims_of`` and compared as claim ids, lowest first.
 """
 
 import dataclasses
@@ -23,6 +25,8 @@ from agentchain.canonical import EncodingError
 from agentchain.chain import Record, record_key, verify_chain
 from agentchain.crypto import ZERO_DIGEST, hash_bytes, verify
 from agentchain.dht import (
+    CLAIM_MISBEHAVIOR,
+    CLAIM_REVOKE,
     CLAIM_TRANSFER,
     Network,
     agent_seed,
@@ -301,13 +305,27 @@ def test_conservation_over_a_transfer_storm():
 
 # --- the index-driven paths against brute-force scans ---------------------------
 
-def oracle_audit(candidate, queried, network=None):
+CLAIM_KINDS = (CLAIM_TRANSFER, CLAIM_MISBEHAVIOR, CLAIM_REVOKE)
+
+
+def pool(network, agent):
+    """agent's whole news pool, lowest claim id first."""
+    return sorted(
+        (claim for kind in CLAIM_KINDS for claim in network.claims_of(agent, kind)),
+        key=lambda claim: claim.claim_id,
+    )
+
+
+def pool_ids(network, agent):
+    return [claim.claim_id for claim in pool(network, agent)]
+
+
+def oracle_audit(candidate, queried, network):
     """Walk each online queried pool in claim-id order; first conflict wins."""
     for agent in queried:
         if not agent.online:
             continue
-        for cid in sorted(agent.news):
-            claim = agent.news[cid]
+        for claim in pool(network, agent):
             if claim.kind != CLAIM_TRANSFER:
                 continue
             if (
@@ -353,28 +371,45 @@ def oracle_has_transfer(chain, tx_id):
 
 
 def assert_news_bits_match(network):
-    """Each agent's news_bits names exactly the claim ids of its pool."""
+    """The claim table holds each claim once, at the bit its id maps to,
+    with each kind's bits naming exactly the claims of that kind; each
+    agent's news_bits names table bits only, and the accessors read back
+    exactly the claims those bits name."""
+    table = network._claims
+    ids = [claim.claim_id for claim in table]
+    assert network._claim_bit == {cid: bit for bit, cid in enumerate(ids)}
+    for kind in set(CLAIM_KINDS) | set(network._kind_bits):
+        assert network._kind_bits.get(kind, 0) == sum(
+            1 << bit for bit, claim in enumerate(table) if claim.kind == kind
+        )
     for agent in network.agents:
         bits = agent.news_bits
-        assert bits.bit_length() <= len(network._claim_ids)
-        named = {cid for bit, cid in enumerate(network._claim_ids) if bits >> bit & 1}
-        assert named == set(agent.news)
+        assert bits >= 0 and bits.bit_length() <= len(table)
+        named = [claim for bit, claim in enumerate(table) if bits >> bit & 1]
+        assert pool(network, agent) == sorted(named, key=lambda claim: claim.claim_id)
+        for kind in CLAIM_KINDS:
+            assert network.claims_of(agent, kind) == [
+                claim for claim in pool(network, agent) if claim.kind == kind
+            ]
+        held = {claim.claim_id for claim in named}
+        assert [network.has_claim(agent, cid) for cid in ids] == [cid in held for cid in ids]
+        assert not network.has_claim(agent, hash_bytes(b"never a claim"))
 
 
 def oracle_sync_claims(network, src, dst):
-    """Offer dst every claim src holds, lowest id first; dst keeps new ones."""
-    for cid in sorted(src.news):
-        if cid not in dst.news:
-            network._accept_claim(dst, src.news[cid])
+    """Offer dst every claim src holds, lowest id first; dst accepts each
+    one it lacks."""
+    for claim in pool(network, src):
+        if not network.has_claim(dst, claim.claim_id):
+            network._accept_claim(dst, claim)
 
 
 def rebuilt_transfer_index(network):
     """The transfer index recomputed from every member's pool."""
     index = {}
     for agent in network.agents:
-        for cid, claim in agent.news.items():
-            if claim.kind == CLAIM_TRANSFER:
-                index.setdefault((claim.agent, claim.extra), {})[cid] = claim.subject
+        for claim in network.claims_of(agent, CLAIM_TRANSFER):
+            index.setdefault((claim.agent, claim.extra), {})[claim.claim_id] = claim.subject
     return index
 
 
@@ -392,7 +427,7 @@ def checked_audit(monkeypatch):
 
     def audit(candidate, queried, network):
         verdict = production(candidate, queried, network)
-        assert _verdict(verdict) == _verdict(oracle_audit(candidate, queried))
+        assert _verdict(verdict) == _verdict(oracle_audit(candidate, queried, network))
         assert network.transfer_index == rebuilt_transfer_index(network)
         assert_news_bits_match(network)
         seen.append(verdict)
@@ -471,7 +506,7 @@ def test_audit_and_balance_match_the_scans_on_random_histories(seed, checked_aud
             queried = rng.sample(net.agents, 4) + [ignorant]
             rng.shuffle(queried)
             assert _verdict(audit_double_spend(candidate, queried, net)) == _verdict(
-                oracle_audit(candidate, queried)
+                oracle_audit(candidate, queried, net)
             )
     assert net.transfer_index == rebuilt_transfer_index(net)
     assert any(not v.ok for v in checked_audit)  # the histories do hold double spends
@@ -496,11 +531,11 @@ def test_repeated_double_spends_of_one_state_name_the_lowest_claim():
     assert net.transfer_index == rebuilt_transfer_index(net)
     witness = net.agents[6]
     verdict = audit_double_spend(stale, [witness], net)
-    assert _verdict(verdict) == _verdict(oracle_audit(stale, [witness]))
+    assert _verdict(verdict) == _verdict(oracle_audit(stale, [witness], net))
     assert verdict.conflicting_tx == bucket[min(bucket)]
     # one of the four spends is not in conflict with itself
     again = audit_double_spend(spends[0], [witness], net)
-    assert _verdict(again) == _verdict(oracle_audit(spends[0], [witness]))
+    assert _verdict(again) == _verdict(oracle_audit(spends[0], [witness], net))
     assert again.conflicting_tx != spends[0].tx_id
 
 
@@ -547,7 +582,12 @@ def test_claim_sync_by_set_difference_matches_the_whole_pool_scan(seed, monkeypa
     production = _claim_history(seed)
     monkeypatch.setattr(Network, "_sync_claims", oracle_sync_claims)
     reference = _claim_history(seed)
-    assert [list(a.news) for a in production.agents] == [list(a.news) for a in reference.agents]
+    assert [pool_ids(production, a) for a in production.agents] == [
+        pool_ids(reference, a) for a in reference.agents
+    ]
+    assert [list(a.experience.rows.items()) for a in production.agents] == [
+        list(a.experience.rows.items()) for a in reference.agents
+    ]
     assert production.metrics.snapshot() == reference.metrics.snapshot()
     assert production.metrics.blacklist_events > 0
     assert production.transfer_index == reference.transfer_index
@@ -585,8 +625,8 @@ def test_scenarios_give_the_same_bytes_and_pools_with_the_scans(config, monkeypa
     reference = run_scenario(config)
     assert production.metrics_log.to_csv() == reference.metrics_log.to_csv()
     assert export_all_chains(production) == export_all_chains(reference)
-    assert [list(a.news) for a in production.network.agents] == [
-        list(a.news) for a in reference.network.agents
+    assert [pool_ids(production.network, a) for a in production.network.agents] == [
+        pool_ids(reference.network, a) for a in reference.network.agents
     ]
 
 
@@ -666,11 +706,12 @@ def test_clear_news_empties_every_bitmap_and_restarts_the_numbering():
     assert_news_bits_match(net)
     assert any(a.news_bits for a in net.agents)
     net.clear_news()
-    assert all(a.news_bits == 0 and not a.news for a in net.agents)
-    assert net._claim_ids == [] and net._claim_bit == {}
+    assert all(a.news_bits == 0 and pool(net, a) == [] for a in net.agents)
+    assert net._claims == [] and net._claim_bit == {} and net._kind_bits == {}
+    assert net.transfer_index == {}
     claim = transfer_claim(b"\x09" * 32, net.agents[0].public_key, ZERO_DIGEST)
     net._accept_claim(net.agents[3], claim)
-    assert net.agents[3].news_bits == 1 and net._claim_ids == [claim.claim_id]
+    assert net.agents[3].news_bits == 1 and net._claims == [claim]
     net.gossip_round(rng)
     assert_news_bits_match(net)
 
