@@ -12,10 +12,11 @@ App payloads are field maps: field name -> tagged value, encoded sorted by
 name. The tag set is closed (int/str/bytes/digest) on purpose; anything
 fancier belongs in its own record type.
 
-Byte layouts of the three hot record types. ``lp(x)`` is x's byte length
-as a big-endian u32, then x; a string is lp of its UTF-8 bytes. These three
-are written with precompiled ``struct`` packers joined once and read with
-``unpack_from`` at offsets; every other layout (DNA, genesis, claim ids,
+Byte layouts of the hot encodings. ``lp(x)`` is x's byte length as a
+big-endian u32, then x; a string is lp of its UTF-8 bytes. These are written
+with precompiled ``struct`` packers joined once, and the three record types
+read with ``unpack_from`` at offsets. A claim's encoding is only hashed,
+into NewsClaim.claim_id, never decoded. Every other layout (DNA, genesis,
 agent seeds, bench blocks) goes through Writer and Reader.
 
   field map (encode_fields)     header (chain.encode_header)
@@ -31,7 +32,13 @@ agent seeds, bench blocks) goes through Writer and Reader.
                   never 32      record (chain.encode_record)
         4 digest  32 bytes        u8   'R' (0x52)
                                   lp   header
-                                  lp   payload
+  claim id (dht.NewsClaim)        lp   payload
+    u8   'N' (0x4E)
+    lp   kind (UTF-8)
+    32   subject
+    lp   agent
+    lp   extra
+    lp   detail (UTF-8)
 
 A bytes or bytearray value of exactly 32 bytes is always a digest. The
 author signs the header up to and excluding its signature's lp.

@@ -368,7 +368,9 @@ class Record:
 
     @cached_property
     def fields(self) -> Mapping[str, canonical.FieldValue]:
-        """The payload as a canonical field map, decoded once per record.
+        """The payload as a canonical field map, decoded once per record,
+        unless the appender handed over the map it encoded the payload from
+        (see append_entry); then there is no decode at all.
 
         Read-only, because every reader shares it. A record is never edited
         in place (tampering builds a new one), so the view cannot go stale.
@@ -482,7 +484,13 @@ class SourceChain:
             self.ledger = None
 
 
-def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int) -> Record:
+def _append_raw(
+    chain: SourceChain,
+    entry_type: str,
+    payload: bytes,
+    clock: int,
+    fields: Mapping[str, canonical.FieldValue] | None = None,
+) -> Record:
     if chain.records:
         last = chain.records[-1].header
         if clock < last.timestamp:
@@ -498,6 +506,8 @@ def _append_raw(chain: SourceChain, entry_type: str, payload: bytes, clock: int)
     header = EntryHeader(seq, clock, entry_type, entry_hash, author, prev, sign(chain.owner, prefix))
     _seal(header, prefix)
     record = Record(header, bytes(payload))
+    if fields is not None:
+        object.__setattr__(record, "fields", fields)
     chain.records.append(record)
     chain.keys[record_key(record)] = seq
     return record
@@ -518,9 +528,18 @@ def init_chain(
 
 
 def append_entry(
-    chain: SourceChain, entry_type: str, payload: bytes | dict, clock: int
+    chain: SourceChain,
+    entry_type: str,
+    payload: bytes | dict,
+    clock: int,
+    fields: Mapping[str, canonical.FieldValue] | None = None,
 ) -> Record:
-    """Sign and append one app entry. The entry type must exist in the DNA."""
+    """Sign and append one app entry. The entry type must exist in the DNA.
+
+    fields, if given, is the read-only field map the payload bytes were
+    encoded from; the record keeps it as its ``fields`` instead of decoding
+    the payload. Callers that hold no such map leave it to the decode.
+    """
     if entry_type in SYSTEM_TYPES:
         raise ChainError(f"{entry_type!r} is written by init_chain only")
     if chain.dna.entry_type(entry_type) is None:
@@ -529,7 +548,7 @@ def append_entry(
         raise ChainError("chain is not bootstrapped")
     if isinstance(payload, dict):
         payload = canonical.encode_fields(payload)
-    return _append_raw(chain, entry_type, payload, clock)
+    return _append_raw(chain, entry_type, payload, clock, fields)
 
 
 # ---------------------------------------------------------------------------

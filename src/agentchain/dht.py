@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Mapping
 
 from .canonical import (
     DIGEST_AND_LEN,
@@ -31,6 +31,7 @@ from .canonical import (
     TRUNCATED,
     U32_MAX,
     EncodingError,
+    FieldValue,
     Writer,
     check_end,
     u32_out_of_range,
@@ -77,6 +78,8 @@ CLAIM_TRANSFER = "transfer"
 CLAIM_MISBEHAVIOR = "misbehavior"
 CLAIM_REVOKE = "revoke"
 
+_CLAIM_HEAD = struct.Struct(">BI")  # 'N', kind length; the layout is in canonical.py
+
 
 @dataclass(frozen=True)
 class NewsClaim:
@@ -98,14 +101,30 @@ class NewsClaim:
 
     @cached_property
     def claim_id(self) -> bytes:
-        w = Writer()
-        w.u8(ord("N"))
-        w.string(self.kind)
-        w.digest(self.subject)
-        w.lp_bytes(self.agent)
-        w.lp_bytes(self.extra)
-        w.string(self.detail)
-        return hash_bytes(w.getvalue())
+        """The digest of the claim-id layout in canonical.py."""
+        kind = self.kind.encode("utf-8")
+        detail = self.detail.encode("utf-8")
+        if len(kind) > U32_MAX:
+            raise u32_out_of_range(len(kind))
+        if len(self.subject) != DIGEST_SIZE:
+            raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(self.subject)}")
+        for raw in (self.agent, self.extra, detail):
+            if len(raw) > U32_MAX:
+                raise u32_out_of_range(len(raw))
+        return hash_bytes(
+            b"".join(
+                (
+                    _CLAIM_HEAD.pack(0x4E, len(kind)),
+                    kind,
+                    DIGEST_AND_LEN.pack(self.subject, len(self.agent)),
+                    self.agent,
+                    LEN_PREFIX.pack(len(self.extra)),
+                    self.extra,
+                    LEN_PREFIX.pack(len(detail)),
+                    detail,
+                )
+            )
+        )
 
 
 def transfer_claim(tx_id: bytes, sender: bytes, sender_prev_tx: bytes) -> NewsClaim:
@@ -217,8 +236,14 @@ class Agent:
     def public_key(self) -> bytes:
         return self.keys.public_key
 
-    def append(self, entry_type: str, payload: bytes | dict, clock: int) -> Record:
-        return append_entry(self.chain, entry_type, payload, clock)
+    def append(
+        self,
+        entry_type: str,
+        payload: bytes | dict,
+        clock: int,
+        fields: Mapping[str, FieldValue] | None = None,
+    ) -> Record:
+        return append_entry(self.chain, entry_type, payload, clock, fields)
 
     def holds(self, key: bytes) -> bool:
         return key in self.shard or key in self.chain.keys
@@ -284,7 +309,11 @@ class Network:
         self.backup_factor = backup_factor
         self.witness_count = witness_count
         self.audit_samples = audit_samples
+        # the members in join order, and public key -> the positions of
+        # that key's members there, ascending (a keypair may join more than
+        # once); written by join only
         self.agents: list[Agent] = []
+        self._positions: dict[bytes, list[int]] = {}
         self.redundancy = dna.dht_redundancy
         # hooks see (kind, sender, receiver, payload) and may mutate payload
         self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
@@ -311,6 +340,7 @@ class Network:
     def join(self, agent: Agent) -> None:
         if agent.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
+        self._positions.setdefault(agent.public_key, []).append(len(self.agents))
         self.agents.append(agent)
         self._by_id.clear()
         self._ids.clear()
@@ -320,6 +350,33 @@ class Network:
         self.current_tick = tick
         for agent in self.agents:
             agent.rate_window.clear()
+
+    # -- peer pools -----------------------------------------------------------
+
+    def others(self, agent: Agent) -> list[Agent]:
+        """The members other than agent, in join order: the members list
+        sliced around agent's own positions."""
+        agents = self.agents
+        return self._cut(
+            [p for p in self._positions.get(agent.public_key, ()) if agents[p] is agent]
+        )
+
+    def strangers(self, *keys: bytes) -> list[Agent]:
+        """The members whose public key is none of keys, in join order: the
+        members list sliced around every position of those keys."""
+        positions = self._positions
+        return self._cut(sorted(p for key in set(keys) for p in positions.get(key, ())))
+
+    def _cut(self, positions: list[int]) -> list[Agent]:
+        """The members list without the given ascending positions."""
+        agents = self.agents
+        if not positions:
+            return agents[:]
+        pool = agents[: positions[0]]
+        for start, end in zip(positions, positions[1:]):
+            pool += agents[start + 1 : end]
+        pool += agents[positions[-1] + 1 :]
+        return pool
 
     # -- topology ----------------------------------------------------------
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from . import canonical
 from .chain import Record, SourceChain, record_key
@@ -69,17 +71,19 @@ class FuelTransaction:
         return hash_bytes(self.body_bytes)
 
     @cached_property
-    def payload(self) -> bytes:
-        """The co-signed entry, encoded once and appended to both chains."""
-        return canonical.encode_fields(self.to_fields())
+    def fields(self) -> Mapping[str, canonical.FieldValue]:
+        """The co-signed entry as a read-only field map, names ascending as
+        decode_fields gives them. Built once and shared as Record.fields by
+        both chain records of the transfer, so neither decodes its payload."""
+        fields = {**self.body_fields(), "tx_id": self.tx_id,
+                  "sender_sig": self.sender_sig, "receiver_sig": self.receiver_sig}
+        return MappingProxyType(dict(sorted(fields.items())))
 
-    def to_fields(self) -> dict:
-        return {
-            **self.body_fields(),
-            "tx_id": self.tx_id,
-            "sender_sig": self.sender_sig,
-            "receiver_sig": self.receiver_sig,
-        }
+    @cached_property
+    def payload(self) -> bytes:
+        """The co-signed entry, encoded once from fields and appended to
+        both chains."""
+        return canonical.encode_fields(self.fields)
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,7 @@ def accept_fuel_tx(
     if has_transfer(receiver.chain, pending.tx_id):
         raise FuelError("transfer already recorded on the receiver chain")
     if audit:
-        pool = [a for a in network.agents if a is not receiver]
+        pool = network.others(receiver)
         k = min(network.audit_samples, len(pool))
         sampled = rng.sample(pool, k) if k else []
         network.metrics.messages += len(sampled)
@@ -306,7 +310,7 @@ def accept_fuel_tx(
             network._accept_claim(receiver, claim)
             return None, verdict
     tx = countersign(receiver.keys, pending)
-    record = receiver.append(FUEL_TX_TYPE, tx.payload, clock)
+    record = receiver.append(FUEL_TX_TYPE, tx.payload, clock, fields=tx.fields)
     if publish:
         network.publish(receiver, record)
     announce_transfer(network, receiver, tx, rng)
@@ -319,11 +323,7 @@ def announce_transfer(network: Network, receiver: Agent, tx: FuelTransaction, rn
     who are not party to the transfer."""
     claim = transfer_claim(tx.tx_id, tx.sender, tx.sender_prev_tx)
     network._accept_claim(receiver, claim)
-    pool = [
-        a
-        for a in network.agents
-        if a.public_key not in (tx.sender, tx.receiver)
-    ]
+    pool = network.strangers(tx.sender, tx.receiver)
     count = min(max(network.witness_count - 1, 0), len(pool))
     if count:
         for witness in rng.sample(pool, count):
@@ -333,7 +333,7 @@ def announce_transfer(network: Network, receiver: Agent, tx: FuelTransaction, rn
 def complete_transfer(sender: Agent, tx: FuelTransaction, network: Network, clock: int,
                       publish: bool = True) -> Record:
     """Honest sender finalizes: the co-signed entry lands on its chain too."""
-    record = sender.append(FUEL_TX_TYPE, tx.payload, clock)
+    record = sender.append(FUEL_TX_TYPE, tx.payload, clock, fields=tx.fields)
     if publish:
         network.publish(sender, record)
     return record

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from agentchain import crypto
+from agentchain import canonical, crypto
 
 SESSION_T0 = time.monotonic()
 SUITE_BUDGET_SECONDS = 300.0
@@ -38,12 +38,11 @@ def pytest_sessionfinish(session, exitstatus):
         print(f"\nFAIL: suite exceeded {SUITE_BUDGET_SECONDS:.0f}s budget")
 
 
-@pytest.fixture
-def verify_calls(monkeypatch):
-    """Arguments of every crypto.verify call, through whichever module's
-    binding it is made (``from .crypto import verify`` binds it in several)."""
+def _record_calls(monkeypatch, real) -> list[tuple]:
+    """Arguments of every call of the package function real, through
+    whichever module's binding it is made (``from .crypto import verify``
+    binds verify in several)."""
     calls: list[tuple] = []
-    real = crypto.verify
 
     def counted(*args):
         calls.append(args)
@@ -56,3 +55,15 @@ def verify_calls(monkeypatch):
             if value is real:
                 monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Arguments of every crypto.verify call."""
+    return _record_calls(monkeypatch, crypto.verify)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Arguments of every canonical.decode_fields call."""
+    return _record_calls(monkeypatch, canonical.decode_fields)

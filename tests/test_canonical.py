@@ -22,6 +22,16 @@ from agentchain.chain import (
     init_chain,
 )
 from agentchain.crypto import generate_keypair, hash_bytes
+from agentchain.dht import (
+    CLAIM_MISBEHAVIOR,
+    CLAIM_REVOKE,
+    CLAIM_TRANSFER,
+    NewsClaim,
+    misbehavior_claim,
+    revoke_claim,
+    transfer_claim,
+)
+from agentchain.reputation import ObservationKind
 from agentchain.healthcare import healthcare_dna
 
 # layout computed by hand from the format rules:
@@ -216,6 +226,13 @@ def _spec_record(record) -> bytes:
     return b"R" + _lp(_spec_header(record.header)) + _lp(record.payload)
 
 
+def _spec_claim(claim) -> bytes:
+    return (
+        b"N" + _lp(claim.kind.encode("utf-8")) + claim.subject + _lp(claim.agent)
+        + _lp(claim.extra) + _lp(claim.detail.encode("utf-8"))
+    )
+
+
 def _reader_fields(data: bytes) -> dict:
     r = Reader(data)
     if r.u8() != ord("F"):
@@ -344,6 +361,48 @@ def test_header_and_record_encoders_match_the_spec_and_round_trip(record):
     assert decode_record(encode_record(record)) == record
 
 
+_claim_bytes = st.one_of(
+    st.just(b""), st.binary(max_size=40), st.binary(min_size=300, max_size=400)
+)
+_claims = st.builds(
+    NewsClaim,
+    kind=st.sampled_from([CLAIM_TRANSFER, CLAIM_MISBEHAVIOR, CLAIM_REVOKE]),
+    subject=_digests,
+    agent=_claim_bytes,
+    extra=_claim_bytes,
+    detail=st.one_of(st.sampled_from([k.value for k in ObservationKind]), st.text(max_size=20)),
+)
+
+
+@given(_claims)
+@settings(max_examples=200, deadline=None)
+def test_claim_id_hashes_the_spec_layout(claim):
+    assert claim.claim_id == hash_bytes(_spec_claim(claim))
+
+
+# claim ids as the Writer-built encoding hashed them
+PINNED_CLAIM_IDS = [
+    (
+        transfer_claim(bytes(range(32)), b"\x01" * 32, b"\x02" * 32),
+        "6652cfa3ea1fff3665d9ae362c142deaede8f351953798987e4b8fac6297dd55",
+    ),
+    (
+        misbehavior_claim(b"\x03" * 32, ObservationKind.DOUBLE_SPEND, b"\x04" * 32),
+        "c8f5d485e16bf179eb8e60ef65ec5eb38967fd6fd47ded491806515312c3a1e3",
+    ),
+    (
+        NewsClaim(CLAIM_REVOKE, b"\xff" * 32, b"", extra=b"tok" * 30, detail="h\u00e9\u2603"),
+        "9e7699583c26b71949fc3a282c08eb69bcf4319f6211e97d1346858885512d0b",
+    ),
+]
+
+
+@pytest.mark.parametrize("claim,expected_hex", PINNED_CLAIM_IDS)
+def test_claim_ids_are_pinned(claim, expected_hex):
+    assert claim.claim_id.hex() == expected_hex
+    assert hash_bytes(_spec_claim(claim)).hex() == expected_hex
+
+
 @given(_valid_encodings(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_decoders_reject_every_prefix_extension_and_byte_flip_like_the_reference(
@@ -422,6 +481,9 @@ def test_malformed_encodings_raise_the_reference_encoding_error(kind, data, mess
         (lambda: encode_header(_header(timestamp=-5)), "u64 out of range: -5"),
         (lambda: encode_header(_header(entry_hash=b"\x01" * 31)), "fixed field wants 32 bytes, got 31"),
         (lambda: encode_header(_header(prev_header_hash=b"")), "fixed field wants 32 bytes, got 0"),
+        (lambda: revoke_claim(b"", b"a", b"t").claim_id, "fixed field wants 32 bytes, got 0"),
+        (lambda: NewsClaim(CLAIM_TRANSFER, b"\x01" * 31, b"").claim_id, "fixed field wants 32 bytes, got 31"),
+        (lambda: NewsClaim(CLAIM_TRANSFER, b"\x01" * 33, b"").claim_id, "fixed field wants 32 bytes, got 33"),
     ],
 )
 def test_out_of_range_encodings_raise_the_writer_messages(encode, message):

@@ -986,12 +986,18 @@ _MUTATING_METHODS = {
 }
 
 
-def _claim_state_writes(tree) -> list[tuple[int, str]]:
+# the members list and the position index behind the peer pools, and the
+# only functions that may write them
+_MEMBER_STATE = {"agents", "_positions"}
+_MEMBER_WRITERS = {"Network.__init__", "Network.join"}
+
+
+def _claim_state_writes(tree, state=_CLAIM_STATE) -> list[tuple[int, str]]:
     """(line, enclosing Class.function) of each assignment, deletion or
-    mutating call through an attribute in _CLAIM_STATE."""
+    mutating call through an attribute in state."""
 
     def is_state(node) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr in _CLAIM_STATE
+        return isinstance(node, ast.Attribute) and node.attr in state
 
     def flat(target):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -1029,19 +1035,40 @@ def _claim_state_writes(tree) -> list[tuple[int, str]]:
     return sorted(writes)
 
 
-def test_only_the_claim_writers_touch_news_pools_and_the_claim_table():
+def _writers_and_offenders(state, allowed) -> tuple[set[str], list[str]]:
+    """The allowed dht.py functions that write state, and every other write
+    of it in the package, the tests and the tools."""
     root = Path(__file__).parent.parent
-    sources = sorted((root / "src" / "agentchain").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    sources = [
+        path
+        for folder in ("src/agentchain", "tests", "tools")
+        for path in sorted((root / folder).glob("*.py"))
+    ]
     writers = set()
     offenders = []
     for path in sources:
-        for line, scope in _claim_state_writes(ast.parse(path.read_text(), str(path))):
-            if path.name == "dht.py" and scope in _CLAIM_WRITERS:
+        for line, scope in _claim_state_writes(ast.parse(path.read_text(), str(path)), state):
+            if path.name == "dht.py" and scope in allowed:
                 writers.add(scope)
             else:
                 offenders.append(f"{path.relative_to(root)}:{line} {scope}")
-    assert offenders == []
-    assert writers == _CLAIM_WRITERS
+    return writers, offenders
+
+
+def test_only_join_writes_the_members_and_their_positions():
+    assert _writers_and_offenders(_MEMBER_STATE, _MEMBER_WRITERS) == (_MEMBER_WRITERS, [])
+    probe = ast.parse(
+        "n.agents.append(a)\nn._positions.setdefault(k, []).append(0)\nn.agents[0] = a\n"
+        "x = n._positions.get(k)\nclass Network:\n    def join(self, a):\n"
+        "        self.agents += [a]\n"
+    )
+    assert _claim_state_writes(probe, _MEMBER_STATE) == [
+        (1, ""), (2, ""), (3, ""), (7, "Network.join"),
+    ]
+
+
+def test_only_the_claim_writers_touch_news_pools_and_the_claim_table():
+    assert _writers_and_offenders(_CLAIM_STATE, _CLAIM_WRITERS) == (_CLAIM_WRITERS, [])
     # the detector itself sees every kind of write, and where it sits
     probe = ast.parse(
         "a.news_bits = 0\na.news_bits |= 1\nn._claims.append(c)\nn._claim_bit[k] = 1\n"

@@ -28,6 +28,7 @@ from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
     CLAIM_REVOKE,
     CLAIM_TRANSFER,
+    Agent,
     Network,
     agent_seed,
     make_agent,
@@ -168,7 +169,7 @@ def test_tx_fields_roundtrip():
     tx = countersign(b.keys, create_fuel_tx(a.chain, b.public_key, 2, 2))
     # what lands on the chains decodes back to the same transfer; tx_id is
     # derived from the body, never carried as state
-    fields = canonical.decode_fields(canonical.encode_fields(tx.to_fields()))
+    fields = canonical.decode_fields(tx.payload)
     assert fields.pop("tx_id") == tx.tx_id == hash_bytes(tx.body_bytes)
     assert FuelTransaction(**fields) == tx
 
@@ -714,6 +715,105 @@ def test_clear_news_empties_every_bitmap_and_restarts_the_numbering():
     assert net.agents[3].news_bits == 1 and net._claims == [claim]
     net.gossip_round(rng)
     assert_news_bits_match(net)
+
+
+# --- peer pools by slices, and one field map per transfer ------------------------
+
+# random.sample copies a population of at most this many into a list and
+# draws by pops from the copy; above it, it draws indices into the
+# population and rejects repeats by a set (for k = 7 or 8)
+SAMPLE_CUTOFF = 21 + 4 ** 3
+_POOL_KEYPAIRS = 100
+
+
+@pytest.fixture(scope="module")
+def pool_agents():
+    """One bootstrapped agent per keypair, to copy into memberships."""
+    dna = healthcare_dna()
+    return dna, [make_agent(i, agent_seed(31, i), dna) for i in range(_POOL_KEYPAIRS)]
+
+
+@st.composite
+def memberships(draw, agents):
+    """A network whose members repeat keypairs, sometimes the same agent
+    object, under Agent.index values that are not their positions; and a
+    sender key and a receiver agent, either of which may not be a member."""
+    dna, bases = agents
+    size = draw(st.one_of(
+        st.integers(0, 12),
+        st.integers(SAMPLE_CUTOFF - 6, SAMPLE_CUTOFF + 4),
+        st.integers(SAMPLE_CUTOFF + 5, SAMPLE_CUTOFF + 25),
+    ))
+    network = Network(dna, Marketplace())
+    for _ in range(size):
+        if network.agents and draw(st.integers(0, 9)) == 0:
+            agent = draw(st.sampled_from(network.agents))  # the same object again
+        else:
+            base = bases[draw(st.integers(0, len(bases) - 1))]
+            agent = Agent(index=draw(st.integers(-5, 10**6)), keys=base.keys, chain=base.chain)
+        network.join(agent)
+    # a member, or an agent that never joined: on a member's keypair or not
+    outsider = bases[draw(st.integers(0, len(bases) - 1))]
+    receiver = draw(st.one_of(
+        st.sampled_from(network.agents) if network.agents else st.nothing(),
+        st.just(Agent(index=0, keys=outsider.keys, chain=outsider.chain)),
+    ))
+    sender = draw(st.one_of(
+        st.sampled_from([a.public_key for a in network.agents]) if network.agents else st.nothing(),
+        st.just(outsider.public_key),
+        st.just(b"\x05" * 32),
+    ))
+    return network, sender, receiver
+
+
+@given(st.data(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_pools_by_slices_equal_the_scans_and_draw_the_same_peers(pool_agents, data, seed):
+    network, sender, receiver = data.draw(memberships(pool_agents))
+    # the scans accept_fuel_tx and announce_transfer ran before the slices
+    audit_pool = [a for a in network.agents if a is not receiver]
+    witness_pool = [a for a in network.agents if a.public_key not in (sender, receiver.public_key)]
+    pools = [
+        (network.others(receiver), audit_pool),
+        (network.strangers(sender, receiver.public_key), witness_pool),
+    ]
+    for sliced, scanned in pools:
+        assert sliced == scanned  # Agent compares by identity
+        for k in (7, 8):
+            k = min(k, len(scanned))
+            assert random.Random(seed).sample(sliced, k) == random.Random(seed).sample(scanned, k)
+
+
+def test_a_transfer_decodes_no_field_map(decode_calls):
+    net = _network()
+    a, b, spender = net.agents[0], net.agents[1], net.agents[2]
+    for agent in net.agents:
+        append_seed_grant(agent, 10, 1)
+        balance(agent.chain)  # a seed grant's map is decoded, once
+    decode_calls.clear()
+    tx, _ = settle(net, a, b, 4, 2, random.Random(0), publish=False)
+    sender_copy, receiver_copy = a.chain.records[-1], b.chain.records[-1]
+    for agent in (a, b):
+        balance(agent.chain), latest_fuel_key(agent.chain), has_transfer(agent.chain, tx.tx_id)
+    tx1, _ = sim.double_spend(net, spender, 3, 3, random.Random(1))
+    for agent in net.agents:
+        balance(agent.chain), latest_fuel_key(agent.chain), has_transfer(agent.chain, tx1.tx_id)
+    assert decode_calls == []
+    # both chain records of the transfer share the map their payload
+    # was encoded from, names in the order decode_fields gives them
+    assert sender_copy.fields is receiver_copy.fields is tx.fields
+    decoded = canonical.decode_fields(sender_copy.payload)
+    assert list(tx.fields.items()) == list(decoded.items())
+    decode_calls.clear()
+    # a rewritten record is a new one, with nothing but its payload to go on
+    before = balance(b.chain)
+    fields = dict(receiver_copy.fields)
+    fields["amount"] += 1
+    forged = Record(receiver_copy.header, canonical.encode_fields(fields))
+    b.chain.replace_at(receiver_copy.header.seq, forged)
+    assert balance(b.chain) == walk_balance(b.chain) == before + 1
+    assert decode_calls == [(forged.payload,)]
+    assert forged.fields == fields and sender_copy.fields is tx.fields
 
 
 # --- whole scenarios -------------------------------------------------------------
