@@ -336,6 +336,16 @@ class Network:
         self._claims: list[NewsClaim] = []
         self._claim_bit: dict[bytes, int] = {}
         self._kind_bits: dict[str, int] = {}
+        # the re-replication plan: every key that reached the network by
+        # publish, with its record; those not yet planned in publish order,
+        # the planned ones by kind; and member -> the restricted keys of
+        # neighborhoods it is in and its shard lacked when planned, less
+        # those gossip has stored there since. Written by join, publish,
+        # _plan and _sync_records only
+        self._unplanned: list[tuple[bytes, Record]] = []
+        self._restricted: dict[bytes, Record] = {}
+        self._shared: dict[bytes, Record] = {}
+        self._pending: dict[Agent, set[bytes]] = {}
 
     def join(self, agent: Agent) -> None:
         if agent.chain.dna.network_id != self.network_id:
@@ -345,6 +355,9 @@ class Network:
         self._by_id.clear()
         self._ids.clear()
         self._rankings.clear()
+        # neighborhoods change with membership: plan every restricted key again
+        self._pending.clear()
+        self._unplanned += self._restricted.items()
 
     def begin_tick(self, tick: int) -> None:
         self.current_tick = tick
@@ -568,6 +581,7 @@ class Network:
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
         author.published.add(key)
+        self._unplanned.append((key, record))
         payload = self._publish_payload(self.network_id, record)
         envelope = make_envelope(author.keys, "publish", payload)
         receipts: list[Receipt] = []
@@ -692,44 +706,66 @@ class Network:
     def gossip_round(self, rng: random.Random) -> int:
         """One epidemic round: every online agent syncs with fanout random
         online peers. Claims flow both ways; records flow to peers that
-        currently belong in their holder set. Returns the contact count."""
+        currently belong in their holder set. Returns the contact count.
+
+        The want-lists are built first; they draw no random numbers, so
+        each agent's contacts are drawn and exchanged with in one pass."""
         online = [a for a in self.agents if a.online]
         others = len(online) - 1
-        contacts: list[tuple[Agent, Agent]] = []
-        if others > 0:
-            for me, agent in enumerate(online):
-                # index j among the others, i.e. online without agent; the
-                # draws are those of sampling that list itself
-                for j in rng.sample(range(others), min(self.fanout, others)):
-                    contacts.append((agent, online[j + (j >= me)]))
+        if others < 1:
+            return 0
         wants = self._want_lists()
-        for a, b in contacts:
-            self.metrics.messages += 1
-            self._exchange(a, b, wants)
-        return len(contacts)
+        k = min(self.fanout, others)
+        for me, agent in enumerate(online):
+            # index j among the others, i.e. online without agent; the
+            # draws are those of sampling that list itself
+            for j in rng.sample(range(others), k):
+                self.metrics.messages += 1
+                self._exchange(agent, online[j + (j >= me)], wants)
+        return len(online) * k
+
+    def _plan(self) -> None:
+        """Plan the keys published since the last round, and every
+        restricted key again after a join: a restricted key's holder set is
+        its static neighborhood, so each member whose shard lacks the key
+        gets it pending until gossip stores it there."""
+        for key, record in self._unplanned:
+            if self.is_restricted(record.header.entry_type):
+                self._restricted[key] = record
+                for member in self.neighborhood(key):
+                    if key not in member.shard:
+                        self._pending.setdefault(member, set()).add(key)
+            else:
+                self._shared[key] = record
+        self._unplanned.clear()
 
     def _want_lists(self) -> dict[Agent, set[bytes]]:
-        """For each online agent, the keys whose holder set it belongs to
-        and that it does not hold: all a gossip round may ship to it.
+        """For each online agent, the keys a gossip round may ship to it:
+        its pending restricted keys as they stand, and the non-restricted
+        keys whose current targets it is in and that it does not hold.
 
-        Built at the start of a round and exact for all of it: presence
-        does not change within a round, gossip creates no key, and
-        holdings only grow (``_sync_records`` re-checks ``holds`` live). A
-        key is its record's hash, so any copy gives the entry type.
+        Built at the start of a round: presence does not change within a
+        round and gossip creates no key. A list may also name keys the
+        agent holds on its chain, or that no online peer can offer;
+        ``_sync_records`` skips those by its own live checks. Pending sets
+        follow shards, not ``holds``: chain holdings shrink on
+        ``SourceChain.replace_at`` and ``truncate``, while shards only
+        grow. Non-restricted targets follow presence, so they are worked
+        out again every round.
         """
-        online = [a for a in self.agents if a.online]
-        records: dict[bytes, Record] = {}
-        for agent in online:
-            for key in itertools.chain(agent.shard, agent.published):
-                if key not in records:
-                    record = agent.lookup(key)
-                    if record is not None:
-                        records[key] = record
-        wants: dict[Agent, set[bytes]] = {a: set() for a in online}
-        for key, record in records.items():
+        self._plan()
+        shared: dict[Agent, set[bytes]] = {}
+        for key, record in self._shared.items():
             for agent in self.backup_targets(key, record):
-                if agent.online and not agent.holds(key):
-                    wants[agent].add(key)
+                if not agent.holds(key):
+                    shared.setdefault(agent, set()).add(key)
+        pending = self._pending
+        wants: dict[Agent, set[bytes]] = {}
+        for agent in self.agents:
+            if agent.online:
+                mine = pending.get(agent) or set()
+                more = shared.get(agent)
+                wants[agent] = mine | more if more else mine
         return wants
 
     def _exchange(self, a: Agent, b: Agent, wants: dict[Agent, set[bytes]]) -> None:
@@ -757,7 +793,8 @@ class Network:
 
     def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
         """Offer dst the keys of its want-list that src holds or has
-        published, lowest key first."""
+        published, lowest key first. A key stored at dst leaves its
+        pending set."""
         for key in sorted(k for k in want if k in src.shard or k in src.published):
             if dst.holds(key):
                 continue
@@ -766,6 +803,8 @@ class Network:
                 continue
             if self._store_if_valid(dst, record, key, src.public_key):
                 self.metrics.backup_transfers += 1
+                if dst in self._pending:
+                    self._pending[dst].discard(key)
 
     # -- integrity sweeps -------------------------------------------------------
 

@@ -10,6 +10,7 @@ lists in the same order.
 import ast
 import copy
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -459,12 +460,16 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
     sender = net.agents[0]
     record = sender.append("report", {"text": "hi"}, 10)
     key = record_key(record)
-    # offered by gossip as well as by publish
-    sender.published.add(key)
     claim = transfer_claim(b"\x42" * 32, sender.public_key, b"\x00" * 32)
     net._accept_claim(sender, claim)
     receiver = next(v for v in net.neighborhood(key) if v is not sender)
     assert receiver in net.backup_targets(key, record)
+    if path != "publish":
+        # published while the receiver was away, so gossip offers it
+        receiver.online = False
+        net.publish(sender, record)
+        receiver.online = True
+        assert key in net._want_lists()[receiver]
     for _ in range(3):
         update_experience(receiver.experience, sender.public_key, ObservationKind.INVALID_DATA)
     assert is_blacklisted(receiver.experience, sender.public_key)
@@ -646,6 +651,63 @@ def _gossip_state(net):
     )
 
 
+def oracle_want_lists(net):
+    """The want-lists re-derived from every online agent's holdings: each
+    key some online agent holds in its shard, or has published and can
+    still look up, goes to the online agents among its backup targets that
+    do not hold it."""
+    online = [a for a in net.agents if a.online]
+    records = {}
+    for agent in online:
+        for key in itertools.chain(agent.shard, agent.published):
+            if key not in records:
+                record = agent.lookup(key)
+                if record is not None:
+                    records[key] = record
+    wants = {a: set() for a in online}
+    for key, record in records.items():
+        for agent in net.backup_targets(key, record):
+            if agent.online and not agent.holds(key):
+                wants[agent].add(key)
+    return wants
+
+
+def _assert_plan_matches_the_oracle(net, wants):
+    """wants, as planned, equals the oracle's want-lists on every key that
+    can move. The plan may also name keys the agent holds (on its chain:
+    its pending set follows its shard) and keys no online agent can offer
+    (held offline, or published and since rewritten). Those are inert:
+    _sync_records offers only keys its sender has in its shard or has
+    published and can look up, and only to a receiver that does not hold
+    them, so neither kind ships a record, counts or draws anything."""
+    online = [a for a in net.agents if a.online]
+    offerable = {
+        key
+        for agent in online
+        for key in itertools.chain(agent.shard, agent.published)
+        if agent.lookup(key) is not None
+    }
+    assert list(wants) == online
+    live = {a: {k for k in want if k in offerable and not a.holds(k)} for a, want in wants.items()}
+    assert live == oracle_want_lists(net)
+
+
+def _gossip_matches_the_oracle(net, rng):
+    """One gossip round of net, and of a fork of it that ships by the
+    per-contact oracle from the same rng state: the same contacts, state
+    and draws. The plan matches the oracle's before and after the round."""
+    _assert_plan_matches_the_oracle(net, net._want_lists())
+    oracle = _fork(net)
+    oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
+    oracle_rng = random.Random()
+    oracle_rng.setstate(rng.getstate())
+    contacts = net.gossip_round(rng)
+    assert oracle.gossip_round(oracle_rng) == contacts
+    assert _gossip_state(oracle) == _gossip_state(net)
+    assert oracle_rng.getstate() == rng.getstate()
+    _assert_plan_matches_the_oracle(net, net._want_lists())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
 def test_want_list_gossip_matches_the_per_contact_oracle(n):
     net = _network(n=n, seed=n)
@@ -669,18 +731,139 @@ def test_want_list_gossip_matches_the_per_contact_oracle(n):
             for holder in net.holders_of(key):
                 if key in holder.shard:
                     holder.shard[key] = tampered
-        oracle = _fork(net)
-        oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
-        oracle_rng = random.Random()
-        oracle_rng.setstate(rng.getstate())
-        contacts = net.gossip_round(rng)
-        assert oracle.gossip_round(oracle_rng) == contacts
-        assert _gossip_state(oracle) == _gossip_state(net)
-        assert oracle_rng.getstate() == rng.getstate()
+        _gossip_matches_the_oracle(net, rng)
     if n >= 17:
         assert net.metrics.backup_transfers > 0
         # the corrupted copies were offered and refused
         assert net.metrics.rejections > 0
+
+
+def _restricted_records(net):
+    """One restricted record on each member's chain, by member."""
+    return {a: a.append("vitals_pulse", _vitals_fields(a), 1) for a in net.agents}
+
+
+def test_a_restricted_record_its_author_rewrote_is_shipped_back_to_the_author():
+    """The author sits in its record's neighborhood but is offline at the
+    publish, so its shard lacks the key; it holds the key on its chain
+    until it rewrites the record. The per-contact oracle then ships the
+    original back into the author's shard, so a pending set must follow
+    the shard, not holds()."""
+    net = _network(n=8, seed=5)
+    rng = random.Random(5)
+    author, record = next(
+        (a, r) for a, r in _restricted_records(net).items()
+        if a in net.neighborhood(record_key(r))
+    )
+    key = record_key(record)
+    author.online = False
+    net.publish(author, record)
+    author.online = True
+    assert author.holds(key) and key not in author.shard
+    _gossip_matches_the_oracle(net, rng)
+    assert net.metrics.backup_transfers == 0
+    author.chain.replace_at(record.header.seq, Record(record.header, record.payload + b" "))
+    assert not author.holds(key)
+    for _ in range(6):
+        _gossip_matches_the_oracle(net, rng)
+    assert author.shard[key].payload == record.payload
+    assert net.metrics.backup_transfers == 1
+
+
+def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossip():
+    """The joiner takes the place of the key's farthest holder, which was
+    offline at the publish and so still lacked the key: the joiner must
+    receive it, and the member it pushed out must not."""
+    net = _network(n=8, seed=6)
+    rng = random.Random(6)
+    author, record = next(
+        (a, r) for a, r in _restricted_records(net).items()
+        if a not in net.neighborhood(record_key(r))
+    )
+    key = record_key(record)
+    k = int.from_bytes(key, "big")
+    pushed = max(net.neighborhood(key), key=lambda a: a.node_id ^ k)
+    pushed.online = False
+    net.publish(author, record)
+    _gossip_matches_the_oracle(net, rng)
+    late = next(
+        agent
+        for agent in (make_agent(100 + i, agent_seed(6, 100 + i), net.dna) for i in range(64))
+        if agent.node_id ^ k < pushed.node_id ^ k
+    )
+    net.join(late)
+    pushed.online = True
+    assert late in net.neighborhood(key) and pushed not in net.neighborhood(key)
+    for _ in range(6):
+        _gossip_matches_the_oracle(net, rng)
+    assert late.shard[key].payload == record.payload
+    assert not pushed.holds(key)
+    assert net.metrics.backup_transfers == 1
+
+
+@st.composite
+def plan_steps(draw):
+    """Random interleavings of the events a re-replication plan must
+    follow: publishes (restricted or not, some by an offline author),
+    presence flips, late joins, and rewrites and truncations of published
+    records, each followed by a gossip round or not. Networks are small,
+    so an author often sits in its own record's neighborhood and a joiner
+    often lands in one."""
+    n = draw(st.integers(2, 6))
+    agents = st.integers(0, 15)  # modulo the members, late joiners included
+    published = st.integers(0, 7)  # back from the newest publish
+    event = st.one_of(
+        st.tuples(st.just("publish"), agents, st.booleans(), st.booleans()),
+        st.tuples(st.just("flip"), agents),
+        st.tuples(st.just("join"), st.integers(0, 3)),
+        st.tuples(st.just("replace"), published),
+        st.tuples(st.just("truncate"), published),
+    )
+    steps = st.lists(st.tuples(event, st.booleans()), min_size=4, max_size=30)
+    return n, draw(st.integers(1, 3)), draw(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_steps())
+def test_plans_follow_publishes_presence_joins_and_rewrites_as_the_oracle_does(case):
+    n, redundancy, steps = case
+    dna = healthcare_dna(redundancy=redundancy)
+    net = Network(dna, Marketplace())
+    for i in range(n):
+        net.join(make_agent(i, agent_seed(n, i), dna))
+    # (author, record) of each publish, which rewrites and truncations pick
+    # from, counting back from the newest
+    published = []
+    for clock, (step, gossip) in enumerate(steps, start=1):
+        kind = step[0]
+        if kind == "join":
+            # a keypair may join more than once
+            net.join(make_agent(len(net.agents), agent_seed(1000, step[1]), dna))
+        elif kind in ("replace", "truncate") and published:
+            author, record = published[-1 - step[1] % len(published)]
+            seq = author.chain.keys.get(record_key(record))  # None once rewritten
+            if seq is not None and kind == "replace":
+                author.chain.replace_at(seq, Record(record.header, record.payload + b" "))
+            elif seq is not None:
+                author.chain.truncate(seq)
+        elif kind == "flip":
+            agent = net.agents[step[1] % len(net.agents)]
+            agent.online = not agent.online
+        elif kind == "publish":
+            agent = net.agents[step[1] % len(net.agents)]
+            restricted, offline = step[2], step[3]
+            if restricted:
+                record = agent.append("vitals_pulse", _vitals_fields(agent, 40 + clock), clock)
+            else:
+                record = agent.append("report", {"text": f"step {clock}"}, clock)
+            was = agent.online
+            agent.online = was and not offline
+            net.publish(agent, record)
+            agent.online = was
+            published.append((agent, record))
+        if gossip or clock == len(steps):
+            net.begin_tick(clock)
+            _gossip_matches_the_oracle(net, random.Random(clock))
 
 
 @st.composite
@@ -752,7 +935,16 @@ def churn_scenarios(draw):
 @given(churn_scenarios())
 @settings(max_examples=25, deadline=None)
 def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
-    production = run_scenario(config_from_dict(doc))
+    planned = Network._want_lists
+
+    def checked(net):
+        wants = planned(net)
+        _assert_plan_matches_the_oracle(net, wants)
+        return wants
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "_want_lists", checked)
+        production = run_scenario(config_from_dict(doc))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Network, "_sync_records", oracle_sync_records)
         oracle = run_scenario(config_from_dict(doc))
@@ -982,14 +1174,26 @@ _CLAIM_WRITERS = {
 }
 _MUTATING_METHODS = {
     "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
-    "update", "setdefault", "popitem",
+    "update", "setdefault", "popitem", "add", "discard",
 }
+# the methods that also count as a write when called on an element of state
+# (state[k].discard(x)): the set methods, which no Agent method shares
+_ELEMENT_MUTATORS = {"add", "discard"}
 
 
 # the members list and the position index behind the peer pools, and the
 # only functions that may write them
 _MEMBER_STATE = {"agents", "_positions"}
 _MEMBER_WRITERS = {"Network.__init__", "Network.join"}
+
+
+# the re-replication plan: the published keys by kind, those not yet
+# planned and the pending sets; and the only functions that may write them
+_PLAN_STATE = {"_unplanned", "_restricted", "_shared", "_pending"}
+_PLAN_WRITERS = {
+    "Network.__init__", "Network.join", "Network.publish", "Network._plan",
+    "Network._sync_records",
+}
 
 
 def _claim_state_writes(tree, state=_CLAIM_STATE) -> list[tuple[int, str]]:
@@ -1021,13 +1225,12 @@ def _claim_state_writes(tree, state=_CLAIM_STATE) -> list[tuple[int, str]]:
         for target in (t for each in targets for t in flat(each)):
             if is_state(target) or isinstance(target, ast.Subscript) and is_state(target.value):
                 writes.append((node.lineno, ".".join(scope)))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
-            and is_state(node.func.value)
-        ):
-            writes.append((node.lineno, ".".join(scope)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if isinstance(receiver, ast.Subscript) and node.func.attr in _ELEMENT_MUTATORS:
+                receiver = receiver.value
+            if node.func.attr in _MUTATING_METHODS and is_state(receiver):
+                writes.append((node.lineno, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -1064,6 +1267,19 @@ def test_only_join_writes_the_members_and_their_positions():
     )
     assert _claim_state_writes(probe, _MEMBER_STATE) == [
         (1, ""), (2, ""), (3, ""), (7, "Network.join"),
+    ]
+
+
+def test_only_the_planners_write_the_re_replication_plan():
+    assert _writers_and_offenders(_PLAN_STATE, _PLAN_WRITERS) == (_PLAN_WRITERS, [])
+    probe = ast.parse(
+        "n._pending[a].discard(k)\nn._pending.setdefault(a, set()).add(k)\n"
+        "n._unplanned += [(k, r)]\nn._shared[k] = r\nx = n._pending.get(a)\n"
+        "n._restricted[k].append(1)\nclass Network:\n    def join(self, a):\n"
+        "        self._pending.clear()\n"
+    )
+    assert _claim_state_writes(probe, _PLAN_STATE) == [
+        (1, ""), (2, ""), (3, ""), (4, ""), (9, "Network.join"),
     ]
 
 

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 
 
-def _probe(*args: str) -> dict:
+def _probe(*args: str, tool: str = "news_pool_probe.py") -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "news_pool_probe.py"), *args],
+        [sys.executable, str(ROOT / "tools" / tool), *args],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -37,3 +39,21 @@ def test_news_pool_probe_output_is_pinned_above_the_sample_cutoff():
     assert report["metrics_csv_sha256"] == (
         "80a120863ef8147f2482464231842592a87fb5010023f48e0108d67a17698840"
     )
+
+
+@pytest.mark.parametrize("agents", [32, 64])
+def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents):
+    ticks = 20
+    report = _probe("--agents", str(agents), "--ticks", str(ticks), tool="scale_probe.py")
+    assert (report["agents"], report["ticks"], report["seed"]) == (agents, ticks, 5)
+    held = report["records_held_per_agent"]
+    # a shard holds each key once, and every key comes from one publish
+    publishes = ticks * (agents // 10 + agents // 20)
+    assert 0 < held["mean"] <= held["max"] <= publishes
+    assert report["messages_per_agent_tick"] > 0
+    assert report["cpu_ms_per_agent_tick"] > 0
+    assert report["peak_rss_mb"] > 0
+    if agents == 64:
+        assert report["metrics_csv_sha256"] == (
+            "7836bcb5ba7f255b1a5d5afa4b58725355c74c76c5a18e111059ed099e09d797"
+        )

@@ -1,0 +1,87 @@
+"""Per-agent scale probe: one churn episode at a chosen size and length.
+
+Runs the simulator once on a generated ward scenario: churn 0.2 from tick 2,
+holder-served accesses on, and per tick n/10 shared vitals readings
+(privacy-restricted) and n/20 shared reports (not restricted), each from a
+random agent. The load per agent is fixed, so as --agents grows the
+per-agent figures show whether an agent's work grows with the network, and
+as --ticks grows whether it grows with the run's history.
+
+    PYTHONPATH=src python tools/scale_probe.py --agents 1024 --ticks 30 --seed 5
+
+Prints one JSON line: wall seconds and CPU ms per agent per tick (both over
+the whole run, set-up included), records held per agent in its DHT shard
+(mean and max), counted messages per agent per tick, the process's peak RSS
+in MB, and the SHA-256 of the run's ``metrics.csv`` so that two source trees
+can be checked for identical outputs. This is a measurement script, not a
+gated benchmark workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import resource
+import time
+
+from agentchain.healthcare import VITALS_METRICS
+from agentchain.sim import config_from_dict, run_scenario
+
+CHURN = 0.2
+CHURN_START_TICK = 2
+
+
+def scenario(agents: int, ticks: int, seed: int) -> dict:
+    if agents < 2:
+        raise SystemExit("--agents must be at least 2")
+    rng = random.Random(f"scale_probe:{seed}")
+    metrics = sorted(VITALS_METRICS)
+    script: list[dict] = []
+    for tick in range(ticks):
+        for _ in range(agents // 10):
+            metric = rng.choice(metrics)
+            _unit, lo, hi = VITALS_METRICS[metric]
+            script.append(
+                {"tick": tick, "op": "vitals", "patient": rng.randrange(agents),
+                 "metric": metric, "value": rng.randint(lo, hi), "share": True}
+            )
+        for _ in range(agents // 20):
+            script.append(
+                {"tick": tick, "op": "report", "agent": rng.randrange(agents),
+                 "text": f"round {tick}"}
+            )
+    return {"name": "scale_probe", "seed": seed, "n_agents": agents, "ticks": ticks,
+            "churn": CHURN, "churn_start_tick": CHURN_START_TICK, "holder_serve": True,
+            "script": script}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--agents", type=int, default=1024)
+    parser.add_argument("--ticks", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args()
+    config = config_from_dict(scenario(args.agents, args.ticks, args.seed))
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    result = run_scenario(config)
+    wall_s = time.perf_counter() - wall0
+    cpu_s = time.process_time() - cpu0
+    agent_ticks = args.agents * args.ticks
+    held = [len(agent.shard) for agent in result.network.agents]
+    print(json.dumps({
+        "agents": args.agents,
+        "ticks": args.ticks,
+        "seed": args.seed,
+        "wall_s": round(wall_s, 3),
+        "cpu_ms_per_agent_tick": round(1000 * cpu_s / agent_ticks, 4),
+        "records_held_per_agent": {"mean": round(sum(held) / len(held), 3), "max": max(held)},
+        "messages_per_agent_tick": round(result.metrics.messages / agent_ticks, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "metrics_csv_sha256": hashlib.sha256(result.metrics_log.to_csv().encode()).hexdigest(),
+    }))
+
+
+if __name__ == "__main__":
+    main()
