@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .canonical import (
     DIGEST_AND_LEN,
@@ -54,7 +54,7 @@ from .reputation import (
     is_blacklisted,
     update_experience,
 )
-from .validation import Marketplace, authenticate_channel, validation_work
+from .validation import Marketplace, Verdict, authenticate_channel, validation_work
 
 DEFAULT_FANOUT = 2
 DEFAULT_RATE_LIMIT = 100
@@ -337,12 +337,10 @@ class Network:
         self._claim_bit: dict[bytes, int] = {}
         self._kind_bits: dict[str, int] = {}
         # the re-replication plan: every key that reached the network by
-        # publish, with its record; those not yet planned in publish order,
-        # the planned ones by kind; and member -> the restricted keys of
-        # neighborhoods it is in and its shard lacked when planned, less
-        # those gossip has stored there since. Written by join, publish,
-        # _plan and _sync_records only
-        self._unplanned: list[tuple[bytes, Record]] = []
+        # publish, with its record, by kind; and member -> the restricted
+        # keys of neighborhoods it is in and its shard lacked when planned
+        # (at publish, and at each join), less those gossip has stored there
+        # since. Written by join, publish, _plan and _sync_records only
         self._restricted: dict[bytes, Record] = {}
         self._shared: dict[bytes, Record] = {}
         self._pending: dict[Agent, set[bytes]] = {}
@@ -357,7 +355,8 @@ class Network:
         self._rankings.clear()
         # neighborhoods change with membership: plan every restricted key again
         self._pending.clear()
-        self._unplanned += self._restricted.items()
+        for key in self._restricted:
+            self._plan(key)
 
     def begin_tick(self, tick: int) -> None:
         self.current_tick = tick
@@ -441,6 +440,18 @@ class Network:
             ranges += (far, near)
         return out
 
+    def _nearest(self, key: bytes, first: int) -> Iterator[Agent]:
+        """The members nearest to key, nearest first, online or not: the
+        kept ranking, at least first members of it, and grown (at least
+        doubled) each time the reader walks past its end."""
+        ranking = self._ranking(key, first)
+        for i in itertools.count():
+            if i == len(ranking):
+                ranking = self._ranking(key, i + 1)
+                if i == len(ranking):
+                    return
+            yield ranking[i]
+
     def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
         """The min(r, n) agents nearest to key, online or not, stable order.
 
@@ -461,19 +472,13 @@ class Network:
         headroom over the bare redundancy target so flapping holders do not
         leave a record unreachable.
 
-        The ranking's walked prefix is memoized per key and depends on
-        membership only; presence is applied here, at read time, by skipping
-        offline agents, and a walk past the prefix grows it.
+        Presence is applied here, at read time, by skipping offline agents
+        in the key's ranking, which depends on membership only.
         """
         if self.is_restricted(record.header.entry_type):
             return self.neighborhood(key)
         want = max(0, math.ceil(self.redundancy * self.backup_factor))
-        ranking = self._ranking(key, want)
-        while True:
-            online = list(itertools.islice((a for a in ranking if a.online), want))
-            if len(online) == want or len(ranking) == len(self.agents):
-                return online
-            ranking = self._ranking(key, len(ranking) + 1)
+        return list(itertools.islice((a for a in self._nearest(key, want) if a.online), want))
 
     # -- reputation plumbing ------------------------------------------------
 
@@ -547,10 +552,7 @@ class Network:
         and store it if it holds up. An invalid record is scored against
         the shipper, not the claimed author: whoever pushes bytes owns
         them. Returns whether the record was valid."""
-        verdict = authenticate_channel(
-            record, dst.chain.dna, self.marketplace, app_id=self.network_id,
-            resolve=lambda key: self.fetch(dst, key, count_messages=False),
-        )
+        verdict = self._verdict(dst, record)
         self.metrics.validations += 1
         self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
         if not verdict.valid:
@@ -565,6 +567,14 @@ class Network:
             update_experience(dst.experience, record.header.author, ObservationKind.VALID_OK)
         return True
 
+    def _verdict(self, agent: Agent, record: Record) -> Verdict:
+        """agent's verdict on record by its own blueprint copy; a rule's
+        dependency is looked up by agent's fetch, counting no messages."""
+        return authenticate_channel(
+            record, agent.chain.dna, self.marketplace, app_id=self.network_id,
+            resolve=lambda key: self.fetch(agent, key, count_messages=False),
+        )
+
     # -- publish / fetch -----------------------------------------------------
 
     def publish(self, author: Agent, record: Record) -> list[Receipt]:
@@ -573,7 +583,8 @@ class Network:
         The record must already sit on the author's chain. Each online
         validator independently authenticates the channel with its own
         blueprint copy; storing yields a receipt, anything invalid
-        is rejected and scored against the author.
+        is rejected and scored against the author. The key then joins the
+        re-replication plan (see ``_plan``).
         """
         if author.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("author does not belong to this network")
@@ -581,7 +592,6 @@ class Network:
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
         author.published.add(key)
-        self._unplanned.append((key, record))
         payload = self._publish_payload(self.network_id, record)
         envelope = make_envelope(author.keys, "publish", payload)
         receipts: list[Receipt] = []
@@ -593,6 +603,11 @@ class Network:
             receipt = self._deliver_publish(author, validator, envelope)
             if receipt is not None:
                 receipts.append(receipt)
+        if self.is_restricted(record.header.entry_type):
+            self._restricted[key] = record
+            self._plan(key)
+        else:
+            self._shared[key] = record
         return receipts
 
     @staticmethod
@@ -644,21 +659,16 @@ class Network:
         local = requester.lookup(key)
         if local is not None:
             return local
-        ranking = self._ranking(key, self.redundancy)
-        walked = 0
-        while walked < len(ranking):
-            for holder in itertools.islice(ranking, walked, None):
-                if holder is requester:
-                    continue
-                if count_messages:
-                    self.metrics.messages += 1
-                if not holder.online:
-                    continue
-                found = holder.lookup(key)
-                if found is not None:
-                    return found
-            walked = len(ranking)
-            ranking = self._ranking(key, walked + 1)
+        for holder in self._nearest(key, self.redundancy):
+            if holder is requester:
+                continue
+            if count_messages:
+                self.metrics.messages += 1
+            if not holder.online:
+                continue
+            found = holder.lookup(key)
+            if found is not None:
+                return found
         return None
 
     # -- claims ---------------------------------------------------------------
@@ -724,20 +734,14 @@ class Network:
                 self._exchange(agent, online[j + (j >= me)], wants)
         return len(online) * k
 
-    def _plan(self) -> None:
-        """Plan the keys published since the last round, and every
-        restricted key again after a join: a restricted key's holder set is
-        its static neighborhood, so each member whose shard lacks the key
-        gets it pending until gossip stores it there."""
-        for key, record in self._unplanned:
-            if self.is_restricted(record.header.entry_type):
-                self._restricted[key] = record
-                for member in self.neighborhood(key):
-                    if key not in member.shard:
-                        self._pending.setdefault(member, set()).add(key)
-            else:
-                self._shared[key] = record
-        self._unplanned.clear()
+    def _plan(self, key: bytes) -> None:
+        """Make a restricted key pending at each member of its static
+        neighborhood whose shard lacks it, until gossip stores it there.
+        Pending sets follow shards, which only grow, not ``holds``: chain
+        holdings shrink on ``SourceChain.replace_at`` and ``truncate``."""
+        for member in self.neighborhood(key):
+            if key not in member.shard:
+                self._pending.setdefault(member, set()).add(key)
 
     def _want_lists(self) -> dict[Agent, set[bytes]]:
         """For each online agent, the keys a gossip round may ship to it:
@@ -746,14 +750,10 @@ class Network:
 
         Built at the start of a round: presence does not change within a
         round and gossip creates no key. A list may also name keys the
-        agent holds on its chain, or that no online peer can offer;
-        ``_sync_records`` skips those by its own live checks. Pending sets
-        follow shards, not ``holds``: chain holdings shrink on
-        ``SourceChain.replace_at`` and ``truncate``, while shards only
-        grow. Non-restricted targets follow presence, so they are worked
-        out again every round.
+        agent holds, or that no online peer can offer; ``_sync_records``
+        skips those by its own live checks. Non-restricted targets follow
+        presence, so they are worked out again every round.
         """
-        self._plan()
         shared: dict[Agent, set[bytes]] = {}
         for key, record in self._shared.items():
             for agent in self.backup_targets(key, record):
@@ -815,12 +815,7 @@ class Network:
         """Every stored record must still authenticate. Safety net assertion."""
         for agent in self.agents:
             for key in sorted(agent.shard):
-                record = agent.shard[key]
-                verdict = authenticate_channel(
-                    record, agent.chain.dna, self.marketplace,
-                    app_id=self.network_id,
-                    resolve=lambda key: self.fetch(agent, key, count_messages=False),
-                )
+                verdict = self._verdict(agent, agent.shard[key])
                 if not verdict.valid:
                     raise AssertionError(
                         f"agent {agent.index} shard holds invalid record "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .chain import (
     COST_HEAVY,
@@ -335,6 +335,18 @@ def _selector_matches(grant: CapabilityGrant, record: Record) -> bool:
     return True
 
 
+def _judge(
+    grant: CapabilityGrant, requester: bytes, clock: int, records: Iterable[Record]
+) -> AccessResult:
+    """The verdict on a live grant: expired, then wrong grantee, or else
+    granted with those of records that its selector matches, in order."""
+    if grant.expires_at is not None and clock > grant.expires_at:
+        return AccessResult(False, DenialReason.EXPIRED)
+    if grant.grantee != requester:
+        return AccessResult(False, DenialReason.WRONG_GRANTEE)
+    return AccessResult(True, None, tuple(r for r in records if _selector_matches(grant, r)))
+
+
 def request_access(
     patient: Agent, requester: bytes, token: bytes, clock: int
 ) -> AccessResult:
@@ -345,14 +357,7 @@ def request_access(
     grant = grant_from_fields(grant_record.fields)
     if _is_revoked(patient, token):
         return AccessResult(False, DenialReason.REVOKED)
-    if grant.expires_at is not None and clock > grant.expires_at:
-        return AccessResult(False, DenialReason.EXPIRED)
-    if grant.grantee != requester:
-        return AccessResult(False, DenialReason.WRONG_GRANTEE)
-    matching = tuple(
-        record for record in patient.chain.records if _selector_matches(grant, record)
-    )
-    return AccessResult(True, None, matching)
+    return _judge(grant, requester, clock, patient.chain.records)
 
 
 def _holder_sees_revocation(
@@ -398,13 +403,7 @@ def request_access_via_holder(
     grant = grant_from_fields(grant_record.fields)
     if _holder_sees_revocation(network, holder, patient_key, token):
         return AccessResult(False, DenialReason.REVOKED)
-    if grant.expires_at is not None and clock > grant.expires_at:
-        return AccessResult(False, DenialReason.EXPIRED)
-    if grant.grantee != requester:
-        return AccessResult(False, DenialReason.WRONG_GRANTEE)
-    matching = tuple(
-        record
-        for _key, record in sorted(holder.shard.items())
-        if record.header.author == patient_key and _selector_matches(grant, record)
-    )
-    return AccessResult(True, None, matching)
+    return _judge(grant, requester, clock, (
+        record for _key, record in sorted(holder.shard.items())
+        if record.header.author == patient_key
+    ))

@@ -74,7 +74,7 @@ from .healthcare import (
     VitalsReading,
 )
 from .metrics import Metrics, MetricsLog
-from .reputation import DEFAULT_BLACKLIST_THRESHOLD, is_blacklisted
+from .reputation import DEFAULT_BLACKLIST_THRESHOLD, DEFAULT_CONFIDENCE, is_blacklisted
 from .validation import Marketplace
 
 
@@ -248,7 +248,10 @@ class ScenarioConfig:
     fanout: int = _key(DEFAULT_FANOUT, _range(1))
     witnesses: int = _key(DEFAULT_WITNESS_COUNT, _range(1))
     audit_samples: int = _key(DEFAULT_AUDIT_SAMPLES, _range(0))
-    blacklist_threshold: float = _key(DEFAULT_BLACKLIST_THRESHOLD, _range(0, 1, **_NUMBER))
+    # at most the confidence a peer starts at, or honest peers shun each other
+    blacklist_threshold: float = _key(
+        DEFAULT_BLACKLIST_THRESHOLD, _range(0, DEFAULT_CONFIDENCE, **_NUMBER)
+    )
     rate_limit: int = _key(DEFAULT_RATE_LIMIT, _range(1))
     backup_factor: float = _key(DEFAULT_BACKUP_FACTOR, _range(1, **_NUMBER))
     churn: float = _key(0.0, _range(0, 1, hi_open=True, **_NUMBER))
@@ -525,15 +528,13 @@ class Simulation:
             result = request_access(patient, requester_key, token, tick)
             served_by = "patient"
         elif self.config.holder_serve:
-            holders = [
-                a
-                for a in self.network.holders_of(token)
-                if a.online and a is not patient
-            ]
-            if not holders:
+            # the first online holder in join order, which is index order
+            holder = next((
+                a for a in self.network.agents if a.online and a is not patient and a.holds(token)
+            ), None)
+            if holder is None:
                 self.metrics.accesses_denied += 1
                 return "unreachable", 0, "none"
-            holder = min(holders, key=lambda a: a.index)
             result = request_access_via_holder(
                 self.network, holder, requester_key, token, tick
             )

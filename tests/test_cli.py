@@ -178,7 +178,7 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
         ({"backup_factor": -1}, "backup_factor must be a number >= 1"),
         ({"backup_factor": math.inf}, "backup_factor must be a number >= 1"),
         ({"witnesses": "x"}, "witnesses must be an integer >= 1"),
-        ({"blacklist_threshold": "x"}, "blacklist_threshold must be a number in [0, 1]"),
+        ({"blacklist_threshold": "x"}, "blacklist_threshold must be a number in [0, 0.5]"),
         ({"seed_fuel": -5}, "seed_fuel must be an integer in [0, 1000000000000]"),
         ({"audit_samples": -1}, "audit_samples must be an integer >= 0"),
         ({"holder_serve": "yes"}, "holder_serve must be a boolean"),
@@ -225,6 +225,22 @@ def test_failed_expectation_exits_1(tmp_path):
         ],
     )
     assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_a_blacklist_threshold_above_the_starting_confidence_exits_2(tmp_path, capsys):
+    """An unavailability row keeps a peer at the confidence it starts at
+    (0.5), so a higher threshold would make honest peers shun each other:
+    six honest agents sharing a report a tick rejected 140 deliveries at
+    0.6. The highest threshold allowed rejects none."""
+    reports = [{"tick": t, "op": "report", "agent": t % 6, "share": True} for t in range(12)]
+    doc = {"n_agents": 6, "redundancy": 3, "ticks": 12, "script": reports}
+    for threshold in (0.6, 0.5000001, 1):
+        capsys.readouterr()
+        scenario = _scenario(tmp_path, blacklist_threshold=threshold, **doc)
+        assert main(["run", scenario, "--out", str(tmp_path / "refused")]) == 2
+        assert "error: blacklist_threshold must be a number in [0, 0.5]" in capsys.readouterr().err
+    result = sim.run_scenario(sim.config_from_dict({"blacklist_threshold": 0.5, **doc}))
+    assert result.metrics.rejections == 0 and result.metrics.stores > 0
 
 
 def test_transfer_refused_by_a_shunning_receiver_is_a_protocol_outcome(tmp_path, capsys):
@@ -310,7 +326,10 @@ _KEYS = {
     "fanout": (int, _below(1)),
     "witnesses": (int, _below(1)),
     "audit_samples": (int, _below(0)),
-    "blacklist_threshold": (float, st.floats(max_value=-1e-9) | st.floats(min_value=1.000001) | _above(1)),
+    # above the confidence a peer starts at (0.5), honest peers shun each other
+    "blacklist_threshold": (
+        float, st.floats(max_value=-1e-9) | st.floats(min_value=0.5, exclude_min=True) | _above(0)
+    ),
     "rate_limit": (int, _below(1)),
     "backup_factor": (float, st.floats(max_value=0.999) | st.sampled_from([math.inf, math.nan]) | _below(1)),
     "churn": (float, st.floats(max_value=-1e-9) | st.floats(min_value=1) | _above(0)),

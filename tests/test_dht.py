@@ -770,6 +770,20 @@ def test_a_restricted_record_its_author_rewrote_is_shipped_back_to_the_author():
     assert net.metrics.backup_transfers == 1
 
 
+def test_a_restricted_publish_plans_its_offline_holder_before_any_round():
+    """The plan is made where holdings change: right after the publish, the
+    one neighborhood member that was offline has the key pending, and the
+    members that stored it do not."""
+    net = _network(n=8, seed=7)
+    author = net.agents[0]
+    record = author.append("vitals_pulse", _vitals_fields(author), 1)
+    key = record_key(record)
+    missing = next(a for a in net.neighborhood(key) if a is not author)
+    missing.online = False
+    net.publish(author, record)
+    assert [a for a in net.neighborhood(key) if key in net._pending.get(a, ())] == [missing]
+
+
 def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossip():
     """The joiner takes the place of the key's farthest holder, which was
     offline at the publish and so still lacked the key: the joiner must
@@ -1187,9 +1201,9 @@ _MEMBER_STATE = {"agents", "_positions"}
 _MEMBER_WRITERS = {"Network.__init__", "Network.join"}
 
 
-# the re-replication plan: the published keys by kind, those not yet
-# planned and the pending sets; and the only functions that may write them
-_PLAN_STATE = {"_unplanned", "_restricted", "_shared", "_pending"}
+# the re-replication plan: the published keys by kind and the pending
+# sets; and the only functions that may write them
+_PLAN_STATE = {"_restricted", "_shared", "_pending"}
 _PLAN_WRITERS = {
     "Network.__init__", "Network.join", "Network.publish", "Network._plan",
     "Network._sync_records",
@@ -1274,7 +1288,7 @@ def test_only_the_planners_write_the_re_replication_plan():
     assert _writers_and_offenders(_PLAN_STATE, _PLAN_WRITERS) == (_PLAN_WRITERS, [])
     probe = ast.parse(
         "n._pending[a].discard(k)\nn._pending.setdefault(a, set()).add(k)\n"
-        "n._unplanned += [(k, r)]\nn._shared[k] = r\nx = n._pending.get(a)\n"
+        "n._restricted |= {k: r}\nn._shared[k] = r\nx = n._pending.get(a)\n"
         "n._restricted[k].append(1)\nclass Network:\n    def join(self, a):\n"
         "        self._pending.clear()\n"
     )

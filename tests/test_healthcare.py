@@ -288,6 +288,8 @@ def test_holder_denials_mirror_patient_denials():
     assert request_access_via_holder(net, holder, doctor.public_key, b"\x01" * 32, 10).reason is DenialReason.UNKNOWN_TOKEN
     assert request_access_via_holder(net, holder, stranger, token, 10).reason is DenialReason.WRONG_GRANTEE
     assert request_access_via_holder(net, holder, doctor.public_key, token, 51).reason is DenialReason.EXPIRED
+    # expired beats wrong-grantee here too
+    assert request_access_via_holder(net, holder, stranger, token, 51).reason is DenialReason.EXPIRED
 
 
 def test_fabricated_revoke_hints_do_not_deny():
