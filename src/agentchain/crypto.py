@@ -1,31 +1,102 @@
 """Hashing and signing primitives.
 
 Everything above this layer treats digests and keys as plain bytes so the
-algorithm choice stays swappable. Current bindings: SHA-256 for content
-addressing, Ed25519 for signatures. Key generation is deterministic from a
-32-byte seed, which is what makes whole-network simulations replayable.
+algorithm choice stays swappable. Current bindings: SHA-256 (hashlib) for
+content addressing, Ed25519 from the libsodium shared library (1.0.18 or
+later, through ctypes) for signatures. Key generation is deterministic from
+a 32-byte seed, which is what makes whole-network simulations replayable.
+
+libsodium's verify refuses small-order public keys and R points and
+non-canonical encodings, so a signature that no secret key made (the
+identity point as key, with the identity point and zero as signature) does
+not verify. Signatures themselves are RFC 8032's: deterministic, the same
+bytes from any conforming signer.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
-from dataclasses import dataclass, field
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from dataclasses import dataclass
 
 DIGEST_SIZE = 32
 SEED_SIZE = 32
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
+# libsodium's secret key is seed || public key
+SECRET_KEY_SIZE = SEED_SIZE + PUBLIC_KEY_SIZE
 
 # prev-link sentinel for the first record of a chain
 ZERO_DIGEST = bytes(DIGEST_SIZE)
 
 HASH_ALG_ID = "sha-256"
+
+# Loaded by soname, not through ctypes.util.find_library, which forks
+# ldconfig: libsodium 1.0.18 (Debian/Ubuntu libsodium23), 1.0.19 and later,
+# the unversioned development link, macOS.
+_LIBSODIUM_NAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib")
+
+
+def _load_libsodium() -> ctypes.CDLL:
+    for name in _LIBSODIUM_NAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            break
+        except OSError:
+            continue
+    else:
+        raise ImportError(
+            "agentchain.crypto needs the libsodium shared library, 1.0.18 or later: "
+            "install libsodium23 (Debian, Ubuntu), libsodium (Fedora, Homebrew)"
+        )
+    if _bind(lib, "sodium_init", ctypes.c_int)() < 0:
+        raise ImportError(f"{name}: sodium_init failed")
+    for size_name, want in (
+        ("crypto_sign_ed25519_bytes", SIGNATURE_SIZE),
+        ("crypto_sign_ed25519_publickeybytes", PUBLIC_KEY_SIZE),
+        ("crypto_sign_ed25519_secretkeybytes", SECRET_KEY_SIZE),
+    ):
+        got = _bind(lib, size_name, ctypes.c_size_t)()
+        if got != want:
+            raise ImportError(f"{name}: {size_name}() is {got}, expected {want}")
+    return lib
+
+
+def _bind(lib: ctypes.CDLL, name: str, restype: type, *argtypes: type) -> ctypes._CFuncPtr:
+    fn = getattr(lib, name)
+    fn.argtypes = argtypes
+    fn.restype = restype
+    return fn
+
+
+_sodium = _load_libsodium()
+_seed_keypair = _bind(
+    _sodium,
+    "crypto_sign_ed25519_seed_keypair",
+    ctypes.c_int,
+    ctypes.c_char_p,  # public key out
+    ctypes.c_char_p,  # secret key out
+    ctypes.c_char_p,  # seed
+)
+_sign_detached = _bind(
+    _sodium,
+    "crypto_sign_ed25519_detached",
+    ctypes.c_int,
+    ctypes.c_char_p,  # signature out
+    ctypes.c_void_p,  # signature length out, NULL
+    ctypes.c_char_p,  # message
+    ctypes.c_ulonglong,  # message length
+    ctypes.c_char_p,  # secret key
+)
+_verify_detached = _bind(
+    _sodium,
+    "crypto_sign_ed25519_verify_detached",
+    ctypes.c_int,
+    ctypes.c_char_p,  # signature
+    ctypes.c_char_p,  # message
+    ctypes.c_ulonglong,  # message length
+    ctypes.c_char_p,  # public key
+)
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -37,12 +108,10 @@ def hash_bytes(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing identity. public_key doubles as the agent id on the wire.
-    private_key is derived from seed once, by generate_keypair."""
+    """Signing identity. public_key doubles as the agent id on the wire."""
 
     seed: bytes
     public_key: bytes
-    private_key: Ed25519PrivateKey = field(compare=False)
 
     def __repr__(self) -> str:  # never leak the seed
         return f"KeyPair(public_key={self.public_key.hex()[:16]}...)"
@@ -52,17 +121,20 @@ def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair from a 32-byte seed. Same seed, same keys."""
     if len(seed) != SEED_SIZE:
         raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(bytes(seed), sk.public_key().public_bytes_raw(), sk)
+    seed = bytes(seed)
+    public_key = ctypes.create_string_buffer(PUBLIC_KEY_SIZE)
+    secret_key = ctypes.create_string_buffer(SECRET_KEY_SIZE)
+    if _seed_keypair(public_key, secret_key, seed) != 0:
+        raise RuntimeError("libsodium crypto_sign_ed25519_seed_keypair failed")
+    return KeyPair(seed, public_key.raw)
 
 
 def sign(keys: KeyPair, message: bytes) -> bytes:
     """Detached 64-byte signature over message."""
-    return keys.private_key.sign(message)
-
-
-# verifying keys are immutable; cache the parsed objects
-_PK_CACHE: dict[bytes, Ed25519PublicKey] = {}
+    signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
+    if _sign_detached(signature, None, message, len(message), keys.seed + keys.public_key) != 0:
+        raise RuntimeError("libsodium crypto_sign_ed25519_detached failed")
+    return signature.raw
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -73,16 +145,4 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """
     if len(signature) != SIGNATURE_SIZE or len(public_key) != PUBLIC_KEY_SIZE:
         return False
-    pk = _PK_CACHE.get(public_key)
-    if pk is None:
-        try:
-            pk = Ed25519PublicKey.from_public_bytes(public_key)
-        except ValueError:
-            return False
-        if len(_PK_CACHE) < 4096:
-            _PK_CACHE[public_key] = pk
-    try:
-        pk.verify(signature, message)
-        return True
-    except InvalidSignature:
-        return False
+    return _verify_detached(signature, message, len(message), public_key) == 0

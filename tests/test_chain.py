@@ -16,8 +16,12 @@ from agentchain.canonical import Writer
 from agentchain.chain import (
     COST_HEAVY,
     ChainError,
+    DNA_TYPE,
     DnaDocument,
+    EntryHeader,
     EntryTypeDef,
+    GENESIS_TYPE,
+    GenesisRecord,
     REASON_AUTHOR,
     REASON_ENTRY_HASH,
     REASON_HEAD,
@@ -29,6 +33,7 @@ from agentchain.chain import (
     decode_dna,
     decode_record,
     encode_dna,
+    encode_genesis,
     encode_header,
     encode_record,
     export_records,
@@ -140,6 +145,22 @@ def test_mutation_reasons(mutate, expected_reason):
     assert not report.ok
     assert report.first_failure_index == 3
     assert report.reason == expected_reason
+
+
+def test_a_chain_no_key_signed_fails_at_its_first_record():
+    """Author the identity point, every signature the identity point and
+    S = 0: the RFC 8032 equation holds for any message, so a verifier that
+    accepts small-order points passes this chain."""
+    identity = bytes([1]) + bytes(31)
+    forged = identity + bytes(32)
+    dna = healthcare_dna()
+    dna_header = EntryHeader(0, 0, DNA_TYPE, hash_bytes(dna.encoded), identity, ZERO_DIGEST, forged)
+    genesis = encode_genesis(GenesisRecord(dna_hash=hash_bytes(dna.encoded), agent_id=identity))
+    genesis_header = EntryHeader(
+        1, 0, GENESIS_TYPE, hash_bytes(genesis), identity, header_hash(dna_header), forged
+    )
+    report = verify_records([Record(dna_header, dna.encoded), Record(genesis_header, genesis)])
+    assert (report.ok, report.first_failure_index, report.reason) == (False, 0, REASON_SIGNATURE)
 
 
 def test_verified_records_shared_with_a_mutated_one_still_report_its_index(verify_calls):

@@ -1,9 +1,17 @@
-"""Primitives against published vectors, then behavior under mutation."""
+"""Primitives against published vectors, then behavior under mutation, then
+against cryptography's Ed25519 as a reference implementation."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentchain.crypto import (
     DIGEST_SIZE,
@@ -122,3 +130,120 @@ def test_keypair_repr_hides_seed():
     seed = hash_bytes(b"secret")
     kp = generate_keypair(seed)
     assert seed.hex() not in repr(kp)
+
+
+def test_a_missing_libsodium_is_an_import_error_that_names_the_package():
+    """Every soname fails to load: the import says what to install."""
+    probe = (
+        "import ctypes\n"
+        "def missing(name, *args, **kwargs):\n"
+        "    raise OSError(name + ': cannot open shared object file')\n"
+        "ctypes.CDLL = missing\n"
+        "try:\n"
+        "    import agentchain.crypto\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert "libsodium" in out and "libsodium23" in out
+
+
+# The identity point of edwards25519 (y = 1, x = 0), of order 1. With it as
+# public key and as R, and S = 0, the verification equation [S]B = R + [k]A
+# holds for every message, though no secret key made the signature.
+IDENTITY_POINT = bytes([1]) + bytes(31)
+IDENTITY_FORGERY = IDENTITY_POINT + bytes(32)
+
+
+@pytest.mark.parametrize(
+    "message", [b"", b"hello", bytes(300), bytes(range(256))], ids=["empty", "hello", "zeros300", "bytes256"]
+)
+def test_small_order_forgery_does_not_verify(message):
+    assert not verify(IDENTITY_POINT, message, IDENTITY_FORGERY)
+
+
+FIELD_P = 2**255 - 19
+GROUP_L = 2**252 + 27742317777372353535851937790883648493
+# y-coordinates of the eight points whose order divides 8: 0 (order 4), 1
+# (order 1), p - 1 (order 2) and two of order 8
+SMALL_ORDER_Y = frozenset(
+    int.from_bytes(bytes.fromhex(h), "little")
+    for h in (
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    )
+)
+
+
+def small_order_or_noncanonical(public_key: bytes, signature: bytes) -> bool:
+    """Whether the key or R is a small-order point or a y >= p encoding, or
+    S is not reduced mod L: the inputs on which libsodium may refuse what
+    the RFC 8032 equation alone accepts."""
+    for point in (public_key, signature[:32]):
+        y = int.from_bytes(point, "little") & ((1 << 255) - 1)
+        if y >= FIELD_P or y in SMALL_ORDER_Y:
+            return True
+    return int.from_bytes(signature[32:], "little") >= GROUP_L
+
+
+def reference_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except (ValueError, InvalidSignature):
+        return False
+    return True
+
+
+def test_the_identity_forgery_is_one_the_reference_accepts():
+    """libsodium is stricter than the reference here, and only on inputs
+    of this kind."""
+    assert reference_verify(IDENTITY_POINT, b"hello", IDENTITY_FORGERY)
+    assert small_order_or_noncanonical(IDENTITY_POINT, IDENTITY_FORGERY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.binary(min_size=SEED_SIZE, max_size=SEED_SIZE),
+    message=st.binary(max_size=600),
+    target=st.sampled_from(["none", "signature", "message", "key"]),
+    bit=st.integers(min_value=0),
+)
+def test_keys_signatures_and_verdicts_match_the_cryptography_reference(seed, message, target, bit):
+    """Same public key and signature bytes as cryptography's Ed25519 for any
+    seed and message, and the same verdict on the valid signature and on a
+    single-bit flip of the signature, the message or the key. libsodium may
+    refuse where the reference accepts only on small-order points and
+    non-canonical encodings (small_order_or_noncanonical); it never accepts
+    what the reference refuses."""
+    keys = generate_keypair(seed)
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    assert keys.public_key == reference.public_key().public_bytes_raw()
+    signature = sign(keys, message)
+    assert signature == reference.sign(message)
+    public_key = keys.public_key
+    if target == "signature":
+        signature = _flip(signature, bit)
+    elif target == "key":
+        public_key = _flip(public_key, bit)
+    elif target == "message" and message:
+        message = _flip(message, bit)
+    got = verify(public_key, message, signature)
+    expected = reference_verify(public_key, message, signature)
+    if got != expected:
+        assert expected and small_order_or_noncanonical(public_key, signature)
+    if target == "none" or (target == "message" and not message):
+        assert got
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    bit %= len(data) * 8
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
