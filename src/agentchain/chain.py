@@ -10,7 +10,9 @@ from public material alone.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -572,20 +574,9 @@ class VerificationReport:
         return self.ok
 
 
-def verify_records(
-    records: list[Record], expected_head: bytes | None = None
-) -> VerificationReport:
-    """Walk a chain front to back; report the first broken record.
-
-    Checks, in order per record: sequence/bootstrap structure, author
-    exclusivity, previous-header link, payload hash, header signature.
-
-    Internal checks cannot see pure tail truncation (a shortened chain is
-    still self-consistent), so callers holding the author's last announced
-    head should pass it as expected_head to pin the newest record.
-    """
-    if len(records) < 2:
-        return VerificationReport(False, 0, REASON_STRUCTURE)
+def _first_break(records: list[Record]) -> VerificationReport | None:
+    """The first record that breaks the chain's structure: every check of
+    verify_records but the header signature."""
     owner = records[0].header.author
     for i, record in enumerate(records):
         h = record.header
@@ -615,8 +606,90 @@ def verify_records(
             return VerificationReport(False, i, REASON_LINK)
         if h.entry_hash != hash_bytes(record.payload):
             return VerificationReport(False, i, REASON_ENTRY_HASH)
-        if not record.signature_ok:
-            return VerificationReport(False, i, REASON_SIGNATURE)
+    return None
+
+
+# CPUs this process may run on, read once at import
+try:
+    USABLE_CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call outside Linux
+    USABLE_CPUS = os.cpu_count() or 1
+# The fewest unchecked signatures a slice holds, or no helper thread starts.
+# Starting and joining one costs about a verify (70-100 us against 65-100 us
+# on a shared 2-vCPU x86-64 VM), under a tenth of a 16-signature slice.
+MIN_SIGNATURES_PER_THREAD = 16
+
+
+def _check_in_threads(slices: list[list[Record]]) -> None:
+    """Check the header signatures of every slice in turn, up to its first
+    failure: the first slice on the calling thread, each other on a helper
+    thread of its own. libsodium's verify runs without the GIL, so the
+    helpers' verifies run on other CPUs. Every helper is joined before
+    this returns, and the first exception a helper raised is raised here."""
+    errors: list[BaseException] = []
+
+    def run(part: list[Record]) -> None:
+        try:
+            all(record.signature_ok for record in part)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for part in slices[1:]:
+            helper = threading.Thread(target=run, args=(part,))
+            helper.start()
+            helpers.append(helper)
+        all(record.signature_ok for record in slices[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _first_bad_signature(records: list[Record]) -> int | None:
+    """Index of the first record whose header signature fails, or None.
+
+    The records not checked before are split into contiguous slices, one
+    per usable CPU, when each slice holds at least
+    MIN_SIGNATURES_PER_THREAD. Each record keeps its verdict, so a
+    front-to-back read then finds the first failure: every record before
+    it is checked, and a slice's unchecked records follow a failure.
+    """
+    pending = [r for r in records if getattr(r, "_signature_ok", None) is None]
+    threads = min(USABLE_CPUS, len(pending) // MIN_SIGNATURES_PER_THREAD)
+    if threads > 1:
+        cuts = [len(pending) * k // threads for k in range(threads + 1)]
+        _check_in_threads([pending[a:b] for a, b in zip(cuts, cuts[1:])])
+    return next((i for i, record in enumerate(records) if not record.signature_ok), None)
+
+
+def verify_records(
+    records: list[Record], expected_head: bytes | None = None
+) -> VerificationReport:
+    """Report the first broken record of a chain, as a walk front to back.
+
+    Checks, in order per record: sequence/bootstrap structure, author
+    exclusivity, previous-header link, payload hash, header signature. The
+    walk runs in two passes: every check but the signature finds the first
+    structural break, then the signatures before it are checked, across
+    the usable CPUs when there are enough of them (_first_bad_signature).
+    A bad signature before the break is the one reported.
+
+    Internal checks cannot see pure tail truncation (a shortened chain is
+    still self-consistent), so callers holding the author's last announced
+    head should pass it as expected_head to pin the newest record.
+    """
+    if len(records) < 2:
+        return VerificationReport(False, 0, REASON_STRUCTURE)
+    broken = _first_break(records)
+    end = len(records) if broken is None else broken.first_failure_index
+    bad = _first_bad_signature(records[:end])
+    if bad is not None:
+        return VerificationReport(False, bad, REASON_SIGNATURE)
+    if broken is not None:
+        return broken
     if expected_head is not None and header_hash(records[-1].header) != expected_head:
         return VerificationReport(False, len(records) - 1, REASON_HEAD)
     return VerificationReport(True)

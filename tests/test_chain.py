@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import random
 import struct
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentchain import chain as chain_module
-from agentchain.canonical import Writer
+from agentchain.canonical import EncodingError, Writer
 from agentchain.chain import (
     COST_HEAVY,
     ChainError,
@@ -29,8 +30,11 @@ from agentchain.chain import (
     REASON_SIGNATURE,
     REASON_STRUCTURE,
     Record,
+    SYSTEM_TYPES,
+    VerificationReport,
     append_entry,
     decode_dna,
+    decode_genesis,
     decode_record,
     encode_dna,
     encode_genesis,
@@ -535,3 +539,178 @@ def test_one_append_writes_one_header_and_parse_plus_verify_write_none(monkeypat
     written.clear()
     assert verify_records(parse_chain_text(text), expected_head=head).ok
     assert written == []
+
+
+# ---------------------------------------------------------------------------
+# verify_records against the front-to-back walk it replaces
+
+
+def oracle_verify_records(records, expected_head=None):
+    """The one-pass walk verify_records reports as: per record, every
+    structural check and then the header signature."""
+    if len(records) < 2:
+        return VerificationReport(False, 0, REASON_STRUCTURE)
+    owner = records[0].header.author
+    for i, record in enumerate(records):
+        h = record.header
+        if h.seq != i:
+            return VerificationReport(False, i, REASON_STRUCTURE)
+        if i == 0 and h.entry_type != DNA_TYPE:
+            return VerificationReport(False, i, REASON_STRUCTURE)
+        if i == 1:
+            if h.entry_type != GENESIS_TYPE:
+                return VerificationReport(False, i, REASON_STRUCTURE)
+            try:
+                genesis = decode_genesis(record.payload)
+            except EncodingError:
+                return VerificationReport(False, i, REASON_STRUCTURE)
+            if genesis.dna_hash != hash_bytes(records[0].payload):
+                return VerificationReport(False, i, REASON_STRUCTURE)
+            if genesis.agent_id != owner:
+                return VerificationReport(False, i, REASON_STRUCTURE)
+        if i > 1 and h.entry_type in SYSTEM_TYPES:
+            return VerificationReport(False, i, REASON_STRUCTURE)
+        if i > 0 and h.timestamp < records[i - 1].header.timestamp:
+            return VerificationReport(False, i, REASON_STRUCTURE)
+        if h.author != owner:
+            return VerificationReport(False, i, REASON_AUTHOR)
+        expected_prev = ZERO_DIGEST if i == 0 else header_hash(records[i - 1].header)
+        if h.prev_header_hash != expected_prev:
+            return VerificationReport(False, i, REASON_LINK)
+        if h.entry_hash != hash_bytes(record.payload):
+            return VerificationReport(False, i, REASON_ENTRY_HASH)
+        if not verify(h.author, header_signing_bytes(h), h.signature):
+            return VerificationReport(False, i, REASON_SIGNATURE)
+    if expected_head is not None and header_hash(records[-1].header) != expected_head:
+        return VerificationReport(False, len(records) - 1, REASON_HEAD)
+    return VerificationReport(True)
+
+
+def _long_chain_text(length: int) -> tuple[str, bytes]:
+    """Export text and head of a chain of length records, so every parse
+    of it gives records no signature check has seen."""
+    chain = _chain(b"fan-out")
+    for clock in range(1, length - 1):
+        append_entry(chain, "report", {"text": f"entry {clock}"}, clock)
+    return export_records(chain.records), header_hash(chain.records[-1].header)
+
+
+_ORACLE_LENGTH = 24
+_ORACLE_TEXT, _ORACLE_HEAD = _long_chain_text(_ORACLE_LENGTH)
+
+_edits = st.lists(
+    st.tuples(st.sampled_from(_HEADER_MUTATIONS), st.integers(0, _ORACLE_LENGTH - 1)),
+    max_size=2,
+)
+_reshapes = st.one_of(
+    st.just(("none", 0, 0)),
+    st.tuples(
+        st.sampled_from(("drop", "duplicate", "swap", "truncate")),
+        st.integers(0, _ORACLE_LENGTH - 2),
+        st.integers(1, _ORACLE_LENGTH - 1),
+    ),
+)
+
+
+def _edited(edits, reshape, seed):
+    records = parse_chain_text(_ORACLE_TEXT)
+    rng = random.Random(seed)
+    for how, at in edits:
+        records[at] = mutate_record(records[at], how, rng)
+    kind, i, n = reshape
+    if kind == "drop":
+        del records[i]
+    elif kind == "duplicate":
+        records.insert(i, records[i])
+    elif kind == "swap":
+        records[i], records[i + 1] = records[i + 1], records[i]
+    elif kind == "truncate":
+        del records[n:]
+    return records
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@given(_edits, _reshapes, st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_verify_records_reports_as_the_front_to_back_walk(cpus, edits, reshape, pin_head, seed):
+    head = _ORACLE_HEAD if pin_head else None
+    want = oracle_verify_records(_edited(edits, reshape, seed), head)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_module, "USABLE_CPUS", cpus)
+        mp.setattr(chain_module, "MIN_SIGNATURES_PER_THREAD", 1)
+        got = verify_records(_edited(edits, reshape, seed), head)
+    assert (got.ok, got.first_failure_index, got.reason) == (
+        want.ok, want.first_failure_index, want.reason
+    )
+
+
+_FAN_OUT_TEXT, _FAN_OUT_HEAD = _long_chain_text(80)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_an_honest_chain_costs_one_verify_a_record_then_none(cpus, monkeypatch, verify_calls):
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
+    records = parse_chain_text(_FAN_OUT_TEXT)
+    assert verify_records(records, expected_head=_FAN_OUT_HEAD).ok
+    assert sorted(sig for _key, _msg, sig in verify_calls) == sorted(
+        r.header.signature for r in records
+    )
+    verify_calls.clear()
+    assert verify_records(records, expected_head=_FAN_OUT_HEAD).ok
+    assert verify_calls == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("at", [2, 40, 79])
+def test_a_break_at_f_verifies_nothing_at_or_after_f(cpus, at, monkeypatch, verify_calls):
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
+    records = parse_chain_text(_FAN_OUT_TEXT)
+    records[at] = Record(records[at].header, records[at].payload + b"x")
+    report = verify_records(records, expected_head=_FAN_OUT_HEAD)
+    assert (report.first_failure_index, report.reason) == (at, REASON_ENTRY_HASH)
+    assert sorted(sig for _key, _msg, sig in verify_calls) == sorted(
+        r.header.signature for r in records[:at]
+    )
+
+
+def test_each_usable_cpu_takes_a_slice_and_no_helper_outlives_the_call(monkeypatch):
+    callers = []
+
+    def noting(public_key, message, signature):
+        callers.append(threading.current_thread())
+        return verify(public_key, message, signature)
+
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(chain_module, "verify", noting)
+    before = threading.active_count()
+    assert verify_records(parse_chain_text(_FAN_OUT_TEXT), expected_head=_FAN_OUT_HEAD).ok
+    assert threading.active_count() == before
+    assert len(set(callers)) == 4 and threading.current_thread() in callers
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("at", [0, 79])  # the calling thread's slice, the last helper's
+def test_an_exception_in_a_slice_reaches_the_caller_and_no_excepthook(at, monkeypatch):
+    records = parse_chain_text(_FAN_OUT_TEXT)
+    target = records[at].header.signature
+    raised = []  # the thread the one raise happened on
+
+    def exploding(public_key, message, signature):
+        if signature == target and not raised:
+            raised.append(threading.current_thread())
+            raise _Boom(at)
+        return verify(public_key, message, signature)
+
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(chain_module, "verify", exploding)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        verify_records(records)
+    assert (raised[0] is threading.current_thread()) == (at == 0)
+    assert threading.active_count() == before
+    assert hooked == []
