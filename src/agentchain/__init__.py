@@ -18,7 +18,7 @@ from .chain import (
     verify_records,
 )
 from .crypto import KeyPair, generate_keypair, hash_bytes, sign, verify
-from .dht import Agent, Network, agent_seed, make_agent
+from .dht import Agent, Network, agent_seed, make_agent, make_agents
 from .fuel import balance, settle
 from .healthcare import (
     CapabilityGrant,
@@ -74,6 +74,7 @@ __all__ = [
     "is_blacklisted",
     "load_scenario",
     "make_agent",
+    "make_agents",
     "parse_chain_text",
     "publish_vitals",
     "record_key",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .canonical import Writer
 from .chain import DEFAULT_REDUNDANCY, record_key
 from .crypto import KeyPair, generate_keypair, hash_bytes, sign, verify
-from .dht import Network, agent_seed, make_agent
+from .dht import Network, agent_seed, make_agents
 from .healthcare import healthcare_dna
 from .validation import Marketplace
 
@@ -138,8 +138,8 @@ def run_holochain_count(n: int, m: int, r: int = DEFAULT_REDUNDANCY, seed: int =
         raise ValueError(f"need more than {r} agents to host {r} holders")
     dna = healthcare_dna(redundancy=r)
     network = Network(dna, Marketplace())
-    for i in range(n):
-        network.join(make_agent(i, agent_seed(seed, i), dna))
+    for agent in make_agents(seed, n, dna):
+        network.join(agent)
     for index in range(m):
         author = network.agents[index % n]
         record = author.append("report", {"text": f"entry {index}"}, index + 1)

@@ -47,7 +47,7 @@ author signs the header up to and excluding its signature's lp.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Mapping
 
 from .crypto import DIGEST_SIZE
 
@@ -191,42 +191,67 @@ class Reader:
 FieldValue = Any  # int | str | bytes; 32-byte values round-trip as digests
 
 
-def encode_fields(fields: dict[str, FieldValue]) -> bytes:
-    """Canonical encoding of an app payload (sorted field map, tag 'F')."""
-    if len(fields) > U32_MAX:
-        raise u32_out_of_range(len(fields))
-    parts = [_FIELD_MAP_HEAD.pack(0x46, len(fields))]
-    append = parts.append
+# lp(name) of the field names met so far, up to _NAME_HEADS_MAX of them: a
+# program writes the same few names over and over.
+_NAME_HEADS: dict[str, bytes] = {}
+_NAME_HEADS_MAX = 1024
+
+
+def _name_head(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    if len(raw) > U32_MAX:
+        raise u32_out_of_range(len(raw))
+    head = LEN_PREFIX.pack(len(raw)) + raw
+    if len(_NAME_HEADS) < _NAME_HEADS_MAX:
+        _NAME_HEADS[name] = head
+    return head
+
+
+def field_entries(fields: Mapping[str, FieldValue]) -> list[bytes]:
+    """Each field's encoding within a field map (lp name, tag, value), by
+    name in ascending order: the one writer of a field. join_fields makes
+    the map from them, so a map that holds another's fields (a transfer's
+    co-signed entry holds its body's) encodes each field once."""
+    entries: list[bytes] = []
+    append = entries.append
+    heads = _NAME_HEADS
     for name in sorted(fields):
         value = fields[name]
-        raw_name = name.encode("utf-8")
-        if len(raw_name) > U32_MAX:
-            raise u32_out_of_range(len(raw_name))
-        append(LEN_PREFIX.pack(len(raw_name)))
-        append(raw_name)
+        head = heads.get(name) or _name_head(name)
         if isinstance(value, bool):
             raise EncodingError(f"field {name}: bool is not a payload type")
         if isinstance(value, int):
             if not I64_MIN <= value <= I64_MAX:
                 raise EncodingError(f"i64 out of range: {value}")
-            append(_INT_VALUE.pack(TAG_INT, value))
+            append(head + _INT_VALUE.pack(TAG_INT, value))
         elif isinstance(value, str):
             raw = value.encode("utf-8")
             if len(raw) > U32_MAX:
                 raise u32_out_of_range(len(raw))
-            append(_LP_VALUE.pack(TAG_STR, len(raw)))
-            append(raw)
+            append(head + _LP_VALUE.pack(TAG_STR, len(raw)) + raw)
         elif isinstance(value, (bytes, bytearray)):
             if len(value) == DIGEST_SIZE:
-                append(_DIGEST_TAG)
+                append(head + _DIGEST_TAG + value)
             elif len(value) > U32_MAX:
                 raise u32_out_of_range(len(value))
             else:
-                append(_LP_VALUE.pack(TAG_BYTES, len(value)))
-            append(bytes(value))
+                append(head + _LP_VALUE.pack(TAG_BYTES, len(value)) + value)
         else:
             raise EncodingError(f"field {name}: unsupported type {type(value).__name__}")
-    return b"".join(parts)
+    return entries
+
+
+def join_fields(entries: list[bytes]) -> bytes:
+    """A field map's encoding from its fields' encodings (field_entries),
+    names ascending: the one writer of a map's header."""
+    if len(entries) > U32_MAX:
+        raise u32_out_of_range(len(entries))
+    return _FIELD_MAP_HEAD.pack(0x46, len(entries)) + b"".join(entries)
+
+
+def encode_fields(fields: Mapping[str, FieldValue]) -> bytes:
+    """Canonical encoding of an app payload (sorted field map, tag 'F')."""
+    return join_fields(field_entries(fields))
 
 
 def decode_fields(data: bytes) -> dict[str, FieldValue]:

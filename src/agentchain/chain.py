@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from . import canonical
 from .canonical import (
@@ -324,7 +324,14 @@ def header_signing_bytes(h: EntryHeader) -> bytes:
 
 
 def header_hash(header: EntryHeader) -> bytes:
-    return hash_bytes(encode_header(header))
+    """Digest of the header's encoding: the next record's previous-header
+    link. Hashed once per header and kept on it, as Record.signature_ok
+    is; a mutated copy is a new header, so none goes stale."""
+    digest = getattr(header, "_hash", None)
+    if digest is None:
+        digest = hash_bytes(encode_header(header))
+        object.__setattr__(header, "_hash", digest)
+    return digest
 
 
 def decode_header(data: bytes) -> EntryHeader:
@@ -433,6 +440,17 @@ def decode_record(data: bytes) -> Record:
     return Record(header, data[pos:end])
 
 
+def payload_hash(record: Record) -> bytes:
+    """Digest of the record's payload, which its header's entry_hash must
+    equal. Hashed once per record and kept on it, as Record.signature_ok
+    is; _append_raw keeps the entry_hash it signed."""
+    digest = getattr(record, "_payload_hash", None)
+    if digest is None:
+        digest = hash_bytes(record.payload)
+        object.__setattr__(record, "_payload_hash", digest)
+    return digest
+
+
 def record_key(record: Record) -> bytes:
     """Content address of a full record; doubles as its storage key.
     Hashed once per record and kept on it, as Record.signature_ok is."""
@@ -492,7 +510,10 @@ def _append_raw(
     payload: bytes,
     clock: int,
     fields: Mapping[str, canonical.FieldValue] | None = None,
+    entry_hash: bytes | None = None,
 ) -> Record:
+    """Sign and append a record. entry_hash, if given, is the payload's
+    digest, which the caller already holds."""
     if chain.records:
         last = chain.records[-1].header
         if clock < last.timestamp:
@@ -502,12 +523,14 @@ def _append_raw(
     else:
         prev = ZERO_DIGEST
         seq = 0
-    entry_hash = hash_bytes(payload)
+    if entry_hash is None:
+        entry_hash = hash_bytes(payload)
     author = chain.owner.public_key
     prefix = _signing_prefix(seq, clock, entry_type, entry_hash, author, prev)
     header = EntryHeader(seq, clock, entry_type, entry_hash, author, prev, sign(chain.owner, prefix))
     _seal(header, prefix)
     record = Record(header, bytes(payload))
+    object.__setattr__(record, "_payload_hash", entry_hash)
     if fields is not None:
         object.__setattr__(record, "fields", fields)
     chain.records.append(record)
@@ -523,7 +546,8 @@ def init_chain(
     """Bootstrap a chain: blueprint first, then the genesis self-binding."""
     validate_dna(dna)
     chain = SourceChain(owner=owner, dna=dna)
-    _append_raw(chain, DNA_TYPE, dna.encoded, clock)
+    # the blueprint's digest is its network id, hashed once per document
+    _append_raw(chain, DNA_TYPE, dna.encoded, clock, entry_hash=dna.network_id)
     genesis = GenesisRecord(dna_hash=dna.network_id, agent_id=owner.public_key)
     _append_raw(chain, GENESIS_TYPE, encode_genesis(genesis), clock)
     return chain
@@ -591,7 +615,7 @@ def _first_break(records: list[Record]) -> VerificationReport | None:
                 genesis = decode_genesis(record.payload)
             except EncodingError:
                 return VerificationReport(False, i, REASON_STRUCTURE)
-            if genesis.dna_hash != hash_bytes(records[0].payload):
+            if genesis.dna_hash != payload_hash(records[0]):
                 return VerificationReport(False, i, REASON_STRUCTURE)
             if genesis.agent_id != owner:
                 return VerificationReport(False, i, REASON_STRUCTURE)
@@ -604,7 +628,7 @@ def _first_break(records: list[Record]) -> VerificationReport | None:
         expected_prev = ZERO_DIGEST if i == 0 else header_hash(records[i - 1].header)
         if h.prev_header_hash != expected_prev:
             return VerificationReport(False, i, REASON_LINK)
-        if h.entry_hash != hash_bytes(record.payload):
+        if h.entry_hash != payload_hash(record):
             return VerificationReport(False, i, REASON_ENTRY_HASH)
     return None
 
@@ -619,18 +643,33 @@ except AttributeError:  # no affinity call outside Linux
 # on a shared 2-vCPU x86-64 VM), under a tenth of a 16-signature slice.
 MIN_SIGNATURES_PER_THREAD = 16
 
+T = TypeVar("T")
 
-def _check_in_threads(slices: list[list[Record]]) -> None:
-    """Check the header signatures of every slice in turn, up to its first
-    failure: the first slice on the calling thread, each other on a helper
-    thread of its own. libsodium's verify runs without the GIL, so the
-    helpers' verifies run on other CPUs. Every helper is joined before
-    this returns, and the first exception a helper raised is raised here."""
+
+def thread_count(items: int, minimum: int) -> int:
+    """Threads to spread items over: one per usable CPU, as long as each
+    slice keeps at least minimum items. Below 2, no helper is worth it."""
+    return min(USABLE_CPUS, items // minimum)
+
+
+def fan_out(work: Callable[[Sequence[T]], object], items: Sequence[T], threads: int) -> None:
+    """Run work on items split into contiguous slices, threads of them: the
+    first slice on the calling thread, each other on a helper thread of its
+    own. libsodium's keygen, sign and verify run without the GIL, so the
+    helpers' Ed25519 runs on other CPUs. With threads below 2, work takes
+    every item on the calling thread and no thread starts. Every helper is
+    joined before this returns, and the first exception a helper raised is
+    raised here."""
+    if threads < 2:
+        work(items)
+        return
+    cuts = [len(items) * k // threads for k in range(threads + 1)]
+    slices = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     errors: list[BaseException] = []
 
-    def run(part: list[Record]) -> None:
+    def run(part: Sequence[T]) -> None:
         try:
-            all(record.signature_ok for record in part)
+            work(part)
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
@@ -640,7 +679,7 @@ def _check_in_threads(slices: list[list[Record]]) -> None:
             helper = threading.Thread(target=run, args=(part,))
             helper.start()
             helpers.append(helper)
-        all(record.signature_ok for record in slices[0])
+        work(slices[0])
     finally:
         for helper in helpers:
             helper.join()
@@ -648,20 +687,25 @@ def _check_in_threads(slices: list[list[Record]]) -> None:
         raise errors[0]
 
 
+def _check_signatures(records: Sequence[Record]) -> None:
+    """Check the header signatures of records in turn, up to the first
+    failure."""
+    all(record.signature_ok for record in records)
+
+
 def _first_bad_signature(records: list[Record]) -> int | None:
     """Index of the first record whose header signature fails, or None.
 
     The records not checked before are split into contiguous slices, one
     per usable CPU, when each slice holds at least
-    MIN_SIGNATURES_PER_THREAD. Each record keeps its verdict, so a
-    front-to-back read then finds the first failure: every record before
+    MIN_SIGNATURES_PER_THREAD (fan_out). Each record keeps its verdict, so
+    a front-to-back read then finds the first failure: every record before
     it is checked, and a slice's unchecked records follow a failure.
     """
     pending = [r for r in records if getattr(r, "_signature_ok", None) is None]
-    threads = min(USABLE_CPUS, len(pending) // MIN_SIGNATURES_PER_THREAD)
+    threads = thread_count(len(pending), MIN_SIGNATURES_PER_THREAD)
     if threads > 1:
-        cuts = [len(pending) * k // threads for k in range(threads + 1)]
-        _check_in_threads([pending[a:b] for a, b in zip(cuts, cuts[1:])])
+        fan_out(_check_signatures, pending, threads)
     return next((i for i, record in enumerate(records) if not record.signature_ok), None)
 
 

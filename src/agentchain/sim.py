@@ -42,6 +42,7 @@ from .dht import (
     NewsClaim,
     agent_seed,
     make_agent,
+    make_agents,
 )
 from .fuel import (
     AMOUNT_CAP,
@@ -343,14 +344,9 @@ class Simulation:
             witness_count=config.witnesses,
             audit_samples=config.audit_samples,
         )
-        for i in range(config.n_agents):
-            agent = make_agent(
-                i,
-                agent_seed(config.seed, i),
-                dna,
-                clock=0,
-                blacklist_threshold=config.blacklist_threshold,
-            )
+        for agent in make_agents(
+            config.seed, config.n_agents, dna, blacklist_threshold=config.blacklist_threshold
+        ):
             self.network.join(agent)
         self.seed_total = 0
         if config.seed_fuel > 0:
@@ -877,8 +873,8 @@ def run_double_spend_experiment(
         witness_count=witnesses,
         audit_samples=audit_samples,
     )
-    for i in range(n_agents):
-        network.join(make_agent(i, agent_seed(seed, i), dna))
+    for agent in make_agents(seed, n_agents, dna):
+        network.join(agent)
     for agent in network.agents:
         append_seed_grant(agent, 100, 0)
     base_len = len(network.agents[0].chain.records)

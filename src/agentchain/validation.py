@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 
 from . import canonical
 from .canonical import EncodingError
-from .chain import COST_UNITS, DnaDocument, Record
+from .chain import COST_UNITS, DnaDocument, Record, payload_hash
 from .crypto import hash_bytes, verify
 
 
@@ -187,7 +187,7 @@ def validate_transaction(record: Record, dna: DnaDocument, resolve: Resolver | N
     etd = dna.entry_type(record.header.entry_type)
     if etd is None:
         return Verdict(False, Reason.UNKNOWN_ENTRY_TYPE, record.header.entry_type)
-    if record.header.entry_hash != hash_bytes(record.payload):
+    if record.header.entry_hash != payload_hash(record):
         return Verdict(False, Reason.BAD_LINK, "entry hash does not match payload")
     if not record.signature_ok:
         return Verdict(False, Reason.BAD_SIGNATURE, "header signature invalid")

@@ -67,3 +67,22 @@ def verify_calls(monkeypatch):
 def decode_calls(monkeypatch):
     """Arguments of every canonical.decode_fields call."""
     return _record_calls(monkeypatch, canonical.decode_fields)
+
+
+@pytest.fixture
+def field_entry_calls(monkeypatch):
+    """Arguments of every canonical.field_entries call: every field the
+    package encodes."""
+    return _record_calls(monkeypatch, canonical.field_entries)
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Arguments of every crypto.hash_bytes call."""
+    return _record_calls(monkeypatch, crypto.hash_bytes)
+
+
+def holders_of(network, key: bytes) -> list:
+    """The members that hold key in their shard or chain, in join order: a
+    full scan, the oracle a holder index would be checked against."""
+    return [agent for agent in network.agents if agent.holds(key)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentchain import canonical
 from agentchain.canonical import (
     EncodingError,
     Reader,
@@ -349,6 +350,18 @@ def test_field_map_encoder_matches_the_spec_and_round_trips(fields):
     decoded = decode_fields(encoded)
     assert decoded == {k: bytes(v) if isinstance(v, bytearray) else v for k, v in fields.items()}
     assert _reader_fields(encoded) == decoded
+
+
+def test_field_names_past_the_kept_name_encodings_still_match_the_spec(monkeypatch):
+    """The encoder keeps each name's lp up to a bound; a name met after the
+    store is full is encoded afresh, to the same bytes."""
+    monkeypatch.setattr(canonical, "_NAME_HEADS", {})
+    monkeypatch.setattr(canonical, "_NAME_HEADS_MAX", 3)
+    for round_ in range(2):
+        for i in range(6):
+            fields = {f"name{i}": i, "\u00e9t\u00e9": "x", "": b"y"}
+            assert encode_fields(fields) == _spec_fields(fields)
+        assert len(canonical._NAME_HEADS) == 3
 
 
 @given(_records)

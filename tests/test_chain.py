@@ -688,6 +688,24 @@ def test_each_usable_cpu_takes_a_slice_and_no_helper_outlives_the_call(monkeypat
     assert len(set(callers)) == 4 and threading.current_thread() in callers
 
 
+_TAMPER_TEXT, _TAMPER_HEAD = _long_chain_text(250)
+
+
+@pytest.mark.parametrize("how", _HEADER_MUTATIONS)
+def test_re_verifying_after_one_mutation_hashes_only_the_new_record(how, hash_calls):
+    """Each header keeps its hash and each record its payload's, so
+    re-verifying a verified chain with record 200 replaced hashes little
+    beyond the replaced record's header and payload, not the 200 headers
+    and payloads before it."""
+    records = parse_chain_text(_TAMPER_TEXT)
+    assert verify_records(records, expected_head=_TAMPER_HEAD).ok
+    records[200] = mutate_record(records[200], how, random.Random(200))
+    hash_calls.clear()
+    report = verify_records(records, expected_head=_TAMPER_HEAD)
+    assert (report.ok, report.first_failure_index) == (False, 200)
+    assert len(hash_calls) <= 3
+
+
 class _Boom(Exception):
     pass
 

@@ -9,11 +9,14 @@ lists in the same order.
 
 import ast
 import copy
+import dataclasses
 import hashlib
 import itertools
 import math
 import os
 import random
+import sys
+import threading
 import types
 from pathlib import Path
 
@@ -22,7 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentchain import bench
-from agentchain.chain import Record, record_key
+from agentchain import chain as chain_module
+from agentchain import dht as dht_module
+from agentchain.chain import ChainError, Record, encode_record, init_chain, record_key
+from agentchain.crypto import generate_keypair
 from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
     CLAIM_REVOKE,
@@ -32,6 +38,7 @@ from agentchain.dht import (
     Network,
     agent_seed,
     make_agent,
+    make_agents,
     make_envelope,
     misbehavior_claim,
     revoke_claim,
@@ -47,6 +54,7 @@ from agentchain.sim import (
     run_scenario,
 )
 from agentchain.validation import Marketplace
+from conftest import holders_of
 
 
 def _network(n=12, seed=99, **kw):
@@ -315,6 +323,179 @@ def test_backup_targets_pin_restricted_types_to_static_neighborhood():
     assert net.backup_targets(key, record) == static
 
 
+# --- bootstrap ---------------------------------------------------------------
+
+
+def _member(agent):
+    """What a member is made of: index, key, node id, blacklist threshold
+    and the encoding of every chain record."""
+    return (
+        agent.index,
+        agent.public_key,
+        agent.node_id,
+        agent.experience.blacklist_threshold,
+        [encode_record(record) for record in agent.chain.records],
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 40),
+    st.one_of(st.none(), st.integers(0, 2**40)),
+    st.one_of(st.none(), st.sampled_from([0.05, 0.25, 0.5])),
+)
+@settings(max_examples=20, deadline=None)
+def test_make_agents_is_the_sequential_list(cpus, run_seed, count, clock, threshold):
+    options = {}
+    if clock is not None:
+        options["clock"] = clock
+    if threshold is not None:
+        options["blacklist_threshold"] = threshold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_module, "USABLE_CPUS", cpus)
+        mp.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+        # a fresh blueprint, so the helpers start before anything is cached
+        got = make_agents(run_seed, count, healthcare_dna(), **options)
+    dna = healthcare_dna()
+    want = [make_agent(i, agent_seed(run_seed, i), dna, **options) for i in range(count)]
+    assert [_member(a) for a in got] == [_member(a) for a in want]
+
+
+def test_members_built_on_more_threads_than_cores_are_the_sequential_list(monkeypatch):
+    """Eight slices on this host's fewer cores, with the interpreter
+    switching threads as often as it can: every slot of the shared list is
+    written once, by its own slice, and the blueprint is only read."""
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 8)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = make_agents(11, 200, healthcare_dna(), blacklist_threshold=0.25)
+    finally:
+        sys.setswitchinterval(interval)
+    dna = healthcare_dna()
+    want = [make_agent(i, agent_seed(11, i), dna, blacklist_threshold=0.25) for i in range(200)]
+    assert [_member(a) for a in got] == [_member(a) for a in want]
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("at", [0, 39])  # the calling thread's slice, the last helper's
+def test_a_member_that_fails_to_bootstrap_fails_make_agents_on_the_caller(at, monkeypatch):
+    target = generate_keypair(agent_seed(5, at)).public_key
+    raised = []  # the thread the one raise happened on
+
+    def exploding(owner, dna, clock=0):
+        if owner.public_key == target:
+            raised.append(threading.current_thread())
+            raise _Boom(at)
+        return init_chain(owner, dna, clock)
+
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+    monkeypatch.setattr(dht_module, "init_chain", exploding)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        make_agents(5, 40, healthcare_dna())
+    assert len(raised) == 1 and (raised[0] is threading.current_thread()) == (at == 0)
+    assert threading.active_count() == before
+    assert hooked == []
+
+
+def test_a_bad_blueprint_fails_make_agents_before_any_helper_starts(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a helper thread was made")
+
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+    monkeypatch.setattr(threading, "Thread", refused)
+    bad = dataclasses.replace(healthcare_dna(), dht_redundancy=0)
+    with pytest.raises(ChainError, match="dht_redundancy"):
+        make_agents(5, 40, bad)
+
+
+def _threads_made(monkeypatch) -> list:
+    """Every threading.Thread made from now on."""
+    threads = []
+    real = threading.Thread
+
+    def noting(*args, **kwargs):
+        threads.append(real(*args, **kwargs))
+        return threads[-1]
+
+    monkeypatch.setattr(threading, "Thread", noting)
+    return threads
+
+
+@pytest.mark.parametrize("cpus, helpers", [(1, 0), (2, 1), (4, 3)])
+def test_each_usable_cpu_builds_one_slice_of_members(cpus, helpers, monkeypatch):
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 16)
+    threads = _threads_made(monkeypatch)
+    agents = make_agents(9, 64, healthcare_dna())
+    assert len(threads) == helpers  # with one usable CPU, no Thread is made
+    assert [a.index for a in agents] == list(range(64))
+
+
+@pytest.mark.parametrize("count, helpers", [(48, 0), (64, 0), (255, 0), (256, 1), (1024, 1)])
+def test_a_helper_builds_members_only_for_a_full_slice_each(count, helpers, monkeypatch):
+    """At the default minimum, on two usable CPUs: the 48- and 64-member
+    networks of fuel_market and ward_churn stay on the calling thread, and
+    shard_publish's 256 members make two slices of 128."""
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 2)
+    threads = _threads_made(monkeypatch)
+    monkeypatch.setattr(dht_module, "make_agent", lambda i, *args: i)
+    assert make_agents(9, count, healthcare_dna()) == list(range(count))
+    assert len(threads) == helpers
+
+
+def _looped_make_agent_calls(tree) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each make_agent call made inside a
+    loop or a comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    calls = []
+
+    def visit(node, scope, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        looped = looped or isinstance(node, loops)
+        if looped and isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "make_agent":
+                calls.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, looped)
+
+    visit(tree, (), False)
+    return calls
+
+
+def test_members_are_bootstrapped_by_make_agents_only():
+    """No loop in the package builds members one make_agent call at a time
+    (to join them, or for anything else) but make_agents' own."""
+    root = Path(__file__).parent.parent / "src" / "agentchain"
+    offenders = [
+        f"{path.name}:{line} {scope}"
+        for path in sorted(root.glob("*.py"))
+        for line, scope in _looped_make_agent_calls(ast.parse(path.read_text(), str(path)))
+        if (path.name, scope) != ("dht.py", "make_agents.build")
+    ]
+    assert offenders == []
+    probe = ast.parse(
+        "for i in range(n):\n    net.join(make_agent(i, s, d))\n"
+        "agents = [dht.make_agent(i, s, d) for i in range(n)]\nmake_agent(0, s, d)\n"
+        "def f():\n    while x:\n        a = make_agent(0, s, d)\n"
+    )
+    assert _looped_make_agent_calls(probe) == [(2, ""), (3, ""), (7, "f")]
+
+
 # --- publish -----------------------------------------------------------------
 
 def test_publish_stores_at_neighborhood_with_signed_receipts():
@@ -353,7 +534,7 @@ def test_invalid_publish_rejected_and_scored_against_author():
     receipts = net.publish(author, record)
     assert receipts == []
     key = record_key(record)
-    assert net.holders_of(key) == [author]  # only its own chain copy
+    assert holders_of(net, key) == [author]  # only its own chain copy
     for validator in net.neighborhood(key):
         if validator is author:
             continue
@@ -728,7 +909,7 @@ def test_want_list_gossip_matches_the_per_contact_oracle(n):
             report = authors[0].chain.records[-2]
             key = record_key(report)
             tampered = Record(report.header, report.payload[:-1] + b"\x00")
-            for holder in net.holders_of(key):
+            for holder in holders_of(net, key):
                 if key in holder.shard:
                     holder.shard[key] = tampered
         _gossip_matches_the_oracle(net, rng)
@@ -997,7 +1178,7 @@ def test_records_replicate_to_all_backup_targets():
     key = record_key(record)
     net.publish(author, record)
     _converge(net, random.Random(7), math.ceil(math.log2(12)) + 2)
-    holders = {a.index for a in net.holders_of(key)}
+    holders = {a.index for a in holders_of(net, key)}
     targets = {a.index for a in net.backup_targets(key, record)}
     assert targets <= holders
     # and nobody outside the target set hoards a copy
@@ -1021,7 +1202,7 @@ def test_restricted_records_never_leave_static_neighborhood():
             if agent.index not in static and agent is not author:
                 agent.online = rng.random() > 0.4
         net.gossip_round(rng)
-        assert {a.index for a in net.holders_of(key)} <= static | {author.index}
+        assert {a.index for a in holders_of(net, key)} <= static | {author.index}
 
 
 def test_gossip_reaches_fixpoint_without_churn():

@@ -816,6 +816,25 @@ def test_a_transfer_decodes_no_field_map(decode_calls):
     assert forged.fields == fields and sender_copy.fields is tx.fields
 
 
+def test_a_settle_encodes_each_field_of_the_transfer_once(field_entry_calls):
+    """The body's six fields are encoded once, for tx_id and both
+    signatures, and the co-signed entry joins them with the encodings of
+    the id and the signatures: no encode_fields of a whole map, which
+    would encode the body again."""
+    net = _network()
+    a, b = net.agents[0], net.agents[1]
+    append_seed_grant(a, 10, 1)
+    field_entry_calls.clear()
+    tx, _ = settle(net, a, b, 4, 2, random.Random(0), publish=False)
+    encoded = [name for (fields,) in field_entry_calls for name in fields]
+    assert sorted(encoded) == sorted(tx.fields)
+    assert len(field_entry_calls) == 2
+    # the joined bytes are the ones a whole-map encoding gives
+    assert tx.body_bytes == canonical.encode_fields(tx.body_fields())
+    assert tx.payload == canonical.encode_fields(dict(tx.fields))
+    assert a.chain.records[-1].payload == b.chain.records[-1].payload == tx.payload
+
+
 # --- whole scenarios -------------------------------------------------------------
 
 FUEL_SCRIPT_SEED = 1000  # covers the most a generated script can spend

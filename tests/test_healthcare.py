@@ -28,6 +28,7 @@ from agentchain.healthcare import (
 )
 from agentchain.reputation import ObservationKind, update_experience
 from agentchain.validation import Marketplace
+from conftest import holders_of
 
 
 def _network(n=12, seed=99):
@@ -105,7 +106,7 @@ def test_shared_vitals_reach_their_holders():
     patient = net.agents[0]
     record = publish_vitals(patient, VitalsReading("oxygen", 97, 1), 5, net, to_dht=True)
     key = record_key(record)
-    holders = net.holders_of(key)
+    holders = holders_of(net, key)
     assert len(holders) >= net.redundancy
 
 
@@ -268,7 +269,7 @@ def _holder_setup():
     patient.online = False
     holder = next(
         h
-        for h in net.holders_of(token)
+        for h in holders_of(net, token)
         if h is not patient and h.online and h.holds(record_key(report))
     )
     return net, patient, doctor, holder, token, report
