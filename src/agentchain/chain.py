@@ -140,7 +140,11 @@ class DnaDocument:
 
 
 def validate_dna(dna: DnaDocument) -> None:
-    """Reject blueprints the chain layer cannot work with."""
+    """Reject blueprints the chain layer cannot work with. A document is
+    checked once: one that passes keeps the verdict beside its cached
+    values, and later calls return at once."""
+    if getattr(dna, "_valid", False):
+        return
     if not dna.app_name:
         raise ChainError("DNA app_name must be nonempty")
     if not dna.entry_type_defs:
@@ -153,6 +157,7 @@ def validate_dna(dna: DnaDocument) -> None:
             raise ChainError(f"entry type name {name!r} is reserved or empty")
     if dna.dht_redundancy < 1:
         raise ChainError("DNA dht_redundancy must be >= 1")
+    object.__setattr__(dna, "_valid", True)
 
 
 def encode_dna(dna: DnaDocument) -> bytes:
@@ -215,17 +220,26 @@ class GenesisRecord:
     membrane_proof: bytes | None = None
 
 
+# 'G', network id, agent id length; then the proof flag, and with flag 1
+# the proof's length. The layout is in canonical.py
+_GENESIS_HEAD = struct.Struct(">B32sI")
+_NO_PROOF = b"\x00"
+_PROOF_HEAD = struct.Struct(">BI")
+
+
 def encode_genesis(gen: GenesisRecord) -> bytes:
-    w = Writer()
-    w.u8(ord("G"))
-    w.digest(gen.dna_hash)
-    w.lp_bytes(gen.agent_id)
-    if gen.membrane_proof is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.lp_bytes(gen.membrane_proof)
-    return w.getvalue()
+    """The genesis layout in canonical.py."""
+    agent_id, proof = gen.agent_id, gen.membrane_proof
+    if len(gen.dna_hash) != DIGEST_SIZE:
+        raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(gen.dna_hash)}")
+    if len(agent_id) > U32_MAX:
+        raise u32_out_of_range(len(agent_id))
+    head = _GENESIS_HEAD.pack(0x47, gen.dna_hash, len(agent_id))
+    if proof is None:
+        return b"".join((head, agent_id, _NO_PROOF))
+    if len(proof) > U32_MAX:
+        raise u32_out_of_range(len(proof))
+    return b"".join((head, agent_id, _PROOF_HEAD.pack(1, len(proof)), proof))
 
 
 def decode_genesis(data: bytes) -> GenesisRecord:
@@ -234,7 +248,10 @@ def decode_genesis(data: bytes) -> GenesisRecord:
         raise EncodingError("not a genesis encoding")
     dna_hash = r.digest()
     agent_id = r.lp_bytes()
-    proof = r.lp_bytes() if r.u8() == 1 else None
+    flag = r.u8()
+    if flag not in (0, 1):
+        raise EncodingError(f"membrane proof flag must be 0 or 1, got {flag}")
+    proof = r.lp_bytes() if flag else None
     r.finish()
     return GenesisRecord(dna_hash, agent_id, proof)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DIGEST_SIZE = 32
 SEED_SIZE = 32
@@ -99,21 +99,38 @@ _verify_detached = _bind(
 )
 
 
+# output buffer types of keygen and sign, made once
+_PublicKeyOut = ctypes.c_char * PUBLIC_KEY_SIZE
+_SecretKeyOut = ctypes.c_char * SECRET_KEY_SIZE
+_SignatureOut = ctypes.c_char * SIGNATURE_SIZE
+
+_sha256 = hashlib.sha256
+
+
 def hash_bytes(data: bytes) -> bytes:
-    """Content digest of a byte string (32 bytes)."""
+    """Content digest of a byte string (32 bytes). bytes are hashed as
+    they are; a bytearray or memoryview is hashed from a copy."""
+    if type(data) is bytes:
+        return _sha256(data).digest()
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"hash_bytes wants bytes, got {type(data).__name__}")
-    return hashlib.sha256(bytes(data)).digest()
+    return _sha256(bytes(data)).digest()
 
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing identity. public_key doubles as the agent id on the wire."""
+    """Signing identity. public_key doubles as the agent id on the wire.
+
+    secret_key is libsodium's (seed || public key), made once by
+    generate_keypair for every sign; it follows from seed, so it is
+    neither shown nor compared.
+    """
 
     seed: bytes
     public_key: bytes
+    secret_key: bytes = field(repr=False, compare=False)
 
-    def __repr__(self) -> str:  # never leak the seed
+    def __repr__(self) -> str:  # never leak the seed or the secret key
         return f"KeyPair(public_key={self.public_key.hex()[:16]}...)"
 
 
@@ -122,17 +139,17 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SEED_SIZE:
         raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
     seed = bytes(seed)
-    public_key = ctypes.create_string_buffer(PUBLIC_KEY_SIZE)
-    secret_key = ctypes.create_string_buffer(SECRET_KEY_SIZE)
+    public_key = _PublicKeyOut()
+    secret_key = _SecretKeyOut()
     if _seed_keypair(public_key, secret_key, seed) != 0:
         raise RuntimeError("libsodium crypto_sign_ed25519_seed_keypair failed")
-    return KeyPair(seed, public_key.raw)
+    return KeyPair(seed, public_key.raw, secret_key.raw)
 
 
 def sign(keys: KeyPair, message: bytes) -> bytes:
     """Detached 64-byte signature over message."""
-    signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
-    if _sign_detached(signature, None, message, len(message), keys.seed + keys.public_key) != 0:
+    signature = _SignatureOut()
+    if _sign_detached(signature, None, message, len(message), keys.secret_key) != 0:
         raise RuntimeError("libsodium crypto_sign_ed25519_detached failed")
     return signature.raw
 

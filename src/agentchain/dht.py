@@ -30,6 +30,7 @@ from .canonical import (
     LEN_PREFIX,
     TRUNCATED,
     U32_MAX,
+    U64_MAX,
     EncodingError,
     FieldValue,
     Writer,
@@ -315,12 +316,16 @@ def make_agents(
     return agents
 
 
+# run seed, member index; the layout is in canonical.py
+_AGENT_SEED = struct.Struct(">QI")
+
+
 def agent_seed(run_seed: int, index: int) -> bytes:
-    """Stable per-agent key seed derived from the run seed."""
-    w = Writer()
-    w.u64(run_seed & (2**64 - 1))
-    w.u32(index)
-    return hash_bytes(w.getvalue())
+    """Stable per-agent key seed derived from the run seed (taken mod
+    2**64): the digest of the agent-seed layout in canonical.py."""
+    if not 0 <= index <= U32_MAX:
+        raise u32_out_of_range(index)
+    return hash_bytes(_AGENT_SEED.pack(run_seed & U64_MAX, index))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ revocation; possession of a token proves nothing once the grant is dead.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -59,7 +60,16 @@ def vitals_entry_type(metric: str) -> str:
 
 
 def healthcare_dna(redundancy: int = DEFAULT_REDUNDANCY, credit_limit: int = 0) -> DnaDocument:
-    """The deployed app blueprint all honest agents bootstrap from."""
+    """The deployed app blueprint all honest agents bootstrap from: one
+    shared document per (redundancy, credit_limit), so its encoding,
+    network id and type table are derived once per process."""
+    return _blueprint(redundancy, credit_limit)
+
+
+# a process uses a handful of argument pairs; the bound only caps a run
+# that sweeps them
+@functools.lru_cache(maxsize=256)
+def _blueprint(redundancy: int, credit_limit: int) -> DnaDocument:
     defs = []
     for metric, (unit, lo, hi) in sorted(VITALS_METRICS.items()):
         defs.append(

@@ -77,6 +77,18 @@ def field_entry_calls(monkeypatch):
 
 
 @pytest.fixture
+def sign_calls(monkeypatch):
+    """Arguments of every crypto.sign call."""
+    return _record_calls(monkeypatch, crypto.sign)
+
+
+@pytest.fixture
+def keygen_calls(monkeypatch):
+    """Arguments of every crypto.generate_keypair call."""
+    return _record_calls(monkeypatch, crypto.generate_keypair)
+
+
+@pytest.fixture
 def hash_calls(monkeypatch):
     """Arguments of every crypto.hash_bytes call."""
     return _record_calls(monkeypatch, crypto.hash_bytes)

@@ -14,8 +14,11 @@ from agentchain.canonical import (
 )
 from agentchain.chain import (
     EntryHeader,
+    GenesisRecord,
     Record,
     append_entry,
+    decode_genesis,
+    encode_genesis,
     decode_header,
     decode_record,
     encode_header,
@@ -28,6 +31,7 @@ from agentchain.dht import (
     CLAIM_REVOKE,
     CLAIM_TRANSFER,
     NewsClaim,
+    agent_seed,
     misbehavior_claim,
     revoke_claim,
     transfer_claim,
@@ -414,6 +418,102 @@ PINNED_CLAIM_IDS = [
 def test_claim_ids_are_pinned(claim, expected_hex):
     assert claim.claim_id.hex() == expected_hex
     assert hash_bytes(_spec_claim(claim)).hex() == expected_hex
+
+
+# --- agent seeds and genesis against Writer-built spec encoders --------------
+
+
+def _spec_agent_seed(run_seed: int, index: int) -> bytes:
+    w = Writer()
+    w.u64(run_seed % 2**64)
+    w.u32(index)
+    return hash_bytes(w.getvalue())
+
+
+def _spec_genesis(gen: GenesisRecord) -> bytes:
+    w = Writer()
+    w.u8(ord("G"))
+    w.digest(gen.dna_hash)
+    w.lp_bytes(gen.agent_id)
+    if gen.membrane_proof is None:
+        w.u8(0)
+    else:
+        w.u8(1)
+        w.lp_bytes(gen.membrane_proof)
+    return w.getvalue()
+
+
+# as the Writer-built encoding hashed them; run seeds are taken mod 2**64
+PINNED_AGENT_SEEDS = [
+    (0, 0, "15ec7bf0b50732b49f8228e07d24365338f9e3ab994b00af08e5a3bffe55fd8b"),
+    (-1, 2**32 - 1, "8688d249e9d047b4fc2fb89ce05afe9ec89252ffccdd969de6eef260dd7ffb21"),
+    (2**64 + 5, 7, "84190d3b9cd72e50dab18e9192b55263ed682826a2f70a43cfff604cc8e0aa04"),
+]
+
+
+@pytest.mark.parametrize("run_seed,index,expected_hex", PINNED_AGENT_SEEDS)
+def test_agent_seeds_are_pinned(run_seed, index, expected_hex):
+    assert agent_seed(run_seed, index).hex() == expected_hex
+    assert _spec_agent_seed(run_seed, index).hex() == expected_hex
+
+
+@pytest.mark.parametrize("run_seed", [-1, 0, 2**64 + 5])
+@pytest.mark.parametrize("index", [0, 2**32 - 1])
+def test_agent_seed_hashes_the_spec_layout(run_seed, index):
+    assert agent_seed(run_seed, index) == _spec_agent_seed(run_seed, index)
+    assert agent_seed(run_seed, index) == agent_seed(run_seed % 2**64, index)
+
+
+@pytest.mark.parametrize("index", [2**32, -1])
+def test_an_agent_index_outside_u32_raises_like_the_spec(index):
+    with pytest.raises(EncodingError, match="u32 out of range"):
+        agent_seed(0, index)
+    with pytest.raises(EncodingError, match="u32 out of range"):
+        _spec_agent_seed(0, index)
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_agent_seed_hashes_the_spec_layout(run_seed, index):
+    assert agent_seed(run_seed, index) == _spec_agent_seed(run_seed, index)
+
+
+PINNED_GENESIS = [
+    (
+        GenesisRecord(bytes(range(32)), b"\x07" * 32),
+        "47" + bytes(range(32)).hex() + "00000020" + "07" * 32 + "00",
+    ),
+    (
+        GenesisRecord(bytes(range(32)), b"", b"proof"),
+        "47" + bytes(range(32)).hex() + "00000000" + "01" + "00000005" + b"proof".hex(),
+    ),
+]
+
+
+@pytest.mark.parametrize("gen,expected_hex", PINNED_GENESIS)
+def test_genesis_encodings_are_pinned(gen, expected_hex):
+    assert encode_genesis(gen).hex() == expected_hex
+    assert _spec_genesis(gen).hex() == expected_hex
+    assert decode_genesis(bytes.fromhex(expected_hex)) == gen
+
+
+@pytest.mark.parametrize("agent_id", [b"", b"\xa5" * 32, b"\x5a" * 33])
+@pytest.mark.parametrize("proof", [None, b"", b"membrane", b"\x01" * 300])
+def test_genesis_writes_the_spec_layout(agent_id, proof):
+    gen = GenesisRecord(hash_bytes(b"network"), agent_id, proof)
+    encoded = encode_genesis(gen)
+    assert encoded == _spec_genesis(gen)
+    assert type(encoded) is bytes
+    assert decode_genesis(encoded) == gen
+
+
+@pytest.mark.parametrize("size", [0, 31, 33])
+def test_a_network_id_that_is_not_a_digest_raises_like_the_spec(size):
+    gen = GenesisRecord(b"\x01" * size, b"\x02" * 32)
+    with pytest.raises(EncodingError, match="fixed field wants 32 bytes"):
+        encode_genesis(gen)
+    with pytest.raises(EncodingError, match="fixed field wants 32 bytes"):
+        _spec_genesis(gen)
 
 
 @given(_valid_encodings(), st.data())

@@ -89,6 +89,57 @@ def test_genesis_binds_blueprint_and_author():
     assert genesis.agent_id == chain.owner.public_key
 
 
+def _signed_with_genesis(payload: bytes) -> list:
+    """A chain its author signed throughout, with payload as record 1."""
+    dna = healthcare_dna()
+    chain = chain_module.SourceChain(owner=_keys(b"genesis-flag"), dna=dna)
+    chain_module._append_raw(chain, DNA_TYPE, dna.encoded, 0)
+    chain_module._append_raw(chain, GENESIS_TYPE, payload, 0)
+    append_entry(chain, "report", {"text": "after genesis"}, 1)
+    return chain.records
+
+
+@pytest.mark.parametrize("flag", [2, 0xFF])
+def test_a_genesis_proof_flag_other_than_0_or_1_fails_at_seq_1(flag):
+    keys = _keys(b"genesis-flag")
+    honest = encode_genesis(GenesisRecord(healthcare_dna().network_id, keys.public_key))
+    assert honest[-1] == 0
+    assert verify_records(_signed_with_genesis(honest)).ok
+    bad = honest[:-1] + bytes([flag])
+    with pytest.raises(EncodingError, match="membrane proof flag"):
+        decode_genesis(bad)
+    report = verify_records(_signed_with_genesis(bad))
+    assert (report.ok, report.first_failure_index, report.reason) == (False, 1, REASON_STRUCTURE)
+
+
+def _lp(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
+
+
+# bytes shaped like a genesis payload up to its flag, which is any byte,
+# then anything or a length-prefixed proof; and bytes of no shape at all
+_genesis_like = st.one_of(
+    st.binary(max_size=80),
+    st.builds(
+        lambda digest, agent, flag, tail: b"G" + digest + _lp(agent) + bytes([flag]) + tail,
+        st.binary(min_size=32, max_size=32),
+        st.binary(max_size=40),
+        st.one_of(st.integers(0, 2), st.integers(0, 255)),
+        st.one_of(st.binary(max_size=12), st.binary(max_size=12).map(_lp)),
+    ),
+)
+
+
+@given(_genesis_like)
+@settings(max_examples=300, deadline=None)
+def test_every_genesis_payload_that_decodes_re_encodes_to_its_own_bytes(data):
+    try:
+        genesis = decode_genesis(data)
+    except EncodingError:
+        return
+    assert encode_genesis(genesis) == data
+
+
 def test_append_and_verify():
     chain = _chain()
     r = append_entry(chain, "report", {"text": "hello"}, 5)
@@ -290,7 +341,8 @@ def test_network_id_is_encoded_once_and_shared_by_every_reader(monkeypatch):
     real = chain_module.encode_dna
     encoded = []
     monkeypatch.setattr(chain_module, "encode_dna", lambda dna: encoded.append(dna) or real(dna))
-    dna = healthcare_dna()
+    # equal to the shared blueprint, but fresh, so nothing is cached on it yet
+    dna = dataclasses.replace(healthcare_dna())
     chain = init_chain(_keys(), dna)
     other = init_chain(_keys(b"other"), dna)
     for _ in range(3):

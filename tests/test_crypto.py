@@ -1,6 +1,7 @@
 """Primitives against published vectors, then behavior under mutation, then
 against cryptography's Ed25519 as a reference implementation."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from agentchain.crypto import (
     DIGEST_SIZE,
     PUBLIC_KEY_SIZE,
+    SECRET_KEY_SIZE,
     SEED_SIZE,
     SIGNATURE_SIZE,
     ZERO_DIGEST,
@@ -127,9 +129,46 @@ def test_signature_mutation_fuzz():
 
 
 def test_keypair_repr_hides_seed():
+    """Neither the seed nor the secret key shows."""
     seed = hash_bytes(b"secret")
     kp = generate_keypair(seed)
-    assert seed.hex() not in repr(kp)
+    for secret in (seed, kp.secret_key):
+        for shown in (repr(kp), str(kp)):
+            assert secret.hex() not in shown
+            assert secret.hex()[:16] not in shown
+            assert repr(secret) not in shown
+
+
+def test_the_secret_key_is_libsodiums_seed_then_public_key():
+    kp = generate_keypair(hash_bytes(b"layout"))
+    assert kp.secret_key == kp.seed + kp.public_key
+    assert len(kp.secret_key) == SECRET_KEY_SIZE == 64
+    assert all(type(value) is bytes for value in (kp.seed, kp.public_key, kp.secret_key))
+
+
+def test_keypairs_from_one_seed_compare_equal_and_the_secret_key_is_not_compared():
+    seed = hash_bytes(b"equal")
+    a, b = generate_keypair(seed), generate_keypair(bytearray(seed))
+    assert a == b and hash(a) == hash(b)
+    assert a.secret_key == b.secret_key and a.secret_key is not b.secret_key
+    other = dataclasses.replace(a, secret_key=bytes(SECRET_KEY_SIZE))
+    assert other == a and hash(other) == hash(a)
+    assert generate_keypair(hash_bytes(b"not equal")) != a
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * 9])
+def test_hash_bytes_gives_one_digest_for_bytes_bytearray_and_memoryview(data):
+    want = hashlib.sha256(data).digest()
+    assert hash_bytes(data) == want
+    assert hash_bytes(bytearray(data)) == want
+    assert hash_bytes(memoryview(data)) == want
+    assert hash_bytes(memoryview(bytearray(data))) == want
+
+
+@pytest.mark.parametrize("data", ["abc", "", 7, None, [1, 2]])
+def test_hash_bytes_refuses_what_is_not_bytes(data):
+    with pytest.raises(TypeError, match="hash_bytes wants bytes"):
+        hash_bytes(data)
 
 
 def test_a_missing_libsodium_is_an_import_error_that_names_the_package():

@@ -27,7 +27,14 @@ from hypothesis import strategies as st
 from agentchain import bench
 from agentchain import chain as chain_module
 from agentchain import dht as dht_module
-from agentchain.chain import ChainError, Record, encode_record, init_chain, record_key
+from agentchain.chain import (
+    ChainError,
+    Record,
+    encode_record,
+    init_chain,
+    record_key,
+    validate_dna,
+)
 from agentchain.crypto import generate_keypair
 from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
@@ -356,7 +363,7 @@ def test_make_agents_is_the_sequential_list(cpus, run_seed, count, clock, thresh
         mp.setattr(chain_module, "USABLE_CPUS", cpus)
         mp.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
         # a fresh blueprint, so the helpers start before anything is cached
-        got = make_agents(run_seed, count, healthcare_dna(), **options)
+        got = make_agents(run_seed, count, dataclasses.replace(healthcare_dna()), **options)
     dna = healthcare_dna()
     want = [make_agent(i, agent_seed(run_seed, i), dna, **options) for i in range(count)]
     assert [_member(a) for a in got] == [_member(a) for a in want]
@@ -417,6 +424,47 @@ def test_a_bad_blueprint_fails_make_agents_before_any_helper_starts(monkeypatch)
     bad = dataclasses.replace(healthcare_dna(), dht_redundancy=0)
     with pytest.raises(ChainError, match="dht_redundancy"):
         make_agents(5, 40, bad)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("count", [0, 1, 7, 40])
+def test_a_member_costs_one_keygen_and_two_signs(cpus, count, monkeypatch, keygen_calls, sign_calls):
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+    agents = make_agents(3, count, healthcare_dna())
+    assert len(keygen_calls) == count
+    assert len(sign_calls) == 2 * count
+    assert sorted(seed for (seed,) in keygen_calls) == sorted(agent_seed(3, i) for i in range(count))
+    assert [len(a.chain) for a in agents] == [2] * count
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("count", [1, 8, 40])
+def test_a_blueprint_is_checked_once_whatever_the_member_count(cpus, count, monkeypatch):
+    looked = []  # validate_dna's reserved-name check looks up each entry type name
+
+    class Counted(tuple):
+        def __contains__(self, name):
+            looked.append(name)
+            return tuple.__contains__(self, name)
+
+    monkeypatch.setattr(chain_module, "SYSTEM_TYPES", Counted(chain_module.SYSTEM_TYPES))
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
+    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+    dna = dataclasses.replace(healthcare_dna())  # fresh, so not yet checked
+    make_agents(5, count, dna)
+    make_agents(6, count, dna)
+    make_agent(0, agent_seed(7, 0), dna)
+    assert looked == [etd.type_name for etd in dna.entry_type_defs]
+
+
+def test_a_bad_blueprint_is_refused_every_time():
+    bad = dataclasses.replace(healthcare_dna(), dht_redundancy=0)
+    for _ in range(2):
+        with pytest.raises(ChainError, match="dht_redundancy"):
+            make_agents(5, 3, bad)
+        with pytest.raises(ChainError, match="dht_redundancy"):
+            validate_dna(bad)
 
 
 def _threads_made(monkeypatch) -> list:

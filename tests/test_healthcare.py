@@ -1,12 +1,14 @@
 """Healthcare app behavior: vitals bounds, capability grants, revocation,
 and holder-served access when the patient is offline."""
 
+import dataclasses
 import random
 
 import pytest
 
 from agentchain.canonical import EncodingError
-from agentchain.chain import Record, record_key
+from agentchain import chain as chain_module
+from agentchain.chain import DEFAULT_REDUNDANCY, Record, record_key
 from agentchain.crypto import generate_keypair, hash_bytes
 from agentchain.dht import Network, agent_seed, make_agent, revoke_claim
 from agentchain.healthcare import (
@@ -58,6 +60,24 @@ def test_blueprint_covers_every_metric():
 def test_blueprint_knobs_change_identity_inputs():
     assert healthcare_dna(redundancy=6).dht_redundancy == 6
     assert healthcare_dna(credit_limit=9).credit_limit == 9
+
+
+def test_one_shared_blueprint_per_argument_pair_encoded_once(monkeypatch):
+    real = chain_module.encode_dna
+    encoded = []
+    monkeypatch.setattr(chain_module, "encode_dna", lambda dna: encoded.append(dna) or real(dna))
+    pairs = [(11, 0), (11, 23), (12, 23)]  # pairs no other test asks for
+    for _ in range(3):
+        for r, c in pairs:
+            dna = healthcare_dna(r, c)
+            assert dna is healthcare_dna(r, c) is healthcare_dna(redundancy=r, credit_limit=c)
+            assert (dna.dht_redundancy, dna.credit_limit) == (r, c)
+            assert dna.network_id == hash_bytes(dna.encoded)
+    assert encoded == [healthcare_dna(r, c) for r, c in pairs]
+    assert len({healthcare_dna(r, c).network_id for r, c in pairs}) == len(pairs)
+    assert healthcare_dna() is healthcare_dna(DEFAULT_REDUNDANCY, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        healthcare_dna().dht_redundancy = 1
 
 
 # --- vitals -------------------------------------------------------------------
