@@ -663,23 +663,13 @@ MIN_SIGNATURES_PER_THREAD = 16
 T = TypeVar("T")
 
 
-def thread_count(items: int, minimum: int) -> int:
-    """Threads to spread items over: one per usable CPU, as long as each
-    slice keeps at least minimum items. Below 2, no helper is worth it."""
-    return min(USABLE_CPUS, items // minimum)
-
-
 def fan_out(work: Callable[[Sequence[T]], object], items: Sequence[T], threads: int) -> None:
-    """Run work on items split into contiguous slices, threads of them: the
-    first slice on the calling thread, each other on a helper thread of its
-    own. libsodium's keygen, sign and verify run without the GIL, so the
-    helpers' Ed25519 runs on other CPUs. With threads below 2, work takes
-    every item on the calling thread and no thread starts. Every helper is
-    joined before this returns, and the first exception a helper raised is
-    raised here."""
-    if threads < 2:
-        work(items)
-        return
+    """Run work on items split into contiguous slices, threads (at least 2)
+    of them: the first slice on the calling thread, each other on a helper
+    thread of its own. libsodium's verify runs without the GIL, so the
+    helpers' signature checks run on other CPUs. Every helper is joined
+    before this returns, and the first exception a helper raised is raised
+    here."""
     cuts = [len(items) * k // threads for k in range(threads + 1)]
     slices = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     errors: list[BaseException] = []
@@ -720,7 +710,7 @@ def _first_bad_signature(records: list[Record]) -> int | None:
     it is checked, and a slice's unchecked records follow a failure.
     """
     pending = [r for r in records if getattr(r, "_signature_ok", None) is None]
-    threads = thread_count(len(pending), MIN_SIGNATURES_PER_THREAD)
+    threads = min(USABLE_CPUS, len(pending) // MIN_SIGNATURES_PER_THREAD)
     if threads > 1:
         fan_out(_check_signatures, pending, threads)
     return next((i for i, record in enumerate(records) if not record.signature_ok), None)

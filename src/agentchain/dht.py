@@ -44,11 +44,8 @@ from .chain import (
     append_entry,
     decode_record,
     encode_record,
-    fan_out,
     init_chain,
     record_key,
-    thread_count,
-    validate_dna,
 )
 from .crypto import DIGEST_SIZE, KeyPair, generate_keypair, hash_bytes, sign, verify
 from .metrics import Metrics
@@ -272,48 +269,19 @@ def make_agent(
     return agent
 
 
-# The fewest members a slice of make_agents holds, or no helper thread
-# starts. A member's keygen and two signatures run 20-35 us each without
-# the GIL, between stretches of Python that hold it, so two threads hand it
-# over several times a member. Timed in interleaved pairs on a shared
-# 2-vCPU x86-64 VM: with the second vCPU free, two slices built 1.1-1.2x
-# faster at 32 to 256 members; with it taken by other work, they lost 5.5%
-# at 48 members, 3% at 64 and 1.3% at 128, and broke even at 256.
-MIN_MEMBERS_PER_THREAD = 128
-
-
 def make_agents(
     run_seed: int,
     count: int,
     dna: DnaDocument,
-    clock: int = 0,
     blacklist_threshold: float | None = None,
 ) -> list[Agent]:
     """A run's members 0 .. count - 1, each made by make_agent from its
-    agent_seed: the one bootstrap path of a network's members.
-
-    Each member costs three Ed25519 operations (a keygen and two
-    signatures), so the indexes are built in contiguous slices, one per
-    usable CPU, of at least MIN_MEMBERS_PER_THREAD members each
-    (chain.fan_out). Before any helper starts, the calling thread checks
-    the blueprint and caches its encoding and network id, which the helpers
-    then only read. With one usable CPU, or too few members to pay for a
-    helper, the members are built in index order on the calling thread.
-    """
-    agents: list[Agent] = [None] * count  # type: ignore[list-item]
-
-    def build(indexes: range) -> None:
-        for i in indexes:
-            agents[i] = make_agent(i, agent_seed(run_seed, i), dna, clock, blacklist_threshold)
-
-    threads = thread_count(count, MIN_MEMBERS_PER_THREAD)
-    if threads > 1:
-        # refuse a bad blueprint before any helper starts, and cache its
-        # encoding and network id here, so the helpers only read them
-        validate_dna(dna)
-        _ = dna.network_id
-    fan_out(build, range(count), threads)
-    return agents
+    agent_seed, in index order on the calling thread: the one bootstrap
+    path of a network's members."""
+    return [
+        make_agent(i, agent_seed(run_seed, i), dna, blacklist_threshold=blacklist_threshold)
+        for i in range(count)
+    ]
 
 
 # run seed, member index; the layout is in canonical.py

@@ -276,8 +276,7 @@ def create_grant(
 ) -> tuple[bytes, Record]:
     """Append a grant and return its token (the grant record's digest)."""
     if network is not None:
-        members = {a.public_key for a in network.agents}
-        if grant.grantee not in members:
+        if grant.grantee not in network._positions:
             raise HealthcareError("grantee is not a member of this network")
         if is_blacklisted(patient.experience, grant.grantee):
             raise HealthcareError("grantee is blacklisted at the grantor")

@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import random
-import sys
 import threading
 import types
 from pathlib import Path
@@ -31,11 +30,9 @@ from agentchain.chain import (
     ChainError,
     Record,
     encode_record,
-    init_chain,
     record_key,
     validate_dna,
 )
-from agentchain.crypto import generate_keypair
 from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
     CLAIM_REVOKE,
@@ -345,102 +342,31 @@ def _member(agent):
     )
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 40),
-    st.one_of(st.none(), st.integers(0, 2**40)),
     st.one_of(st.none(), st.sampled_from([0.05, 0.25, 0.5])),
 )
 @settings(max_examples=20, deadline=None)
-def test_make_agents_is_the_sequential_list(cpus, run_seed, count, clock, threshold):
-    options = {}
-    if clock is not None:
-        options["clock"] = clock
-    if threshold is not None:
-        options["blacklist_threshold"] = threshold
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chain_module, "USABLE_CPUS", cpus)
-        mp.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
-        # a fresh blueprint, so the helpers start before anything is cached
-        got = make_agents(run_seed, count, dataclasses.replace(healthcare_dna()), **options)
+def test_make_agents_is_the_sequential_list(run_seed, count, threshold):
+    options = {} if threshold is None else {"blacklist_threshold": threshold}
+    got = make_agents(run_seed, count, dataclasses.replace(healthcare_dna()), **options)
     dna = healthcare_dna()
     want = [make_agent(i, agent_seed(run_seed, i), dna, **options) for i in range(count)]
     assert [_member(a) for a in got] == [_member(a) for a in want]
 
 
-def test_members_built_on_more_threads_than_cores_are_the_sequential_list(monkeypatch):
-    """Eight slices on this host's fewer cores, with the interpreter
-    switching threads as often as it can: every slot of the shared list is
-    written once, by its own slice, and the blueprint is only read."""
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", 8)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = make_agents(11, 200, healthcare_dna(), blacklist_threshold=0.25)
-    finally:
-        sys.setswitchinterval(interval)
-    dna = healthcare_dna()
-    want = [make_agent(i, agent_seed(11, i), dna, blacklist_threshold=0.25) for i in range(200)]
-    assert [_member(a) for a in got] == [_member(a) for a in want]
-
-
-class _Boom(Exception):
-    pass
-
-
-@pytest.mark.parametrize("at", [0, 39])  # the calling thread's slice, the last helper's
-def test_a_member_that_fails_to_bootstrap_fails_make_agents_on_the_caller(at, monkeypatch):
-    target = generate_keypair(agent_seed(5, at)).public_key
-    raised = []  # the thread the one raise happened on
-
-    def exploding(owner, dna, clock=0):
-        if owner.public_key == target:
-            raised.append(threading.current_thread())
-            raise _Boom(at)
-        return init_chain(owner, dna, clock)
-
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
-    monkeypatch.setattr(dht_module, "init_chain", exploding)
-    before = threading.active_count()
-    with pytest.raises(_Boom):
-        make_agents(5, 40, healthcare_dna())
-    assert len(raised) == 1 and (raised[0] is threading.current_thread()) == (at == 0)
-    assert threading.active_count() == before
-    assert hooked == []
-
-
-def test_a_bad_blueprint_fails_make_agents_before_any_helper_starts(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("a helper thread was made")
-
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
-    monkeypatch.setattr(threading, "Thread", refused)
-    bad = dataclasses.replace(healthcare_dna(), dht_redundancy=0)
-    with pytest.raises(ChainError, match="dht_redundancy"):
-        make_agents(5, 40, bad)
-
-
-@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("count", [0, 1, 7, 40])
-def test_a_member_costs_one_keygen_and_two_signs(cpus, count, monkeypatch, keygen_calls, sign_calls):
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
+def test_a_member_costs_one_keygen_and_two_signs(count, keygen_calls, sign_calls):
     agents = make_agents(3, count, healthcare_dna())
     assert len(keygen_calls) == count
     assert len(sign_calls) == 2 * count
-    assert sorted(seed for (seed,) in keygen_calls) == sorted(agent_seed(3, i) for i in range(count))
+    assert [seed for (seed,) in keygen_calls] == [agent_seed(3, i) for i in range(count)]
     assert [len(a.chain) for a in agents] == [2] * count
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("count", [1, 8, 40])
-def test_a_blueprint_is_checked_once_whatever_the_member_count(cpus, count, monkeypatch):
+def test_a_blueprint_is_checked_once_whatever_the_member_count(count, monkeypatch):
     looked = []  # validate_dna's reserved-name check looks up each entry type name
 
     class Counted(tuple):
@@ -449,8 +375,6 @@ def test_a_blueprint_is_checked_once_whatever_the_member_count(cpus, count, monk
             return tuple.__contains__(self, name)
 
     monkeypatch.setattr(chain_module, "SYSTEM_TYPES", Counted(chain_module.SYSTEM_TYPES))
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 1)
     dna = dataclasses.replace(healthcare_dna())  # fresh, so not yet checked
     make_agents(5, count, dna)
     make_agents(6, count, dna)
@@ -467,39 +391,14 @@ def test_a_bad_blueprint_is_refused_every_time():
             validate_dna(bad)
 
 
-def _threads_made(monkeypatch) -> list:
-    """Every threading.Thread made from now on."""
-    threads = []
-    real = threading.Thread
+def test_make_agents_starts_no_thread_whatever_the_cpus(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was made")
 
-    def noting(*args, **kwargs):
-        threads.append(real(*args, **kwargs))
-        return threads[-1]
-
-    monkeypatch.setattr(threading, "Thread", noting)
-    return threads
-
-
-@pytest.mark.parametrize("cpus, helpers", [(1, 0), (2, 1), (4, 3)])
-def test_each_usable_cpu_builds_one_slice_of_members(cpus, helpers, monkeypatch):
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
-    monkeypatch.setattr(dht_module, "MIN_MEMBERS_PER_THREAD", 16)
-    threads = _threads_made(monkeypatch)
-    agents = make_agents(9, 64, healthcare_dna())
-    assert len(threads) == helpers  # with one usable CPU, no Thread is made
-    assert [a.index for a in agents] == list(range(64))
-
-
-@pytest.mark.parametrize("count, helpers", [(48, 0), (64, 0), (255, 0), (256, 1), (1024, 1)])
-def test_a_helper_builds_members_only_for_a_full_slice_each(count, helpers, monkeypatch):
-    """At the default minimum, on two usable CPUs: the 48- and 64-member
-    networks of fuel_market and ward_churn stay on the calling thread, and
-    shard_publish's 256 members make two slices of 128."""
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", 2)
-    threads = _threads_made(monkeypatch)
-    monkeypatch.setattr(dht_module, "make_agent", lambda i, *args: i)
-    assert make_agents(9, count, healthcare_dna()) == list(range(count))
-    assert len(threads) == helpers
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(threading, "Thread", refused)
+    monkeypatch.setattr(dht_module, "make_agent", lambda i, *args, **kwargs: i)
+    assert make_agents(9, 1024, healthcare_dna()) == list(range(1024))
 
 
 def _looped_make_agent_calls(tree) -> list[tuple[int, str]]:
@@ -533,7 +432,7 @@ def test_members_are_bootstrapped_by_make_agents_only():
         f"{path.name}:{line} {scope}"
         for path in sorted(root.glob("*.py"))
         for line, scope in _looped_make_agent_calls(ast.parse(path.read_text(), str(path)))
-        if (path.name, scope) != ("dht.py", "make_agents.build")
+        if (path.name, scope) != ("dht.py", "make_agents")
     ]
     assert offenders == []
     probe = ast.parse(

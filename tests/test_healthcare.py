@@ -272,6 +272,16 @@ def test_grant_guards_membership_and_reputation():
         create_grant(patient, CapabilityGrant(doctor.public_key, "report"), 5, net)
 
 
+def test_a_grant_to_a_keypair_that_never_joined_is_refused_before_it_is_appended():
+    net = _network()
+    patient = net.agents[0]
+    stranger = generate_keypair(hash_bytes(b"never joined")).public_key
+    before = len(patient.chain)
+    with pytest.raises(HealthcareError, match="grantee is not a member of this network"):
+        create_grant(patient, CapabilityGrant(stranger, "report"), 5, net)
+    assert len(patient.chain) == before
+
+
 # --- holder-served access --------------------------------------------------------
 
 def _holder_setup():
