@@ -30,9 +30,11 @@ from agentchain.chain import (
     ChainError,
     Record,
     encode_record,
+    init_chain,
     record_key,
     validate_dna,
 )
+from agentchain.crypto import generate_keypair
 from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
     CLAIM_REVOKE,
@@ -342,22 +344,59 @@ def _member(agent):
     )
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])  # the usable CPUs change nothing
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 40),
     st.one_of(st.none(), st.sampled_from([0.05, 0.25, 0.5])),
 )
 @settings(max_examples=20, deadline=None)
-def test_make_agents_is_the_sequential_list(run_seed, count, threshold):
+def test_make_agents_is_the_sequential_list(cpus, run_seed, count, threshold):
     options = {} if threshold is None else {"blacklist_threshold": threshold}
-    got = make_agents(run_seed, count, dataclasses.replace(healthcare_dna()), **options)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_module, "USABLE_CPUS", cpus)
+        got = make_agents(run_seed, count, dataclasses.replace(healthcare_dna()), **options)
     dna = healthcare_dna()
     want = [make_agent(i, agent_seed(run_seed, i), dna, **options) for i in range(count)]
     assert [_member(a) for a in got] == [_member(a) for a in want]
 
 
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("at", [0, 39])  # the first member, the last
+def test_a_member_that_fails_to_bootstrap_fails_make_agents_on_the_caller(at, monkeypatch):
+    """The failure is raised on the calling thread, and no member after the
+    failing one is built."""
+    target = generate_keypair(agent_seed(5, at)).public_key
+    owners = []  # every member init_chain was asked for
+    raised = []  # the thread the one raise happened on
+
+    def exploding(owner, dna, clock=0):
+        owners.append(owner.public_key)
+        if owner.public_key == target:
+            raised.append(threading.current_thread())
+            raise _Boom(at)
+        return init_chain(owner, dna, clock)
+
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(dht_module, "init_chain", exploding)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        make_agents(5, 40, healthcare_dna())
+    assert raised == [threading.current_thread()]
+    assert owners == [generate_keypair(agent_seed(5, i)).public_key for i in range(at + 1)]
+    assert threading.active_count() == before
+    assert hooked == []
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("count", [0, 1, 7, 40])
-def test_a_member_costs_one_keygen_and_two_signs(count, keygen_calls, sign_calls):
+def test_a_member_costs_one_keygen_and_two_signs(cpus, count, monkeypatch, keygen_calls, sign_calls):
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
     agents = make_agents(3, count, healthcare_dna())
     assert len(keygen_calls) == count
     assert len(sign_calls) == 2 * count
@@ -365,8 +404,9 @@ def test_a_member_costs_one_keygen_and_two_signs(count, keygen_calls, sign_calls
     assert [len(a.chain) for a in agents] == [2] * count
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("count", [1, 8, 40])
-def test_a_blueprint_is_checked_once_whatever_the_member_count(count, monkeypatch):
+def test_a_blueprint_is_checked_once_whatever_the_member_count(cpus, count, monkeypatch):
     looked = []  # validate_dna's reserved-name check looks up each entry type name
 
     class Counted(tuple):
@@ -375,6 +415,7 @@ def test_a_blueprint_is_checked_once_whatever_the_member_count(count, monkeypatc
             return tuple.__contains__(self, name)
 
     monkeypatch.setattr(chain_module, "SYSTEM_TYPES", Counted(chain_module.SYSTEM_TYPES))
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
     dna = dataclasses.replace(healthcare_dna())  # fresh, so not yet checked
     make_agents(5, count, dna)
     make_agents(6, count, dna)
@@ -391,14 +432,16 @@ def test_a_bad_blueprint_is_refused_every_time():
             validate_dna(bad)
 
 
-def test_make_agents_starts_no_thread_whatever_the_cpus(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("count", [48, 64, 256, 1024])  # fuel_market, ward_churn, shard_publish, probe
+def test_make_agents_starts_no_thread_whatever_the_cpus(cpus, count, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a thread was made")
 
-    monkeypatch.setattr(chain_module, "USABLE_CPUS", 4)
+    monkeypatch.setattr(chain_module, "USABLE_CPUS", cpus)
     monkeypatch.setattr(threading, "Thread", refused)
     monkeypatch.setattr(dht_module, "make_agent", lambda i, *args, **kwargs: i)
-    assert make_agents(9, 1024, healthcare_dna()) == list(range(1024))
+    assert make_agents(9, count, healthcare_dna()) == list(range(count))
 
 
 def _looped_make_agent_calls(tree) -> list[tuple[int, str]]:
