@@ -213,51 +213,40 @@ def _name_head(name: str) -> bytes:
     return head
 
 
-def field_entries(fields: Mapping[str, FieldValue]) -> list[bytes]:
-    """Each field's encoding within a field map (lp name, tag, value), by
-    name in ascending order: the one writer of a field. join_fields makes
-    the map from them, so a map that holds another's fields (a transfer's
-    co-signed entry holds its body's) encodes each field once."""
-    entries: list[bytes] = []
-    append = entries.append
+def encode_fields(fields: Mapping[str, FieldValue]) -> bytes:
+    """Canonical encoding of an app payload (sorted field map, tag 'F'):
+    the one writer of a field map."""
+    if len(fields) > U32_MAX:
+        raise u32_out_of_range(len(fields))
+    parts = [_FIELD_MAP_HEAD.pack(0x46, len(fields))]
+    append = parts.append
     heads = _NAME_HEADS
     for name in sorted(fields):
         value = fields[name]
-        head = heads.get(name) or _name_head(name)
+        append(heads.get(name) or _name_head(name))
         if isinstance(value, bool):
             raise EncodingError(f"field {name}: bool is not a payload type")
         if isinstance(value, int):
             if not I64_MIN <= value <= I64_MAX:
                 raise EncodingError(f"i64 out of range: {value}")
-            append(head + _INT_VALUE.pack(TAG_INT, value))
+            append(_INT_VALUE.pack(TAG_INT, value))
         elif isinstance(value, str):
             raw = value.encode("utf-8")
             if len(raw) > U32_MAX:
                 raise u32_out_of_range(len(raw))
-            append(head + _LP_VALUE.pack(TAG_STR, len(raw)) + raw)
+            append(_LP_VALUE.pack(TAG_STR, len(raw)))
+            append(raw)
         elif isinstance(value, (bytes, bytearray)):
             if len(value) == DIGEST_SIZE:
-                append(head + _DIGEST_TAG + value)
+                append(_DIGEST_TAG)
             elif len(value) > U32_MAX:
                 raise u32_out_of_range(len(value))
             else:
-                append(head + _LP_VALUE.pack(TAG_BYTES, len(value)) + value)
+                append(_LP_VALUE.pack(TAG_BYTES, len(value)))
+            append(value)
         else:
             raise EncodingError(f"field {name}: unsupported type {type(value).__name__}")
-    return entries
-
-
-def join_fields(entries: list[bytes]) -> bytes:
-    """A field map's encoding from its fields' encodings (field_entries),
-    names ascending: the one writer of a map's header."""
-    if len(entries) > U32_MAX:
-        raise u32_out_of_range(len(entries))
-    return _FIELD_MAP_HEAD.pack(0x46, len(entries)) + b"".join(entries)
-
-
-def encode_fields(fields: Mapping[str, FieldValue]) -> bytes:
-    """Canonical encoding of an app payload (sorted field map, tag 'F')."""
-    return join_fields(field_entries(fields))
+    return b"".join(parts)
 
 
 def decode_fields(data: bytes) -> dict[str, FieldValue]:

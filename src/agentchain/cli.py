@@ -44,9 +44,10 @@ SEED_ENV = "AGENTCHAIN_SEED"
 _KEY = {key.name: key.metadata["check"] for key in dataclasses.fields(ScenarioConfig)}
 _ATTACK_FLAGS = {"trials": _range(), "agents": _KEY["n_agents"], "witnesses": _KEY["witnesses"],
                  "audit": _KEY["audit_samples"]}
-# each size hosts more than redundancy holders, so it is at least two replicas
+# each size hosts more than redundancy holders, so it is at least two
+# replicas, and no more members than n_agents may have
 _BENCH_FLAGS = {"entries": _range(), "redundancy": _KEY["redundancy"],
-                "sizes": _range(lambda args: args.redundancy + 1)}
+                "sizes": _range(lambda args: args.redundancy + 1, 2**32)}
 
 
 def _atomic_write(path: str, text: str) -> None:

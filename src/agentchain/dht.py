@@ -359,8 +359,8 @@ class Network:
         # the re-replication plan: every key that reached the network by
         # publish, with its record, by kind; and member -> the restricted
         # keys of neighborhoods it is in and its shard lacked when planned
-        # (at publish, and at each join), less those gossip has stored there
-        # since. Written by join, publish, _plan and _sync_records only
+        # (at publish, and at each join), less those stored there since.
+        # Written by join, publish, _plan and _store_if_valid only
         self._restricted: dict[bytes, Record] = {}
         self._shared: dict[bytes, Record] = {}
         self._pending: dict[Agent, set[bytes]] = {}
@@ -571,7 +571,8 @@ class Network:
         """Re-validate a delivered record against dst's own blueprint copy
         and store it if it holds up. An invalid record is scored against
         the shipper, not the claimed author: whoever pushes bytes owns
-        them. Returns whether the record was valid."""
+        them. A stored key leaves dst's pending set. Returns whether the
+        record was valid."""
         verdict = self._verdict(dst, record)
         self.metrics.validations += 1
         self.metrics.validation_work += validation_work(dst.chain.dna, record.header.entry_type)
@@ -583,6 +584,8 @@ class Network:
             return False
         if key not in dst.shard:
             dst.shard[key] = record
+            if dst in self._pending:
+                self._pending[dst].discard(key)
             self.metrics.stores += 1
             update_experience(dst.experience, record.header.author, ObservationKind.VALID_OK)
         return True
@@ -618,7 +621,6 @@ class Network:
         for validator in self.neighborhood(key):
             self.metrics.messages += 1
             if not validator.online:
-                update_experience(author.experience, validator.public_key, ObservationKind.UNAVAILABLE)
                 continue
             receipt = self._deliver_publish(author, validator, envelope)
             if receipt is not None:
@@ -756,7 +758,7 @@ class Network:
 
     def _plan(self, key: bytes) -> None:
         """Make a restricted key pending at each member of its static
-        neighborhood whose shard lacks it, until gossip stores it there.
+        neighborhood whose shard lacks it, until it is stored there.
         Pending sets follow shards, which only grow, not ``holds``: chain
         holdings shrink on ``SourceChain.replace_at`` and ``truncate``."""
         for member in self.neighborhood(key):
@@ -813,8 +815,7 @@ class Network:
 
     def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
         """Offer dst the keys of its want-list that src holds or has
-        published, lowest key first. A key stored at dst leaves its
-        pending set."""
+        published, lowest key first."""
         for key in sorted(k for k in want if k in src.shard or k in src.published):
             if dst.holds(key):
                 continue
@@ -823,8 +824,6 @@ class Network:
                 continue
             if self._store_if_valid(dst, record, key, src.public_key):
                 self.metrics.backup_transfers += 1
-                if dst in self._pending:
-                    self._pending[dst].discard(key)
 
     # -- integrity sweeps -------------------------------------------------------
 

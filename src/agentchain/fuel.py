@@ -23,18 +23,12 @@ from .chain import Record, SourceChain, record_key
 from .crypto import ZERO_DIGEST, KeyPair, hash_bytes, sign, verify
 from .dht import Agent, Network, transfer_claim, misbehavior_claim
 from .reputation import ObservationKind, is_blacklisted
-from .validation import TRANSFER_BODY_FIELDS
+from .validation import TRANSFER_BODY_FIELDS, transfer_body
 
 FUEL_TX_TYPE = "fuel_tx"
 SEED_GRANT_TYPE = "seed_grant"
 CREDIT_TYPES = (SEED_GRANT_TYPE, FUEL_TX_TYPE)
 AMOUNT_CAP = 10**12
-# the co-signed entry's fields beyond the body, names ascending
-STAMP_FIELDS = ("receiver_sig", "sender_sig", "tx_id")
-_ENTRY_NAMES = (*sorted(TRANSFER_BODY_FIELDS), *STAMP_FIELDS)
-# the co-signed entry's fields, names ascending, as indexes into the body's
-# encoded fields followed by the stamp's
-_ENTRY_ORDER = sorted(range(len(_ENTRY_NAMES)), key=_ENTRY_NAMES.__getitem__)
 
 
 class FuelError(ValueError):
@@ -69,37 +63,28 @@ class FuelTransaction:
         return {name: getattr(self, name) for name in TRANSFER_BODY_FIELDS}
 
     @cached_property
-    def body_entries(self) -> list[bytes]:
-        """The body's fields, each encoded once (canonical.field_entries):
-        the body bytes and the co-signed entry are both joined from them."""
-        return canonical.field_entries(self.body_fields())
-
-    @cached_property
     def body_bytes(self) -> bytes:
-        return canonical.join_fields(self.body_entries)
+        # from body_fields, not fields: fields holds tx_id, hashed from these
+        return transfer_body(self.body_fields())
 
     @cached_property
     def tx_id(self) -> bytes:
         return hash_bytes(self.body_bytes)
-
-    def _stamp_fields(self) -> dict:
-        return {name: getattr(self, name) for name in STAMP_FIELDS}
 
     @cached_property
     def fields(self) -> Mapping[str, canonical.FieldValue]:
         """The co-signed entry as a read-only field map, names ascending as
         decode_fields gives them. Built once and shared as Record.fields by
         both chain records of the transfer, so neither decodes its payload."""
-        fields = {**self.body_fields(), **self._stamp_fields()}
+        fields = {**self.body_fields(), "tx_id": self.tx_id,
+                  "sender_sig": self.sender_sig, "receiver_sig": self.receiver_sig}
         return MappingProxyType(dict(sorted(fields.items())))
 
     @cached_property
     def payload(self) -> bytes:
-        """The co-signed entry, appended to both chains: the body's encoded
-        fields joined with the encodings of the id and signatures, so no
-        body field is encoded twice."""
-        entries = self.body_entries + canonical.field_entries(self._stamp_fields())
-        return canonical.join_fields([entries[i] for i in _ENTRY_ORDER])
+        """The co-signed entry, encoded once from fields and appended to
+        both chains."""
+        return canonical.encode_fields(self.fields)
 
 
 @dataclass(frozen=True)
@@ -122,8 +107,7 @@ def _signed(
     tx: FuelTransaction, sender_sig: bytes, receiver_sig: bytes
 ) -> FuelTransaction:
     """tx with the given signatures. Signatures lie outside the body, so
-    its encoded fields, bytes and tx_id carry over instead of being encoded
-    again."""
+    its bytes and tx_id carry over instead of being encoded again."""
     signed = FuelTransaction(
         tx.sender,
         tx.receiver,
@@ -134,7 +118,7 @@ def _signed(
         sender_sig,
         receiver_sig,
     )
-    signed.__dict__.update(body_entries=tx.body_entries, body_bytes=tx.body_bytes, tx_id=tx.tx_id)
+    signed.__dict__.update(body_bytes=tx.body_bytes, tx_id=tx.tx_id)
     return signed
 
 

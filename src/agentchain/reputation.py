@@ -4,7 +4,8 @@ Each agent keeps one row per peer it has interacted with: a signed running
 experience count and a confidence score in [0, 1]. Good interactions nudge
 confidence up linearly; violations halve it, so three strikes from the
 default take a peer under the exclusion threshold (0.5 -> 0.25 -> 0.125 ->
-0.0625 < 0.1). Unavailability is not dishonesty and changes nothing.
+0.0625 < 0.1). Unavailability is not dishonesty: an offline peer is not
+observed at all.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class ObservationKind(enum.Enum):
     INVALID_DATA = "invalid_data"
     DOUBLE_SPEND = "double_spend"
     FORGED_TOKEN = "forged_token"
-    UNAVAILABLE = "unavailable"
 
 
 VIOLATIONS = frozenset(
@@ -62,8 +62,6 @@ def update_experience(
     elif observation in VIOLATIONS:
         row.experience -= 1
         row.confidence = row.confidence * 0.5
-    elif observation is ObservationKind.UNAVAILABLE:
-        pass  # row exists now, scores untouched
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown observation {observation}")
     return matrix

@@ -243,7 +243,8 @@ class ScenarioConfig:
 
     name: str = _key("scenario", _string)
     seed: int = _key(1, _range(None))
-    n_agents: int = _key(12, _range(1))
+    # member indexes are u32 in each member's key seed (dht.agent_seed)
+    n_agents: int = _key(12, _range(1, 2**32))
     ticks: int = _key(20, _range(1))
     redundancy: int = _key(DEFAULT_REDUNDANCY, _range(1))
     fanout: int = _key(DEFAULT_FANOUT, _range(1))

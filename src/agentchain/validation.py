@@ -89,9 +89,11 @@ TRANSFER_BODY_FIELDS = (
 )
 
 
-def transfer_signing_fields(fields: Mapping) -> dict:
-    """The co-signed core of a transfer payload: no signatures, no id."""
-    return {k: fields[k] for k in TRANSFER_BODY_FIELDS if k in fields}
+def transfer_body(fields: Mapping) -> bytes:
+    """The encoded co-signed core of a transfer, from the body fields that
+    fields holds (no signatures, no id): the one writer of the bytes both
+    parties sign and tx_id hashes."""
+    return canonical.encode_fields({k: fields[k] for k in TRANSFER_BODY_FIELDS if k in fields})
 
 
 def _cosign_violation(record: Record) -> str | None:
@@ -106,7 +108,7 @@ def _cosign_violation(record: Record) -> str | None:
     except AttributeError:
         pass
     fields = record.fields
-    body = canonical.encode_fields(transfer_signing_fields(fields))
+    body = transfer_body(fields)
     sender = fields.get("sender")
     receiver = fields.get("receiver")
     s_sig = fields.get("sender_sig")

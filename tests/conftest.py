@@ -70,10 +70,10 @@ def decode_calls(monkeypatch):
 
 
 @pytest.fixture
-def field_entry_calls(monkeypatch):
-    """Arguments of every canonical.field_entries call: every field the
+def encode_calls(monkeypatch):
+    """Arguments of every canonical.encode_fields call: every field map the
     package encodes."""
-    return _record_calls(monkeypatch, canonical.field_entries)
+    return _record_calls(monkeypatch, canonical.encode_fields)
 
 
 @pytest.fixture

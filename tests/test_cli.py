@@ -166,8 +166,8 @@ def test_unusable_inputs_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["run", malformed, "--out", str(tmp_path / "z")]) == 2
         assert problem in capsys.readouterr().err
     for overrides, problem in (
-        ({"n_agents": "x"}, "n_agents must be an integer >= 1"),
-        ({"n_agents": 2.5}, "n_agents must be an integer >= 1"),
+        ({"n_agents": "x"}, "n_agents must be an integer in [1, 4294967296]"),
+        ({"n_agents": 2.5}, "n_agents must be an integer in [1, 4294967296]"),
         ({"churn": "x"}, "churn must be a number in [0, 1)"),
         ({"fanout": "x"}, "fanout must be an integer >= 1"),
         ({"seed": "x"}, "seed must be an integer"),
@@ -542,16 +542,18 @@ def test_attack_double_spend_reports_rates(tmp_path, capsys):
 
 def test_malformed_attack_and_bench_flags_exit_2_naming_the_flag(capsys):
     for argv, problem in (
-        (["attack", "--kind", "double_spend", "--agents", "0"], "error: --agents must be an integer >= 1"),
+        (["attack", "--kind", "double_spend", "--agents", "0"],
+         "error: --agents must be an integer in [1, 4294967296]"),
         (["attack", "--kind", "double_spend", "--audit", "-1"], "error: --audit must be an integer >= 0"),
         (["attack", "--kind", "double_spend", "--witnesses", "-3"],
          "error: --witnesses must be an integer >= 1"),
         (["attack", "--kind", "double_spend", "--trials", "-1"], "error: --trials must be an integer >= 0"),
         (["bench", "--sizes", "abc"], "argument --sizes: must be comma separated integers, got 'abc'"),
-        (["bench", "--sizes", "1"], "error: --sizes must be an integer >= 5"),
+        (["bench", "--sizes", "1"], "error: --sizes must be an integer in [5, 4294967296]"),
         (["bench", "--redundancy", "0"], "error: --redundancy must be an integer >= 1"),
         (["bench", "--entries", "-1"], "error: --entries must be an integer >= 0"),
-        (["bench", "--sizes", "4", "--redundancy", "4"], "error: --sizes must be an integer >= 5"),
+        (["bench", "--sizes", "4", "--redundancy", "4"],
+         "error: --sizes must be an integer in [5, 4294967296]"),
     ):
         capsys.readouterr()
         try:
@@ -559,6 +561,26 @@ def test_malformed_attack_and_bench_flags_exit_2_naming_the_flag(capsys):
         except SystemExit as exc:  # argparse refuses what it cannot parse
             code = exc.code
         assert code == 2, argv
+        assert problem in capsys.readouterr().err
+
+
+def test_member_counts_past_the_u32_index_range_exit_2(monkeypatch, capsys):
+    """--agents and each --sizes value stop at 2**32 members, the most a
+    u32 member index allows; the flag check refuses more before any build."""
+
+    def build(*_args, **_kwargs):
+        raise AssertionError("a refused member count started a build")
+
+    monkeypatch.setattr("agentchain.cli.run_experiment", build)
+    monkeypatch.setattr("agentchain.cli.compare_sweep", build)
+    too_many = str(2**32 + 1)
+    for argv, problem in (
+        (["attack", "--kind", "double_spend", "--agents", too_many],
+         "error: --agents must be an integer in [1, 4294967296]"),
+        (["bench", "--sizes", f"8,{too_many}"], "error: --sizes must be an integer in [5, 4294967296]"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
         assert problem in capsys.readouterr().err
 
 

@@ -513,8 +513,7 @@ def test_publish_skips_offline_validators_without_penalty():
     receipts = net.publish(author, record)
     assert len(receipts) == net.redundancy - 1
     assert not sleeper.holds(key)
-    row = author.experience.rows[sleeper.public_key]
-    assert (row.experience, row.confidence) == (0, 0.5)  # noted, not punished
+    assert sleeper.public_key not in author.experience.rows  # skipped, not scored
 
 
 def test_invalid_publish_rejected_and_scored_against_author():
@@ -955,6 +954,30 @@ def test_a_restricted_publish_plans_its_offline_holder_before_any_round():
     assert [a for a in net.neighborhood(key) if key in net._pending.get(a, ())] == [missing]
 
 
+def test_a_stored_key_leaves_its_pending_set_whatever_stored_it():
+    """A key stays pending at a member only while the member's shard lacks
+    it. Here the member offline at a publish stores the key from a
+    re-publish once it is back, not from gossip, and gossip rounds follow."""
+    net = _network(n=8, seed=7)
+    rng = random.Random(3)
+    author = net.agents[0]
+    records = [author.append("vitals_pulse", _vitals_fields(author, 60 + t), t) for t in range(4)]
+    key = record_key(records[0])
+    missing = next(a for a in net.neighborhood(key) if a is not author)
+    missing.online = False
+    for record in records:
+        net.publish(author, record)
+    assert key in net._pending[missing]
+    missing.online = True
+    net.publish(author, records[0])
+    assert key in missing.shard
+    for _ in range(4):
+        net.gossip_round(rng)
+    assert net._pending
+    for member, keys in net._pending.items():
+        assert not keys & member.shard.keys(), member.index
+
+
 def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossip():
     """The joiner takes the place of the key's farthest holder, which was
     offline at the publish and so still lacked the key: the joiner must
@@ -1377,7 +1400,7 @@ _MEMBER_WRITERS = {"Network.__init__", "Network.join"}
 _PLAN_STATE = {"_restricted", "_shared", "_pending"}
 _PLAN_WRITERS = {
     "Network.__init__", "Network.join", "Network.publish", "Network._plan",
-    "Network._sync_records",
+    "Network._store_if_valid",
 }
 
 

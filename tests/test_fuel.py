@@ -68,7 +68,13 @@ from agentchain.sim import (
     run_double_spend_experiment,
     run_scenario,
 )
-from agentchain.validation import Marketplace, Reason, validate_transaction
+from agentchain.validation import (
+    TRANSFER_BODY_FIELDS,
+    Marketplace,
+    Reason,
+    transfer_body,
+    validate_transaction,
+)
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
@@ -816,23 +822,20 @@ def test_a_transfer_decodes_no_field_map(decode_calls):
     assert forged.fields == fields and sender_copy.fields is tx.fields
 
 
-def test_a_settle_encodes_each_field_of_the_transfer_once(field_entry_calls):
-    """The body's six fields are encoded once, for tx_id and both
-    signatures, and the co-signed entry joins them with the encodings of
-    the id and the signatures: no encode_fields of a whole map, which
-    would encode the body again."""
+def test_a_settle_encodes_the_transfer_body_once_and_its_entry_once(encode_calls):
+    """A settle writes two field maps through the one writer: the body, for
+    tx_id and both signatures, and the co-signed entry both chains hold."""
     net = _network()
     a, b = net.agents[0], net.agents[1]
     append_seed_grant(a, 10, 1)
-    field_entry_calls.clear()
+    encode_calls.clear()
     tx, _ = settle(net, a, b, 4, 2, random.Random(0), publish=False)
-    encoded = [name for (fields,) in field_entry_calls for name in fields]
-    assert sorted(encoded) == sorted(tx.fields)
-    assert len(field_entry_calls) == 2
-    # the joined bytes are the ones a whole-map encoding gives
-    assert tx.body_bytes == canonical.encode_fields(tx.body_fields())
-    assert tx.payload == canonical.encode_fields(dict(tx.fields))
-    assert a.chain.records[-1].payload == b.chain.records[-1].payload == tx.payload
+    assert [sorted(fields) for (fields,) in encode_calls] == [
+        sorted(TRANSFER_BODY_FIELDS), sorted(tx.fields),
+    ]
+    assert tx.body_bytes == transfer_body(tx.fields)
+    payload = canonical.encode_fields(dict(tx.fields))
+    assert a.chain.records[-1].payload == b.chain.records[-1].payload == tx.payload == payload
 
 
 # --- whole scenarios -------------------------------------------------------------

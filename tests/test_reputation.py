@@ -57,13 +57,6 @@ def test_threshold_is_strict_less_than():
     assert is_blacklisted(m, PEER)
 
 
-def test_unavailable_changes_nothing():
-    m = ExperienceMatrix()
-    update_experience(m, PEER, ObservationKind.UNAVAILABLE)
-    assert m.rows[PEER] == PeerRow(0, 0.5)
-    assert not is_blacklisted(m, PEER)
-
-
 def test_rows_are_per_peer():
     m = ExperienceMatrix()
     other = b"\xbb" * 32

@@ -63,6 +63,14 @@ def test_config_rejects_impossible_shapes(bad):
         _cfg(**bad)
 
 
+def test_member_counts_stop_at_the_u32_index_range():
+    """Each member's key seed holds its index as a u32, so a scenario has
+    at most 2**32 members; the check refuses more before any is built."""
+    assert ScenarioConfig(n_agents=2**32).n_agents == 2**32
+    with pytest.raises(ConfigError, match=r"^n_agents must be an integer in \[1, 4294967296\]$"):
+        ScenarioConfig(n_agents=2**32 + 1)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"name": "x", "banana": 1})

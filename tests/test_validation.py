@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from agentchain import canonical
 from agentchain.chain import (
     COST_LIGHT,
     COST_HEAVY,
@@ -27,7 +26,7 @@ from agentchain.validation import (
     Reason,
     Verdict,
     authenticate_channel,
-    transfer_signing_fields,
+    transfer_body,
     validate_application,
     validate_transaction,
     validation_work,
@@ -255,7 +254,7 @@ def _transfer_fields(sender_keys, receiver_keys, amount=3):
         "sender_prior_balance": 10,
         "timestamp": 100,
     }
-    body = canonical.encode_fields(transfer_signing_fields(fields))
+    body = transfer_body(fields)
     fields["tx_id"] = hash_bytes(body)
     fields["sender_sig"] = sign(sender_keys, body)
     fields["receiver_sig"] = sign(receiver_keys, body)
