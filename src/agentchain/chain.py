@@ -189,28 +189,6 @@ def encode_dna(dna: DnaDocument) -> bytes:
     return w.getvalue()
 
 
-def decode_dna(data: bytes) -> DnaDocument:
-    r = Reader(data)
-    if r.u8() != ord("D"):
-        raise EncodingError("not a DNA encoding")
-    app_name = r.string()
-    description = r.string()
-    defs = []
-    for _ in range(r.u32()):
-        type_name = r.string()
-        schema = tuple((r.string(), r.string()) for _ in range(r.u32()))
-        rules = tuple(r.string() for _ in range(r.u32()))
-        cost = r.string()
-        defs.append(EntryTypeDef(type_name, schema, rules, cost))
-    vfids = tuple(r.string() for _ in range(r.u32()))
-    params = tuple((r.string(), r.string()) for _ in range(r.u32()))
-    redundancy = r.u32()
-    rule = r.string()
-    alg = r.string()
-    r.finish()
-    return DnaDocument(app_name, description, tuple(defs), vfids, params, redundancy, rule, alg)
-
-
 @dataclass(frozen=True)
 class GenesisRecord:
     """Second chain entry: ties an agent key to a network id."""

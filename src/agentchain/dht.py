@@ -226,7 +226,6 @@ class Agent:
     experience: ExperienceMatrix = field(default_factory=ExperienceMatrix)
     shard: dict[bytes, Record] = field(default_factory=dict)
     news_bits: int = 0  # the news pool, as bits of the network's claim table
-    published: set[bytes] = field(default_factory=set)
     rate_window: dict[bytes, int] = field(default_factory=dict)
     node_id: int = 0
 
@@ -329,17 +328,16 @@ class Network:
         self.backup_factor = backup_factor
         self.witness_count = witness_count
         self.audit_samples = audit_samples
-        # the members in join order, and public key -> the positions of
-        # that key's members there, ascending (a keypair may join more than
-        # once); written by join only
+        # the members in join order, one per public key, and public key ->
+        # its member's position there; written by join only
         self.agents: list[Agent] = []
-        self._positions: dict[bytes, list[int]] = {}
+        self._positions: dict[bytes, int] = {}
         self.redundancy = dna.dht_redundancy
         # hooks see (kind, sender, receiver, payload) and may mutate payload
         self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
         self.current_tick = 0
-        # the members by node id, ties in join order, and their ids, for
-        # the walk; built on the first ranking after a join
+        # the members by node id, and their ids, for the walk; built on the
+        # first ranking after a join
         self._by_id: list[Agent] = []
         self._ids: list[int] = []
         # key -> the members nearest it, as far as readers have walked; see
@@ -368,7 +366,9 @@ class Network:
     def join(self, agent: Agent) -> None:
         if agent.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
-        self._positions.setdefault(agent.public_key, []).append(len(self.agents))
+        if agent.public_key in self._positions:
+            raise DhtError("an agent with this public key is already a member")
+        self._positions[agent.public_key] = len(self.agents)
         self.agents.append(agent)
         self._by_id.clear()
         self._ids.clear()
@@ -385,36 +385,27 @@ class Network:
 
     # -- peer pools -----------------------------------------------------------
 
-    def others(self, agent: Agent) -> list[Agent]:
-        """The members other than agent, in join order: the members list
-        sliced around agent's own positions."""
-        agents = self.agents
-        return self._cut(
-            [p for p in self._positions.get(agent.public_key, ()) if agents[p] is agent]
-        )
-
     def strangers(self, *keys: bytes) -> list[Agent]:
         """The members whose public key is none of keys, in join order: the
-        members list sliced around every position of those keys."""
+        members list sliced around the positions of those keys."""
         positions = self._positions
-        return self._cut(sorted(p for key in set(keys) for p in positions.get(key, ())))
+        return self._cut(sorted(positions[key] for key in set(keys) if key in positions))
 
     def _cut(self, positions: list[int]) -> list[Agent]:
         """The members list without the given ascending positions."""
         agents = self.agents
-        if not positions:
-            return agents[:]
-        pool = agents[: positions[0]]
-        for start, end in zip(positions, positions[1:]):
-            pool += agents[start + 1 : end]
-        pool += agents[positions[-1] + 1 :]
+        pool, start = [], 0
+        for end in positions:
+            pool += agents[start:end]
+            start = end + 1
+        pool += agents[start:]
         return pool
 
     # -- topology ----------------------------------------------------------
 
     def _ranking(self, key: bytes, want: int) -> list[Agent]:
         """At least the min(want, n) members nearest to key by XOR over
-        node ids, nearest first; ties keep join order.
+        node ids, nearest first.
 
         The ranking depends on the key and on membership only, so the
         walked prefix is kept per key and dropped when an agent joins. A
@@ -437,7 +428,8 @@ class Network:
         A range of that order shares every id bit above the highest bit in
         which its ends differ; the half whose bit there matches k's comes
         first. A range that fits in what is still wanted is ordered with
-        one stable sort, so ties keep join order throughout.
+        one sort. Members have distinct keys, so distinct node ids: a range
+        that does not fit holds two ids, which differ in some bit.
         """
         if not self._by_id:
             self._by_id = sorted(self.agents, key=lambda a: a.node_id)
@@ -452,9 +444,6 @@ class Network:
                 out.extend(sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k))
                 continue
             bit = (ids[lo] ^ ids[hi - 1]).bit_length() - 1
-            if bit < 0:  # one id throughout: join order
-                out.extend(by_id[lo : lo + left])
-                break
             mid = bisect_left(ids, ids[hi - 1] >> bit << bit, lo, hi)
             near, far = ((mid, hi), (lo, mid)) if k >> bit & 1 else ((lo, mid), (mid, hi))
             ranges += (far, near)
@@ -473,7 +462,7 @@ class Network:
             yield ranking[i]
 
     def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
-        """The min(r, n) agents nearest to key, online or not, stable order.
+        """The min(r, n) agents nearest to key, online or not, nearest first.
 
         A prefix of the key's memoized ranking: it changes only when an
         agent joins, never with presence.
@@ -614,7 +603,6 @@ class Network:
         key = record_key(record)
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
-        author.published.add(key)
         payload = self._publish_payload(self.network_id, record)
         envelope = make_envelope(author.keys, "publish", payload)
         receipts: list[Receipt] = []
@@ -814,15 +802,12 @@ class Network:
             self._score_misbehavior(dst, claim)
 
     def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
-        """Offer dst the keys of its want-list that src holds or has
-        published, lowest key first."""
-        for key in sorted(k for k in want if k in src.shard or k in src.published):
+        """Offer dst the keys of its want-list that src holds, lowest key
+        first."""
+        for key in sorted(k for k in want if src.holds(k)):
             if dst.holds(key):
                 continue
-            record = src.lookup(key)
-            if record is None:
-                continue
-            if self._store_if_valid(dst, record, key, src.public_key):
+            if self._store_if_valid(dst, src.lookup(key), key, src.public_key):
                 self.metrics.backup_transfers += 1
 
     # -- integrity sweeps -------------------------------------------------------

@@ -298,7 +298,7 @@ def accept_fuel_tx(
     if has_transfer(receiver.chain, pending.tx_id):
         raise FuelError("transfer already recorded on the receiver chain")
     if audit:
-        pool = network.others(receiver)
+        pool = network.strangers(receiver.public_key)
         k = min(network.audit_samples, len(pool))
         sampled = rng.sample(pool, k) if k else []
         network.metrics.messages += len(sampled)

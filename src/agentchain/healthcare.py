@@ -179,18 +179,15 @@ class VitalsReading:
     value: int
     taken_at: int
 
-    def unit(self) -> str:
-        return VITALS_METRICS[self.metric][0]
-
 
 def publish_vitals(
     patient: Agent,
     reading: VitalsReading,
     clock: int,
     network: Network | None = None,
-    to_dht: bool = False,
 ) -> Record:
-    """Append one reading to the patient chain; optionally share to holders.
+    """Append one reading to the patient chain; share it to its holders
+    when given a network.
 
     Honest devices refuse implausible values up front; the same bounds are
     enforced network-side by the blueprint rules.
@@ -211,9 +208,7 @@ def publish_vitals(
         },
         clock,
     )
-    if to_dht:
-        if network is None:
-            raise HealthcareError("sharing to holders needs a network")
+    if network is not None:
         network.publish(patient, record)
     return record
 
@@ -297,14 +292,14 @@ def revoke_grant(
     token: bytes,
     clock: int,
     network: Network | None = None,
-    publish: bool = True,
 ) -> Record:
-    """Kill a grant by appending a revocation that names its token."""
+    """Kill a grant by appending a revocation that names its token, and
+    publish it when given a network."""
     target = _find_grant(patient, token)
     if target is None:
         raise HealthcareError("token does not resolve to a grant on this chain")
     record = patient.append(REVOKE_TYPE, {"token": token}, clock)
-    if network is not None and publish:
+    if network is not None:
         network.publish(patient, record)
         # the revocation's holders are not the grant's holders, so float a
         # resolvable hint through the claims pool for whoever serves the grant
@@ -321,13 +316,18 @@ def _find_grant(patient: Agent, token: bytes) -> Record | None:
     return record
 
 
+def _revokes(record: Record | None, patient_key: bytes, token: bytes) -> bool:
+    """Whether record is the patient's revocation of this token."""
+    return (
+        record is not None
+        and record.header.entry_type == REVOKE_TYPE
+        and record.header.author == patient_key
+        and record.fields.get("token") == token
+    )
+
+
 def _is_revoked(patient: Agent, token: bytes) -> bool:
-    for record in patient.chain.records:
-        if record.header.entry_type != REVOKE_TYPE:
-            continue
-        if record.fields.get("token") == token:
-            return True
-    return False
+    return any(_revokes(record, patient.public_key, token) for record in patient.chain.records)
 
 
 def _selector_matches(grant: CapabilityGrant, record: Record) -> bool:
@@ -377,21 +377,14 @@ def _holder_sees_revocation(
     Hints alone prove nothing (anyone can gossip bytes); the named record
     must exist, be the patient's, and name this token.
     """
-    def is_real_revocation(record: Record | None) -> bool:
-        if record is None or record.header.entry_type != REVOKE_TYPE:
-            return False
-        if record.header.author != patient_key:
-            return False
-        return record.fields.get("token") == token
-
-    if any(is_real_revocation(record) for record in holder.shard.values()):
+    if any(_revokes(record, patient_key, token) for record in holder.shard.values()):
         return True
     for claim in network.claims_of(holder, CLAIM_REVOKE):
         if claim.extra != token:
             continue
         if claim.agent != patient_key:
             continue
-        if is_real_revocation(network.fetch(holder, claim.subject)):
+        if _revokes(network.fetch(holder, claim.subject), patient_key, token):
             return True
     return False
 

@@ -455,8 +455,7 @@ class Simulation:
             patient,
             VitalsReading(metric=op["metric"], value=op["value"], taken_at=tick),
             tick,
-            network=self.network,
-            to_dht=op["share"],
+            network=self.network if op["share"] else None,
         )
         if op["track"]:
             self.tracked_keys.append(record_key(record))
@@ -491,7 +490,7 @@ class Simulation:
         patient = self.agent(op["patient"])
         token = self._token(tick, op)
         try:
-            revoke_grant(patient, token, tick, network=self.network, publish=op["publish"])
+            revoke_grant(patient, token, tick, network=self.network if op["publish"] else None)
         except HealthcareError as exc:
             raise ConfigError(f"tick {tick} op revoke: {exc}") from None
         if op["publish"]:
@@ -977,11 +976,6 @@ def run_tamper_experiment(seed: int, rounds: int = 3) -> dict:
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             check(swapped)
     return {"attempted": attempted, "detected": detected, "missed": attempted - detected}
-
-
-def run_forged_token_experiment(seed: int, probes: int) -> dict:
-    """Random 32-byte tokens against a patient holding one real grant."""
-    return run_experiment(AttackKind.FORGED_TOKEN, seed, probes)
 
 
 def run_experiment(kind: AttackKind, seed: int, trials: int, **kwargs) -> dict:

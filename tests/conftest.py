@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from agentchain import canonical, crypto
+from agentchain import canonical, crypto, fuel
+from agentchain.chain import encode_record, record_key
+from agentchain.dht import CLAIM_TRANSFER
 
 SESSION_T0 = time.monotonic()
 SUITE_BUDGET_SECONDS = 300.0
@@ -98,3 +100,54 @@ def holders_of(network, key: bytes) -> list:
     """The members that hold key in their shard or chain, in join order: a
     full scan, the oracle a holder index would be checked against."""
     return [agent for agent in network.agents if agent.holds(key)]
+
+
+def assert_network_coherent(network) -> None:
+    """Every value the network and its members keep beside its source,
+    recomputed from that source: member positions, the node-id order and
+    the walked rankings, the re-replication plan, the claim table and the
+    transfer index, chain key indexes and running fuel ledgers."""
+    agents = network.agents
+    assert network._positions == {a.public_key: i for i, a in enumerate(agents)}
+    assert len(network._positions) == len(agents)
+    if network._by_id:
+        assert network._by_id == sorted(agents, key=lambda a: a.node_id)
+    assert network._ids == [a.node_id for a in network._by_id]
+
+    def ranked(key: bytes) -> list:
+        k = int.from_bytes(key, "big")
+        return sorted(agents, key=lambda a: a.node_id ^ k)
+
+    for key, ranking in network._rankings.items():
+        assert ranking == ranked(key)[: len(ranking)]
+    plan: dict = {}
+    for key in network._restricted:
+        for member in ranked(key)[: max(0, network.redundancy)]:
+            if key not in member.shard:
+                plan.setdefault(member, set()).add(key)
+    assert {a: keys for a, keys in network._pending.items() if keys} == plan
+
+    claims = network._claims
+    pools = 0
+    for agent in agents:
+        pools |= agent.news_bits
+    assert pools == (1 << len(claims)) - 1
+    assert network._claim_bit == {c.claim_id: bit for bit, c in enumerate(claims)}
+    kinds: dict = {}
+    transfers: dict = {}
+    for bit, claim in enumerate(claims):
+        kinds[claim.kind] = kinds.get(claim.kind, 0) | 1 << bit
+        if claim.kind == CLAIM_TRANSFER:
+            transfers.setdefault((claim.agent, claim.extra), {})[claim.claim_id] = claim.subject
+    assert network._kind_bits == kinds
+    assert network.transfer_index == transfers
+
+    for agent in agents:
+        records = agent.chain.records
+        keys = [crypto.hash_bytes(encode_record(r)) for r in records]
+        assert [record_key(r) for r in records] == keys
+        assert agent.chain.keys == {key: seq for seq, key in enumerate(keys)}
+        assert fuel.balance(agent.chain) == fuel.walk_balance(agent.chain)
+        assert agent.chain.ledger.tx_ids == {
+            r.fields["tx_id"] for r in records if r.header.entry_type == fuel.FUEL_TX_TYPE
+        }

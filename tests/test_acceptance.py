@@ -30,12 +30,13 @@ from agentchain.reputation import (
     update_experience,
 )
 from agentchain.sim import (
+    AttackKind,
     config_from_dict,
     export_all_chains,
     load_scenario,
     mutate_record,
     run_double_spend_experiment,
-    run_forged_token_experiment,
+    run_experiment,
     run_scenario,
 )
 from agentchain.validation import Marketplace, Reason, authenticate_channel
@@ -203,7 +204,6 @@ def test_03_blueprint_edits_rekey_the_network_and_forks_stay_apart():
                     VitalsReading("pulse", 70 + ag.index, tick),
                     tick,
                     network=net,
-                    to_dht=True,
                 )
                 rec = ag.append("report", {"text": f"note {tick}"}, tick)
                 net.publish(ag, rec)
@@ -306,7 +306,7 @@ def test_07_capability_gated_access_is_exact():
     assert outcomes.count("granted") == 1
     assert "denied:revoked" in outcomes
 
-    forged = run_forged_token_experiment(seed=90210, probes=100_000)
+    forged = run_experiment(AttackKind.FORGED_TOKEN, 90210, 100_000)
     assert forged["attempted"] == 100_000
     assert forged["detected"] == 100_000
     assert forged["missed"] == 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentchain import chain as chain_module
-from agentchain.canonical import EncodingError, Writer
+from agentchain.canonical import EncodingError, Reader, Writer
 from agentchain.chain import (
     COST_HEAVY,
     ChainError,
@@ -33,7 +33,6 @@ from agentchain.chain import (
     SYSTEM_TYPES,
     VerificationReport,
     append_entry,
-    decode_dna,
     decode_genesis,
     decode_record,
     encode_dna,
@@ -289,6 +288,30 @@ def test_golden_chain_fixture():
     records = parse_chain_text(text)
     assert len(records) == 7
     assert verify_records(records).ok
+
+
+def decode_dna(data: bytes) -> DnaDocument:
+    """The strict mirror of encode_dna, Reader-based: the round-trip oracle
+    of the DNA layout. The program only encodes and hashes a DNA."""
+    r = Reader(data)
+    if r.u8() != ord("D"):
+        raise EncodingError("not a DNA encoding")
+    app_name = r.string()
+    description = r.string()
+    defs = []
+    for _ in range(r.u32()):
+        type_name = r.string()
+        schema = tuple((r.string(), r.string()) for _ in range(r.u32()))
+        rules = tuple(r.string() for _ in range(r.u32()))
+        cost = r.string()
+        defs.append(EntryTypeDef(type_name, schema, rules, cost))
+    vfids = tuple(r.string() for _ in range(r.u32()))
+    params = tuple((r.string(), r.string()) for _ in range(r.u32()))
+    redundancy = r.u32()
+    rule = r.string()
+    alg = r.string()
+    r.finish()
+    return DnaDocument(app_name, description, tuple(defs), vfids, params, redundancy, rule, alg)
 
 
 def test_golden_dna_fixture():

@@ -489,6 +489,21 @@ def test_verify_rejects_unparseable_input(tmp_path):
     assert main(["verify", str(tmp_path / "missing.chain")]) == 2
 
 
+def test_an_unusable_out_path_exits_2_naming_it_and_leaves_no_temp_file(tmp_path, capsys):
+    a_file, a_dir = tmp_path / "taken", tmp_path / "dir"
+    a_file.write_text("x")
+    a_dir.mkdir()
+    for argv, named in (
+        (["run", _scenario(tmp_path), "--out", str(a_file)], a_file / "metrics.csv"),
+        (["attack", "--kind", "dna_fork", "--trials", "1", "--out", str(a_dir)], a_dir),
+        (["bench", "--entries", "5", "--sizes", "8", "--out", str(a_dir)], a_dir),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: unwritable: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "scenario.json", "taken"]
+    assert a_file.read_text() == "x"
+
+
 # --- attack ------------------------------------------------------------------
 
 def test_attack_writes_report(tmp_path, capsys):

@@ -53,6 +53,7 @@ from agentchain.dht import (
 from agentchain.healthcare import healthcare_dna
 from agentchain.reputation import ObservationKind, is_blacklisted, update_experience
 from agentchain.sim import (
+    Simulation,
     audit_access_log,
     config_from_dict,
     export_all_chains,
@@ -60,7 +61,7 @@ from agentchain.sim import (
     run_scenario,
 )
 from agentchain.validation import Marketplace
-from conftest import holders_of
+from conftest import assert_network_coherent, holders_of
 
 
 def _network(n=12, seed=99, **kw):
@@ -219,10 +220,18 @@ def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
     readers = ["r0", "r1", "r", "r9", "past n", "backup", "fetch held", "fetch missing"]
     for step in range(data.draw(st.integers(1, 12), label="steps")):
         if len(net.agents) < 2 or data.draw(st.booleans(), label="join"):
-            # few keypairs, so one often joins twice; the index is drawn
-            # apart from the join order, which alone must break ties
-            seed = agent_seed(0, data.draw(st.integers(0, 5), label="keypair"))
-            net.join(make_agent(data.draw(st.integers(0, 99), label="index"), seed, dna))
+            # few keypairs, so a member's key often tries to join again and
+            # is refused, keeping what readers walked; the index is drawn
+            # apart from the join order
+            seed = agent_seed(0, data.draw(st.integers(0, 9), label="keypair"))
+            agent = make_agent(data.draw(st.integers(0, 99), label="index"), seed, dna)
+            if agent.public_key in net._positions:
+                kept = dict(net._rankings)
+                with pytest.raises(DhtError):
+                    net.join(agent)
+                assert net._rankings == kept
+            else:
+                net.join(agent)
             continue
         n = len(net.agents)
         near_member = rng.choice(net.agents).node_id ^ rng.getrandbits(rng.choice([0, 8, 255]))
@@ -251,15 +260,21 @@ def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
                 assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
 
 
-def test_a_keypair_joined_twice_ranks_in_join_order_not_by_index():
+def test_a_member_s_key_cannot_join_again():
     net = _network(n=5)
-    dna, seed = net.dna, agent_seed(99, 3)
-    first, second = make_agent(50, seed, dna), make_agent(7, seed, dna)
-    net.join(first)
-    net.join(second)
-    key = first.node_id.to_bytes(32, "big")
-    assert net.neighborhood(key, 3) == [net.agents[3], first, second]
-    assert net.neighborhood(key, 2) == oracle_neighborhood(net, key, 2)
+    member = net.agents[3]
+    key = member.node_id.to_bytes(32, "big")
+    assert net.neighborhood(key, 3)[0] is member
+    state = (list(net.agents), dict(net._positions), {k: list(v) for k, v in net._rankings.items()})
+    for agent in (member, make_agent(50, agent_seed(99, 3), net.dna)):
+        with pytest.raises(DhtError, match="already a member"):
+            net.join(agent)
+        assert (net.agents, net._positions, net._rankings) == state
+    # a member's key under a foreign blueprint is refused for its blueprint
+    forked = dataclasses.replace(net.dna, app_name=net.dna.app_name + "-fork")
+    with pytest.raises(CrossNetworkError):
+        net.join(make_agent(50, agent_seed(99, 3), forked))
+    assert (net.agents, net._positions, net._rankings) == state
 
 
 def test_a_walk_past_the_kept_prefix_doubles_it():
@@ -781,11 +796,21 @@ def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
             assert rng.getstate() == oracle_rng.getstate()
 
 
+def published_by(net, agent):
+    """The keys agent published, read off the network's published index."""
+    return {
+        key
+        for index in (net._shared, net._restricted)
+        for key, record in index.items()
+        if record.header.author == agent.public_key
+    }
+
+
 def oracle_sync_records(net, src, dst, want=None):
     """The per-contact loop the want-lists replace: every key src holds or
     has published, lowest first, re-deriving dst's membership of the key's
     holder set each time. Ignores want."""
-    for key in sorted(set(src.shard) | src.published):
+    for key in sorted(set(src.shard) | published_by(net, src)):
         if dst.holds(key):
             continue
         record = src.lookup(key)
@@ -829,7 +854,7 @@ def oracle_want_lists(net):
     online = [a for a in net.agents if a.online]
     records = {}
     for agent in online:
-        for key in itertools.chain(agent.shard, agent.published):
+        for key in itertools.chain(agent.shard, published_by(net, agent)):
             if key not in records:
                 record = agent.lookup(key)
                 if record is not None:
@@ -847,14 +872,14 @@ def _assert_plan_matches_the_oracle(net, wants):
     can move. The plan may also name keys the agent holds (on its chain:
     its pending set follows its shard) and keys no online agent can offer
     (held offline, or published and since rewritten). Those are inert:
-    _sync_records offers only keys its sender has in its shard or has
-    published and can look up, and only to a receiver that does not hold
-    them, so neither kind ships a record, counts or draws anything."""
+    _sync_records offers only keys its sender holds, and only to a receiver
+    that does not hold them, so neither kind ships a record, counts or
+    draws anything."""
     online = [a for a in net.agents if a.online]
     offerable = {
         key
         for agent in online
-        for key in itertools.chain(agent.shard, agent.published)
+        for key in itertools.chain(agent.shard, published_by(net, agent))
         if agent.lookup(key) is not None
     }
     assert list(wants) == online
@@ -1045,8 +1070,7 @@ def test_plans_follow_publishes_presence_joins_and_rewrites_as_the_oracle_does(c
     for clock, (step, gossip) in enumerate(steps, start=1):
         kind = step[0]
         if kind == "join":
-            # a keypair may join more than once
-            net.join(make_agent(len(net.agents), agent_seed(1000, step[1]), dna))
+            net.join(make_agent(len(net.agents), agent_seed(1000 + step[1], len(net.agents)), dna))
         elif kind in ("replace", "truncate") and published:
             author, record = published[-1 - step[1] % len(published)]
             seq = author.chain.keys.get(record_key(record))  # None once rewritten
@@ -1144,15 +1168,24 @@ def churn_scenarios(draw):
 @settings(max_examples=25, deadline=None)
 def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
     planned = Network._want_lists
+    invariants = Simulation._check_invariants
+    checked_ticks = []
 
     def checked(net):
         wants = planned(net)
         _assert_plan_matches_the_oracle(net, wants)
         return wants
 
+    def coherent(self, tick):
+        invariants(self, tick)
+        assert_network_coherent(self.network)
+        checked_ticks.append(tick)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Network, "_want_lists", checked)
+        patch.setattr(Simulation, "_check_invariants", coherent)
         production = run_scenario(config_from_dict(doc))
+    assert checked_ticks == list(range(doc["ticks"]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Network, "_sync_records", oracle_sync_records)
         oracle = run_scenario(config_from_dict(doc))
@@ -1469,7 +1502,7 @@ def _writers_and_offenders(state, allowed) -> tuple[set[str], list[str]]:
 def test_only_join_writes_the_members_and_their_positions():
     assert _writers_and_offenders(_MEMBER_STATE, _MEMBER_WRITERS) == (_MEMBER_WRITERS, [])
     probe = ast.parse(
-        "n.agents.append(a)\nn._positions.setdefault(k, []).append(0)\nn.agents[0] = a\n"
+        "n.agents.append(a)\nn._positions[k] = 0\nn.agents[0] = a\n"
         "x = n._positions.get(k)\nclass Network:\n    def join(self, a):\n"
         "        self.agents += [a]\n"
     )

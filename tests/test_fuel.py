@@ -75,6 +75,7 @@ from agentchain.validation import (
     transfer_body,
     validate_transaction,
 )
+from conftest import assert_network_coherent
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
@@ -729,7 +730,7 @@ def test_clear_news_empties_every_bitmap_and_restarts_the_numbering():
 # draws by pops from the copy; above it, it draws indices into the
 # population and rejects repeats by a set (for k = 7 or 8)
 SAMPLE_CUTOFF = 21 + 4 ** 3
-_POOL_KEYPAIRS = 100
+_POOL_KEYPAIRS = SAMPLE_CUTOFF + 35
 
 
 @pytest.fixture(scope="module")
@@ -741,25 +742,22 @@ def pool_agents():
 
 @st.composite
 def memberships(draw, agents):
-    """A network whose members repeat keypairs, sometimes the same agent
-    object, under Agent.index values that are not their positions; and a
-    sender key and a receiver agent, either of which may not be a member."""
+    """A network of distinct keypairs in a drawn order, under Agent.index
+    values that are not their positions; and a sender key and a receiver
+    agent, either of which may not be a member."""
     dna, bases = agents
     size = draw(st.one_of(
         st.integers(0, 12),
         st.integers(SAMPLE_CUTOFF - 6, SAMPLE_CUTOFF + 4),
         st.integers(SAMPLE_CUTOFF + 5, SAMPLE_CUTOFF + 25),
     ))
+    order = draw(st.permutations(range(len(bases))))
     network = Network(dna, Marketplace())
-    for _ in range(size):
-        if network.agents and draw(st.integers(0, 9)) == 0:
-            agent = draw(st.sampled_from(network.agents))  # the same object again
-        else:
-            base = bases[draw(st.integers(0, len(bases) - 1))]
-            agent = Agent(index=draw(st.integers(-5, 10**6)), keys=base.keys, chain=base.chain)
-        network.join(agent)
-    # a member, or an agent that never joined: on a member's keypair or not
-    outsider = bases[draw(st.integers(0, len(bases) - 1))]
+    for i in order[:size]:
+        base = bases[i]
+        network.join(Agent(index=draw(st.integers(-5, 10**6)), keys=base.keys, chain=base.chain))
+    # a member, or an agent on a keypair that never joined
+    outsider = bases[order[-1]]
     receiver = draw(st.one_of(
         st.sampled_from(network.agents) if network.agents else st.nothing(),
         st.just(Agent(index=0, keys=outsider.keys, chain=outsider.chain)),
@@ -780,7 +778,7 @@ def test_pools_by_slices_equal_the_scans_and_draw_the_same_peers(pool_agents, da
     audit_pool = [a for a in network.agents if a is not receiver]
     witness_pool = [a for a in network.agents if a.public_key not in (sender, receiver.public_key)]
     pools = [
-        (network.others(receiver), audit_pool),
+        (network.strangers(receiver.public_key), audit_pool),
         (network.strangers(sender, receiver.public_key), witness_pool),
     ]
     for sliced, scanned in pools:
@@ -912,6 +910,7 @@ def test_generated_fuel_scenarios_keep_every_running_balance_on_the_walk(doc):
         real(self, tick)
         for agent in self.network.agents:
             assert balance(agent.chain) == oracle_balance(agent.chain), (tick, agent.index)
+        assert_network_coherent(self.network)
         checked.append(tick)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -102,8 +102,7 @@ def test_vitals_bounds_are_inclusive_on_both_ends():
     patient = _patient()
     clock = 0
     for metric, (unit, lo, hi) in sorted(VITALS_METRICS.items()):
-        assert VitalsReading(metric, lo, 0).unit() == unit
-        publish_vitals(patient, VitalsReading(metric, lo, 0), clock)
+        assert publish_vitals(patient, VitalsReading(metric, lo, 0), clock).fields["unit"] == unit
         publish_vitals(patient, VitalsReading(metric, hi, 0), clock + 1)
         clock += 2
         for bad in (lo - 1, hi + 1):
@@ -116,15 +115,10 @@ def test_unknown_metric_refused():
         publish_vitals(_patient(), VitalsReading("mood", 5, 0), 0)
 
 
-def test_sharing_needs_a_network():
-    with pytest.raises(HealthcareError):
-        publish_vitals(_patient(), VitalsReading("pulse", 72, 0), 0, to_dht=True)
-
-
 def test_shared_vitals_reach_their_holders():
     net = _network()
     patient = net.agents[0]
-    record = publish_vitals(patient, VitalsReading("oxygen", 97, 1), 5, net, to_dht=True)
+    record = publish_vitals(patient, VitalsReading("oxygen", 97, 1), 5, net)
     key = record_key(record)
     holders = holders_of(net, key)
     assert len(holders) >= net.redundancy

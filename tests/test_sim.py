@@ -29,7 +29,6 @@ from agentchain.sim import (
     load_scenario,
     run_double_spend_experiment,
     run_experiment,
-    run_forged_token_experiment,
     run_scenario,
     run_tamper_experiment,
 )
@@ -428,7 +427,7 @@ def test_tamper_experiment_catches_every_edit():
 
 
 def test_forged_token_experiment_never_leaks():
-    out = run_forged_token_experiment(seed=9, probes=500)
+    out = run_experiment(AttackKind.FORGED_TOKEN, 9, 500)
     assert out == {"attempted": 500, "detected": 500, "missed": 0}
 
 
