@@ -15,11 +15,11 @@ fancier belongs in its own record type.
 Byte layouts of the hot encodings. ``lp(x)`` is x's byte length as a
 big-endian u32, then x; a string is lp of its UTF-8 bytes. These are written
 with precompiled ``struct`` packers joined once, one writer per layout, and
-the three record types read with ``unpack_from`` at offsets. A claim's
-encoding and an agent seed's are only hashed (into NewsClaim.claim_id and
-the member's key seed), never decoded; genesis is read through Reader. Only
-the DNA, the rate-limit event digest (dht) and the bench blocks still go
-through Writer.
+the three record types and the publish payload (GossipMessage.publish_body)
+read with ``unpack_from`` at offsets. A claim's encoding and an agent seed's
+are only hashed (into NewsClaim.claim_id and the member's key seed), never
+decoded; genesis is read through Reader. Only the DNA, the rate-limit event
+digest (dht) and the bench blocks still go through Writer.
 
   field map (encode_fields)     header (chain.encode_header)
     u8   'F' (0x46)               u8   'H' (0x48)
@@ -42,9 +42,13 @@ through Writer.
     lp   extra                    lp   agent id
     lp   detail (UTF-8)           u8   membrane proof flag, 0 or 1
                                   lp   membrane proof, if flag 1
-  agent seed (dht.agent_seed)
-    u64  run seed mod 2**64
-    u32  member index
+  agent seed (dht.agent_seed)   publish payload (dht.make_envelope)
+    u64  run seed mod 2**64       32   network id
+    u32  member index             lp   record
+                                publish envelope, signed bytes
+                                  7    'publish' (ASCII)
+                                  u8   0x00
+                                       publish payload, to the end
 
 A bytes or bytearray value of exactly 32 bytes is always a digest. The
 author signs the header up to and excluding its signature's lp.

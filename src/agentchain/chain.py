@@ -97,8 +97,6 @@ class DnaDocument:
     validation_function_ids: tuple[str, ...] = ()
     params: tuple[tuple[str, str], ...] = ()
     dht_redundancy: int = DEFAULT_REDUNDANCY
-    dht_neighborhood_rule: str = "xor-distance"
-    hash_alg_id: str = HASH_ALG_ID
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entry_type_defs", tuple(self.entry_type_defs))
@@ -184,8 +182,9 @@ def encode_dna(dna: DnaDocument) -> bytes:
         w.string(key)
         w.string(value)
     w.u32(dna.dht_redundancy)
-    w.string(dna.dht_neighborhood_rule)
-    w.string(dna.hash_alg_id)
+    # no blueprint chooses these: every ranking is XOR, every digest SHA-256
+    w.string("xor-distance")
+    w.string(HASH_ALG_ID)
     return w.getvalue()
 
 

@@ -122,15 +122,14 @@ class KeyPair:
     """Signing identity. public_key doubles as the agent id on the wire.
 
     secret_key is libsodium's (seed || public key), made once by
-    generate_keypair for every sign; it follows from seed, so it is
-    neither shown nor compared.
+    generate_keypair for every sign, and the one place the seed is kept.
+    It is neither shown nor compared: one public key is one identity.
     """
 
-    seed: bytes
     public_key: bytes
     secret_key: bytes = field(repr=False, compare=False)
 
-    def __repr__(self) -> str:  # never leak the seed or the secret key
+    def __repr__(self) -> str:  # never leak the secret key
         return f"KeyPair(public_key={self.public_key.hex()[:16]}...)"
 
 
@@ -143,7 +142,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     secret_key = _SecretKeyOut()
     if _seed_keypair(public_key, secret_key, seed) != 0:
         raise RuntimeError("libsodium crypto_sign_ed25519_seed_keypair failed")
-    return KeyPair(seed, public_key.raw, secret_key.raw)
+    return KeyPair(public_key.raw, secret_key.raw)
 
 
 def sign(keys: KeyPair, message: bytes) -> bytes:

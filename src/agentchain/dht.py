@@ -153,32 +153,32 @@ class Receipt:
     key: bytes
 
 
-def envelope_signing_bytes(kind: str, payload: bytes) -> bytes:
-    return kind.encode("utf-8") + b"\x00" + payload
+# what a publish envelope's sender signs before the payload (canonical.py)
+_PUBLISH_TAG = b"publish\x00"
 
 
 @dataclass(frozen=True)
 class GossipMessage:
-    """Signed wire envelope. payload layout depends on kind.
+    """Signed publish envelope: the sender's signature over the publish
+    tag and the payload, which make_envelope writes and publish_body reads.
 
     What is derived from the bytes is derived once per envelope and shared
     by every receiver of it. An envelope is never edited in place: a wire
     hook that changes the payload builds a new one, checked afresh.
     """
 
-    kind: str
     sender: bytes
     payload: bytes
     signature: bytes
 
     @cached_property
     def valid(self) -> bool:
-        """Whether sender signed (kind, payload)."""
-        return verify(self.sender, envelope_signing_bytes(self.kind, self.payload), self.signature)
+        """Whether sender signed the payload."""
+        return verify(self.sender, _PUBLISH_TAG + self.payload, self.signature)
 
     @cached_property
     def publish_body(self) -> tuple[bytes, Record]:
-        """A publish payload as (app_id, record); its holders share the one
+        """The payload as (app_id, record); its holders share the one
         record, and so its key. Raises EncodingError, and caches nothing,
         if the payload is not a publish encoding: the 32-byte app id, then
         the record's encoding, length-prefixed."""
@@ -196,12 +196,19 @@ class GossipMessage:
         return app_id, record
 
 
-def make_envelope(keys: KeyPair, kind: str, payload: bytes) -> GossipMessage:
+def make_envelope(keys: KeyPair, app_id: bytes, record: Record) -> GossipMessage:
+    """The signed envelope publishing record to the network app_id names:
+    the one writer of the publish payload that publish_body reads."""
+    if len(app_id) != DIGEST_SIZE:
+        raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(app_id)}")
+    encoded = encode_record(record)
+    if len(encoded) > U32_MAX:
+        raise u32_out_of_range(len(encoded))
+    payload = b"".join((DIGEST_AND_LEN.pack(app_id, len(encoded)), encoded))
     return GossipMessage(
-        kind=kind,
         sender=keys.public_key,
         payload=payload,
-        signature=sign(keys, envelope_signing_bytes(kind, payload)),
+        signature=sign(keys, _PUBLISH_TAG + payload),
     )
 
 
@@ -333,8 +340,8 @@ class Network:
         self.agents: list[Agent] = []
         self._positions: dict[bytes, int] = {}
         self.redundancy = dna.dht_redundancy
-        # hooks see (kind, sender, receiver, payload) and may mutate payload
-        self.wire_hooks: list[Callable[[str, Agent, Agent, bytes], bytes]] = []
+        # hooks see (sender, receiver, payload) of each publish; may mutate it
+        self.wire_hooks: list[Callable[[Agent, Agent, bytes], bytes]] = []
         self.current_tick = 0
         # the members by node id, and their ids, for the walk; built on the
         # first ranking after a join
@@ -355,12 +362,12 @@ class Network:
         self._claim_bit: dict[bytes, int] = {}
         self._kind_bits: dict[str, int] = {}
         # the re-replication plan: every key that reached the network by
-        # publish, with its record, by kind; and member -> the restricted
-        # keys of neighborhoods it is in and its shard lacked when planned
-        # (at publish, and at each join), less those stored there since.
+        # publish, by kind; and member -> the restricted keys of
+        # neighborhoods it is in and its shard lacked when planned (at
+        # publish, and at each join), less those stored there since.
         # Written by join, publish, _plan and _store_if_valid only
-        self._restricted: dict[bytes, Record] = {}
-        self._shared: dict[bytes, Record] = {}
+        self._restricted: set[bytes] = set()
+        self._shared: set[bytes] = set()
         self._pending: dict[Agent, set[bytes]] = {}
 
     def join(self, agent: Agent) -> None:
@@ -473,19 +480,16 @@ class Network:
     def is_restricted(self, entry_type: str) -> bool:
         return entry_type.startswith(self.dna.restricted_prefixes)
 
-    def backup_targets(self, key: bytes, record: Record) -> list[Agent]:
-        """Who should hold this record right now.
-
-        Privacy-restricted types never leave the static neighborhood.
-        Everything else re-targets the nearest currently-online peers, with
-        headroom over the bare redundancy target so flapping holders do not
-        leave a record unreachable.
+    def backup_targets(self, key: bytes) -> list[Agent]:
+        """Who should hold a record of a type that is not restricted right
+        now: the nearest currently-online peers, with headroom over the bare
+        redundancy target so flapping holders do not leave a record
+        unreachable. (A restricted key is held by its static neighborhood,
+        through the plan: see ``_plan``.)
 
         Presence is applied here, at read time, by skipping offline agents
         in the key's ranking, which depends on membership only.
         """
-        if self.is_restricted(record.header.entry_type):
-            return self.neighborhood(key)
         want = max(0, math.ceil(self.redundancy * self.backup_factor))
         return list(itertools.islice((a for a in self._nearest(key, want) if a.online), want))
 
@@ -592,19 +596,21 @@ class Network:
     def publish(self, author: Agent, record: Record) -> list[Receipt]:
         """Push one of the author's own records to its validator neighborhood.
 
-        The record must already sit on the author's chain. Each online
-        validator independently authenticates the channel with its own
-        blueprint copy; storing yields a receipt, anything invalid
-        is rejected and scored against the author. The key then joins the
-        re-replication plan (see ``_plan``).
+        The author must be a member, and the record must already sit on its
+        chain. Each online validator independently authenticates the channel
+        with its own blueprint copy; storing yields a receipt, anything
+        invalid is rejected and scored against the author. The key then
+        joins the re-replication plan (see ``_plan``).
         """
         if author.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("author does not belong to this network")
+        position = self._positions.get(author.public_key)
+        if position is None or self.agents[position] is not author:
+            raise DhtError("author is not a member of this network")
         key = record_key(record)
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
-        payload = self._publish_payload(self.network_id, record)
-        envelope = make_envelope(author.keys, "publish", payload)
+        envelope = make_envelope(author.keys, self.network_id, record)
         receipts: list[Receipt] = []
         for validator in self.neighborhood(key):
             self.metrics.messages += 1
@@ -614,31 +620,22 @@ class Network:
             if receipt is not None:
                 receipts.append(receipt)
         if self.is_restricted(record.header.entry_type):
-            self._restricted[key] = record
+            self._restricted.add(key)
             self._plan(key)
         else:
-            self._shared[key] = record
+            self._shared.add(key)
         return receipts
-
-    @staticmethod
-    def _publish_payload(app_id: bytes, record: Record) -> bytes:
-        if len(app_id) != DIGEST_SIZE:
-            raise EncodingError(f"fixed field wants {DIGEST_SIZE} bytes, got {len(app_id)}")
-        encoded = encode_record(record)
-        if len(encoded) > U32_MAX:
-            raise u32_out_of_range(len(encoded))
-        return b"".join((app_id, LEN_PREFIX.pack(len(encoded)), encoded))
 
     def _deliver_publish(
         self, sender: Agent, validator: Agent, envelope: GossipMessage
     ) -> Receipt | None:
         payload = envelope.payload
         for hook in self.wire_hooks:
-            payload = hook("publish", sender, validator, payload)
+            payload = hook(sender, validator, payload)
         if self._refused(validator, envelope.sender):
             return None
         if payload is not envelope.payload:
-            envelope = GossipMessage(envelope.kind, envelope.sender, payload, envelope.signature)
+            envelope = GossipMessage(envelope.sender, payload, envelope.signature)
         if not envelope.valid:
             # bytes changed in flight; nobody provably sent this, so reject
             # without scoring anyone
@@ -765,8 +762,8 @@ class Network:
         presence, so they are worked out again every round.
         """
         shared: dict[Agent, set[bytes]] = {}
-        for key, record in self._shared.items():
-            for agent in self.backup_targets(key, record):
+        for key in self._shared:
+            for agent in self.backup_targets(key):
                 if not agent.holds(key):
                     shared.setdefault(agent, set()).add(key)
         pending = self._pending

@@ -1,10 +1,9 @@
 """Per-peer behavior tracking.
 
-Each agent keeps one row per peer it has interacted with: a signed running
-experience count and a confidence score in [0, 1]. Good interactions nudge
-confidence up linearly; violations halve it, so three strikes from the
-default take a peer under the exclusion threshold (0.5 -> 0.25 -> 0.125 ->
-0.0625 < 0.1). Unavailability is not dishonesty: an offline peer is not
+Each agent keeps one row per peer it has interacted with: a confidence
+score in [0, 1]. Good interactions nudge confidence up linearly; violations
+halve it, so three strikes from the default take a peer under the exclusion
+threshold (0.5 -> 0.25 -> 0.125 -> 0.0625 < 0.1). Unavailability is not dishonesty: an offline peer is not
 observed at all.
 """
 
@@ -22,17 +21,13 @@ class ObservationKind(enum.Enum):
     VALID_OK = "valid_ok"
     INVALID_DATA = "invalid_data"
     DOUBLE_SPEND = "double_spend"
-    FORGED_TOKEN = "forged_token"
 
 
-VIOLATIONS = frozenset(
-    {ObservationKind.INVALID_DATA, ObservationKind.DOUBLE_SPEND, ObservationKind.FORGED_TOKEN}
-)
+VIOLATIONS = frozenset({ObservationKind.INVALID_DATA, ObservationKind.DOUBLE_SPEND})
 
 
 @dataclass
 class PeerRow:
-    experience: int = 0
     confidence: float = DEFAULT_CONFIDENCE
 
 
@@ -57,10 +52,8 @@ def update_experience(
     """Apply one observation about peer and return the matrix."""
     row = matrix.row(peer)
     if observation is ObservationKind.VALID_OK:
-        row.experience += 1
         row.confidence = min(1.0, row.confidence + CONFIDENCE_REWARD)
     elif observation in VIOLATIONS:
-        row.experience -= 1
         row.confidence = row.confidence * 0.5
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown observation {observation}")

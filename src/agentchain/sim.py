@@ -635,8 +635,8 @@ class Simulation:
         dropped without blaming the author."""
         victim = self.agent(op["victim"])
 
-        def flip(kind: str, sender: Agent, receiver: Agent, payload: bytes) -> bytes:
-            if kind == "publish" and sender is victim:
+        def flip(sender: Agent, receiver: Agent, payload: bytes) -> bytes:
+            if sender is victim:
                 return payload[:-1] + bytes([payload[-1] ^ 0x80])
             return payload
 

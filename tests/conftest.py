@@ -1,10 +1,12 @@
+import dataclasses
 import sys
 import time
+import weakref
 
 import pytest
 
-from agentchain import canonical, crypto, fuel
-from agentchain.chain import encode_record, record_key
+from agentchain import canonical, crypto, fuel, validation
+from agentchain.chain import Record, encode_header, encode_record, record_key
 from agentchain.dht import CLAIM_TRANSFER
 
 SESSION_T0 = time.monotonic()
@@ -102,11 +104,44 @@ def holders_of(network, key: bytes) -> list:
     return [agent for agent in network.agents if agent.holds(key)]
 
 
+# id of a record object -> (a weak reference to it, the names of the caches
+# on it and its header already checked), so that each record object is
+# checked once, and again only when a cache is added to it
+_CHECKED_CACHES: dict[int, tuple[weakref.ref, frozenset]] = {}
+
+
+def assert_record_caches_coherent(record) -> None:
+    """Every cache kept on record and on its header equals the value a
+    fresh copy of the record, which keeps none, computes from its bytes."""
+    header_caches, record_caches = vars(record.header), vars(record)
+    names = frozenset(header_caches.keys() | record_caches.keys())
+    seen = _CHECKED_CACHES.get(id(record))
+    if seen is not None and seen[0]() is record and seen[1] == names:
+        return
+    fresh = Record(dataclasses.replace(record.header), record.payload)
+    expected = {
+        "_encoded": lambda: encode_header(fresh.header),
+        "_hash": lambda: crypto.hash_bytes(encode_header(fresh.header)),
+        "_payload_hash": lambda: crypto.hash_bytes(record.payload),
+        "_key": lambda: crypto.hash_bytes(encode_record(fresh)),
+        "_signature_ok": lambda: fresh.signature_ok,
+        "fields": lambda: canonical.decode_fields(record.payload),
+        "_cosign_violation": lambda: validation._cosign_violation(fresh),
+    }
+    for name, value in (*header_caches.items(), *record_caches.items()):
+        if name in expected:
+            got = dict(value) if name == "fields" else value
+            assert got == expected[name](), f"cache {name} is stale"
+    key = id(record)
+    _CHECKED_CACHES[key] = (weakref.ref(record, lambda _: _CHECKED_CACHES.pop(key, None)), names)
+
+
 def assert_network_coherent(network) -> None:
     """Every value the network and its members keep beside its source,
     recomputed from that source: member positions, the node-id order and
     the walked rankings, the re-replication plan, the claim table and the
-    transfer index, chain key indexes and running fuel ledgers."""
+    transfer index, chain key indexes and running fuel ledgers, and the
+    caches kept on each chain and shard record."""
     agents = network.agents
     assert network._positions == {a.public_key: i for i, a in enumerate(agents)}
     assert len(network._positions) == len(agents)
@@ -144,6 +179,8 @@ def assert_network_coherent(network) -> None:
 
     for agent in agents:
         records = agent.chain.records
+        for record in (*records, *agent.shard.values()):
+            assert_record_caches_coherent(record)
         keys = [crypto.hash_bytes(encode_record(r)) for r in records]
         assert [record_key(r) for r in records] == keys
         assert agent.chain.keys == {key: seq for seq, key in enumerate(keys)}

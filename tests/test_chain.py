@@ -48,10 +48,12 @@ from agentchain.chain import (
     verify_chain,
     verify_records,
 )
-from agentchain.crypto import ZERO_DIGEST, generate_keypair, hash_bytes, verify
+from agentchain.crypto import HASH_ALG_ID, ZERO_DIGEST, generate_keypair, hash_bytes, verify
 from agentchain.dht import agent_seed, make_agent
 from agentchain.healthcare import healthcare_dna
 from agentchain.sim import _HEADER_MUTATIONS, mutate_record
+from agentchain.validation import _cosign_violation
+from conftest import assert_record_caches_coherent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -290,6 +292,37 @@ def test_golden_chain_fixture():
     assert verify_records(records).ok
 
 
+# each cache a record or its header keeps, with a value it never holds
+_STALE_CACHES = {
+    "_encoded": b"H",
+    "_hash": bytes(32),
+    "_payload_hash": bytes(32),
+    "_key": bytes(32),
+    "_signature_ok": False,
+    "fields": {"text": "other"},
+    "_cosign_violation": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STALE_CACHES))
+def test_the_record_cache_oracle_sees_each_stale_cache(name):
+    def cached():
+        record = append_entry(_chain(), "report", {"text": "cached"}, 5)
+        record_key(record)
+        header_hash(record.header)
+        assert record.signature_ok
+        assert _cosign_violation(record) == "transfer signature fields missing"
+        assert name in vars(record.header) | vars(record)
+        return record
+
+    assert_record_caches_coherent(cached())
+    record = cached()
+    owner = record.header if name in vars(record.header) else record
+    object.__setattr__(owner, name, _STALE_CACHES[name])
+    with pytest.raises(AssertionError, match=f"cache {name} is stale"):
+        assert_record_caches_coherent(record)
+
+
 def decode_dna(data: bytes) -> DnaDocument:
     """The strict mirror of encode_dna, Reader-based: the round-trip oracle
     of the DNA layout. The program only encodes and hashes a DNA."""
@@ -308,10 +341,11 @@ def decode_dna(data: bytes) -> DnaDocument:
     vfids = tuple(r.string() for _ in range(r.u32()))
     params = tuple((r.string(), r.string()) for _ in range(r.u32()))
     redundancy = r.u32()
-    rule = r.string()
-    alg = r.string()
+    # the neighborhood rule and the hash, fixed for every blueprint
+    if (r.string(), r.string()) != ("xor-distance", HASH_ALG_ID):
+        raise EncodingError("unknown neighborhood rule or hash")
     r.finish()
-    return DnaDocument(app_name, description, tuple(defs), vfids, params, redundancy, rule, alg)
+    return DnaDocument(app_name, description, tuple(defs), vfids, params, redundancy)
 
 
 def test_golden_dna_fixture():

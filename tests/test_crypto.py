@@ -140,10 +140,11 @@ def test_keypair_repr_hides_seed():
 
 
 def test_the_secret_key_is_libsodiums_seed_then_public_key():
-    kp = generate_keypair(hash_bytes(b"layout"))
-    assert kp.secret_key == kp.seed + kp.public_key
+    seed = hash_bytes(b"layout")
+    kp = generate_keypair(seed)
+    assert kp.secret_key == seed + kp.public_key
     assert len(kp.secret_key) == SECRET_KEY_SIZE == 64
-    assert all(type(value) is bytes for value in (kp.seed, kp.public_key, kp.secret_key))
+    assert all(type(value) is bytes for value in (kp.public_key, kp.secret_key))
 
 
 def test_keypairs_from_one_seed_compare_equal_and_the_secret_key_is_not_compared():

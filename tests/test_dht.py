@@ -34,13 +34,14 @@ from agentchain.chain import (
     record_key,
     validate_dna,
 )
-from agentchain.crypto import generate_keypair
+from agentchain.crypto import generate_keypair, sign
 from agentchain.dht import (
     CLAIM_MISBEHAVIOR,
     CLAIM_REVOKE,
     CLAIM_TRANSFER,
     CrossNetworkError,
     DhtError,
+    GossipMessage,
     Network,
     agent_seed,
     make_agent,
@@ -129,9 +130,7 @@ def oracle_neighborhood(net, key, r=None):
     return ranked[: max(0, min(r, len(ranked)))]
 
 
-def oracle_backup_targets(net, key, record):
-    if net.is_restricted(record.header.entry_type):
-        return net.neighborhood(key)
+def oracle_backup_targets(net, key):
     online = _xor_sorted([a for a in net.agents if a.online], key)
     want = min(len(online), math.ceil(net.redundancy * net.backup_factor))
     return online[:want]
@@ -160,7 +159,7 @@ def _assert_lookups_match_oracle(net, rng, keys, records):
             assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
     for record in records:
         key = record_key(record)
-        assert net.backup_targets(key, record) == oracle_backup_targets(net, key, record)
+        assert net.backup_targets(key) == oracle_backup_targets(net, key)
     for key in keys + [record_key(r) for r in records]:
         requester = rng.choice(net.agents)
         before = net.metrics.messages
@@ -246,7 +245,7 @@ def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
             agent.online = rng.random() < 0.5
         for reader in data.draw(st.permutations(readers), label="reader order"):
             if reader == "backup":
-                assert net.backup_targets(key, record) == oracle_backup_targets(net, key, record)
+                assert net.backup_targets(key) == oracle_backup_targets(net, key)
             elif reader.startswith("fetch"):
                 wanted = record_key(record) if reader == "fetch held" else key
                 requester = rng.choice(net.agents)
@@ -285,9 +284,8 @@ def test_a_walk_past_the_kept_prefix_doubles_it():
     assert len(net._rankings[key]) == 3
     for agent in ranked[:20]:
         agent.online = False
-    record = net.agents[0].append("report", {"text": "far"}, 1)
     # 8 online targets lie at ranks 20..27: the prefix grows 8, 16, 32
-    assert net.backup_targets(key, record) == ranked[20:28]
+    assert net.backup_targets(key) == ranked[20:28]
     assert len(net._rankings[key]) == 32
     assert net.fetch(net.agents[0], key) is None
     assert net._rankings[key] == ranked
@@ -323,25 +321,14 @@ def test_backup_targets_follow_presence_for_normal_types():
     record = author.append("report", {"text": "spread me"}, 10)
     key = record_key(record)
     want = math.ceil(net.redundancy * net.backup_factor)
-    targets = net.backup_targets(key, record)
+    targets = net.backup_targets(key)
     assert len(targets) == want
     assert all(t.online for t in targets)
     # knock the nearest target offline: the set re-forms around the living
     targets[0].online = False
-    retargeted = net.backup_targets(key, record)
+    retargeted = net.backup_targets(key)
     assert targets[0] not in retargeted
     assert len(retargeted) == want
-
-
-def test_backup_targets_pin_restricted_types_to_static_neighborhood():
-    net = _network(n=16)
-    author = net.agents[0]
-    record = author.append("vitals_pulse", _vitals_fields(author), 10)
-    key = record_key(record)
-    static = net.neighborhood(key)
-    static[0].online = False
-    # presence changes nothing: restricted data must not migrate outward
-    assert net.backup_targets(key, record) == static
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -562,12 +549,33 @@ def test_publish_requires_membership_and_chain_presence():
         net.publish(a, theirs)
 
 
+def test_only_the_member_at_its_key_s_position_publishes():
+    net = _network(n=8)
+    # built from the network's blueprint, but never joined; and a second
+    # agent object under a member's key pair
+    outsider = make_agent(99, agent_seed(2, 99), net.dna)
+    twin = make_agent(50, agent_seed(99, 3), net.dna)
+    assert twin.public_key == net.agents[3].public_key
+    for author in (outsider, twin):
+        record = author.append("report", {"text": "let me in"}, 1)
+        before = net.metrics.snapshot()
+        with pytest.raises(DhtError, match="not a member"):
+            net.publish(author, record)
+        assert net.metrics.snapshot() == before
+        assert not net._shared and not net._restricted and not net._pending
+        assert holders_of(net, record_key(record)) == []
+    # the blueprint is checked first: a forked agent is refused for it
+    forked = make_agent(98, agent_seed(2, 98), healthcare_dna(redundancy=5))
+    with pytest.raises(CrossNetworkError):
+        net.publish(forked, forked.append("report", {"text": "fork"}, 1))
+
+
 def test_wire_tampering_is_rejected_without_blaming_anyone():
     net = _network()
     author = net.agents[0]
     record = author.append("report", {"text": "clean"}, 10)
 
-    def corrupt(kind, sender, receiver, payload):
+    def corrupt(sender, receiver, payload):
         return payload[:-1] + bytes([payload[-1] ^ 0xFF])
 
     net.wire_hooks.append(corrupt)
@@ -586,7 +594,7 @@ def test_relay_of_corrupted_record_blames_the_relay_not_the_author():
     victim, relay = net.agents[0], net.agents[1]
     record = victim.append("report", {"text": "authentic"}, 10)
     mangled = Record(record.header, record.payload + b"!")
-    envelope = make_envelope(relay.keys, "publish", Network._publish_payload(net.network_id, mangled))
+    envelope = make_envelope(relay.keys, net.network_id, mangled)
     assert envelope.valid
     validator = next(a for a in net.agents if a not in (victim, relay))
     assert net._deliver_publish(relay, validator, envelope) is None
@@ -597,7 +605,8 @@ def test_relay_of_corrupted_record_blames_the_relay_not_the_author():
 def test_signed_envelope_that_is_not_a_publish_encoding_is_rejected():
     net = _network()
     sender, validator = net.agents[0], net.agents[1]
-    envelope = make_envelope(sender.keys, "publish", b"not a publish payload")
+    payload = b"not a publish payload"
+    envelope = GossipMessage(sender.public_key, payload, sign(sender.keys, b"publish\x00" + payload))
     assert envelope.valid
     assert net._deliver_publish(sender, validator, envelope) is None
     assert net.metrics.rejections == 1
@@ -616,9 +625,7 @@ def test_records_for_sibling_networks_are_refused_even_when_registered():
     stranger = net_b.agents[0]
     record = stranger.append("report", {"text": "wrong door"}, 3)
     assert net_b.publish(stranger, record)  # perfectly valid at home
-    envelope = make_envelope(
-        stranger.keys, "publish", Network._publish_payload(net_b.network_id, record)
-    )
+    envelope = make_envelope(stranger.keys, net_b.network_id, record)
     validator = net_a.agents[1]
     assert net_a._deliver_publish(stranger, validator, envelope) is None
     assert not validator.holds(record_key(record))
@@ -648,7 +655,7 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
     claim = transfer_claim(b"\x42" * 32, sender.public_key, b"\x00" * 32)
     net._accept_claim(sender, claim)
     receiver = next(v for v in net.neighborhood(key) if v is not sender)
-    assert receiver in net.backup_targets(key, record)
+    assert receiver in net.backup_targets(key)
     if path != "publish":
         # published while the receiver was away, so gossip offers it
         receiver.online = False
@@ -730,7 +737,7 @@ def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
     key = record_key(record)
     net.publish(author, record)
     src = next(a for a in net.agents if key in a.shard)
-    dst = next(a for a in net.backup_targets(key, record) if not a.holds(key))
+    dst = next(a for a in net.backup_targets(key) if not a.holds(key))
     verify_calls.clear()
     net._sync_records(src, dst, net._want_lists()[dst])
     assert dst.shard[key] is src.shard[key]
@@ -746,7 +753,7 @@ def test_wire_hook_corrupting_one_validators_copy_fails_that_validator_only(veri
     key = record_key(record)
     target = next(v for v in net.neighborhood(key) if v is not author)
 
-    def corrupt(kind, sender, receiver, payload):
+    def corrupt(sender, receiver, payload):
         if receiver is target:
             return payload[:-1] + bytes([payload[-1] ^ 0x01])
         return payload
@@ -797,13 +804,18 @@ def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
 
 
 def published_by(net, agent):
-    """The keys agent published, read off the network's published index."""
-    return {
-        key
-        for index in (net._shared, net._restricted)
-        for key, record in index.items()
-        if record.header.author == agent.public_key
-    }
+    """The keys agent published and still holds on its chain, read off the
+    network's published index: one member per key, so only the author's
+    chain holds a record it published."""
+    return {key for key in net._shared | net._restricted if key in agent.chain.keys}
+
+
+def oracle_targets(net, key, record):
+    """Who should hold record: the static neighborhood of a restricted
+    type, the backup targets of any other."""
+    if net.is_restricted(record.header.entry_type):
+        return net.neighborhood(key)
+    return net.backup_targets(key)
 
 
 def oracle_sync_records(net, src, dst, want=None):
@@ -816,7 +828,7 @@ def oracle_sync_records(net, src, dst, want=None):
         record = src.lookup(key)
         if record is None:
             continue
-        if dst not in net.backup_targets(key, record):
+        if dst not in oracle_targets(net, key, record):
             continue
         if net._store_if_valid(dst, record, key, src.public_key):
             net.metrics.backup_transfers += 1
@@ -861,7 +873,7 @@ def oracle_want_lists(net):
                     records[key] = record
     wants = {a: set() for a in online}
     for key, record in records.items():
-        for agent in net.backup_targets(key, record):
+        for agent in oracle_targets(net, key, record):
             if agent.online and not agent.holds(key):
                 wants[agent].add(key)
     return wants
@@ -1225,7 +1237,7 @@ def test_records_replicate_to_all_backup_targets():
     net.publish(author, record)
     _converge(net, random.Random(7), math.ceil(math.log2(12)) + 2)
     holders = {a.index for a in holders_of(net, key)}
-    targets = {a.index for a in net.backup_targets(key, record)}
+    targets = {a.index for a in net.backup_targets(key)}
     assert targets <= holders
     # and nobody outside the target set hoards a copy
     assert holders <= targets | {author.index}
@@ -1515,7 +1527,7 @@ def test_only_the_planners_write_the_re_replication_plan():
     assert _writers_and_offenders(_PLAN_STATE, _PLAN_WRITERS) == (_PLAN_WRITERS, [])
     probe = ast.parse(
         "n._pending[a].discard(k)\nn._pending.setdefault(a, set()).add(k)\n"
-        "n._restricted |= {k: r}\nn._shared[k] = r\nx = n._pending.get(a)\n"
+        "n._restricted |= {k}\nn._shared.add(k)\nx = n._pending.get(a)\n"
         "n._restricted[k].append(1)\nclass Network:\n    def join(self, a):\n"
         "        self._pending.clear()\n"
     )

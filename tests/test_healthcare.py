@@ -261,7 +261,7 @@ def test_grant_guards_membership_and_reputation():
         create_grant(patient, CapabilityGrant(outsider, "report"), 5, net)
     doctor = net.agents[1]
     for _ in range(3):
-        update_experience(patient.experience, doctor.public_key, ObservationKind.FORGED_TOKEN)
+        update_experience(patient.experience, doctor.public_key, ObservationKind.DOUBLE_SPEND)
     with pytest.raises(HealthcareError):
         create_grant(patient, CapabilityGrant(doctor.public_key, "report"), 5, net)
 

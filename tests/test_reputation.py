@@ -19,13 +19,12 @@ PEER = b"\xaa" * 32
 def test_defaults():
     m = ExperienceMatrix()
     assert not is_blacklisted(m, PEER)
-    assert m.row(PEER) == PeerRow(experience=0, confidence=0.5)
+    assert m.row(PEER) == PeerRow(confidence=0.5)
 
 
 def test_single_good_interaction():
     m = ExperienceMatrix()
     update_experience(m, PEER, ObservationKind.VALID_OK)
-    assert m.rows[PEER].experience == 1
     assert m.rows[PEER].confidence == pytest.approx(0.55)
 
 
@@ -34,7 +33,6 @@ def test_confidence_caps_at_one():
     for _ in range(30):
         update_experience(m, PEER, ObservationKind.VALID_OK)
     assert m.rows[PEER].confidence == 1.0
-    assert m.rows[PEER].experience == 30
 
 
 @pytest.mark.parametrize("kind", sorted(VIOLATIONS, key=lambda k: k.value))
@@ -45,7 +43,6 @@ def test_three_strikes_blacklists(kind):
         update_experience(m, PEER, kind)
         assert m.rows[PEER].confidence == want
         assert is_blacklisted(m, PEER) == (strike == 3)
-    assert m.rows[PEER].experience == -3
 
 
 def test_threshold_is_strict_less_than():
@@ -73,10 +70,10 @@ def test_goodwill_delays_but_cannot_prevent_exclusion():
         update_experience(m, PEER, ObservationKind.VALID_OK)
     assert m.rows[PEER].confidence == pytest.approx(0.8)
     for _ in range(3):
-        update_experience(m, PEER, ObservationKind.FORGED_TOKEN)
+        update_experience(m, PEER, ObservationKind.DOUBLE_SPEND)
     assert m.rows[PEER].confidence == pytest.approx(0.1)
     assert not is_blacklisted(m, PEER)
-    update_experience(m, PEER, ObservationKind.FORGED_TOKEN)
+    update_experience(m, PEER, ObservationKind.DOUBLE_SPEND)
     assert is_blacklisted(m, PEER)
 
 
@@ -93,6 +90,7 @@ def test_confidence_stays_bounded(observations):
         update_experience(m, PEER, kind)
     row = m.rows.get(PEER, PeerRow())
     assert 0.0 <= row.confidence <= 1.0
-    violations = sum(1 for k in observations if k in VIOLATIONS)
-    goods = sum(1 for k in observations if k is ObservationKind.VALID_OK)
-    assert row.experience == goods - violations
+    expected = 0.5
+    for kind in observations:
+        expected = expected * 0.5 if kind in VIOLATIONS else min(1.0, expected + 0.05)
+    assert row.confidence == expected
