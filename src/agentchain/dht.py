@@ -332,7 +332,6 @@ class Network:
         self.metrics = metrics if metrics is not None else Metrics()
         self.fanout = fanout
         self.rate_limit = rate_limit
-        self.backup_factor = backup_factor
         self.witness_count = witness_count
         self.audit_samples = audit_samples
         # the members in join order, one per public key, and public key ->
@@ -340,6 +339,12 @@ class Network:
         self.agents: list[Agent] = []
         self._positions: dict[bytes, int] = {}
         self.redundancy = dna.dht_redundancy
+        # how many of its nearest members hold a key of a type that is not
+        # restricted: ceil(r * backup_factor), at least r, and capped at
+        # 2**32, past any member count (a member index is a u32), so that no
+        # factor overflows it
+        width = self.redundancy * backup_factor
+        self.backup_width = max(self.redundancy, math.ceil(width)) if width < 2**32 else 2**32
         # hooks see (sender, receiver, payload) of each publish; may mutate it
         self.wire_hooks: list[Callable[[Agent, Agent, bytes], bytes]] = []
         self.current_tick = 0
@@ -362,12 +367,11 @@ class Network:
         self._claim_bit: dict[bytes, int] = {}
         self._kind_bits: dict[str, int] = {}
         # the re-replication plan: every key that reached the network by
-        # publish, by kind; and member -> the restricted keys of
-        # neighborhoods it is in and its shard lacked when planned (at
-        # publish, and at each join), less those stored there since.
-        # Written by join, publish, _plan and _store_if_valid only
-        self._restricted: set[bytes] = set()
-        self._shared: set[bytes] = set()
+        # publish -> how many of its nearest members hold it; and member ->
+        # the keys whose holder set it is in and its shard lacked when
+        # planned (at publish, and at each join), less those stored there
+        # since. Written by join, publish, _plan and _store_if_valid only
+        self._holder_counts: dict[bytes, int] = {}
         self._pending: dict[Agent, set[bytes]] = {}
 
     def join(self, agent: Agent) -> None:
@@ -380,10 +384,10 @@ class Network:
         self._by_id.clear()
         self._ids.clear()
         self._rankings.clear()
-        # neighborhoods change with membership: plan every restricted key again
+        # holder sets change with membership: plan every published key again
         self._pending.clear()
-        for key in self._restricted:
-            self._plan(key)
+        for key, count in self._holder_counts.items():
+            self._plan(key, self.neighborhood(key, count))
 
     def begin_tick(self, tick: int) -> None:
         self.current_tick = tick
@@ -481,17 +485,18 @@ class Network:
         return entry_type.startswith(self.dna.restricted_prefixes)
 
     def backup_targets(self, key: bytes) -> list[Agent]:
-        """Who should hold a record of a type that is not restricted right
-        now: the nearest currently-online peers, with headroom over the bare
-        redundancy target so flapping holders do not leave a record
-        unreachable. (A restricted key is held by its static neighborhood,
-        through the plan: see ``_plan``.)
+        """Who holds a record of a type that is not restricted: the
+        backup_width members nearest to key, online or not, with headroom
+        over the bare redundancy target so that a record stays reachable
+        while some of its holders are away. (A restricted key is held by its
+        neighborhood of r.)
 
-        Presence is applied here, at read time, by skipping offline agents
-        in the key's ranking, which depends on membership only.
+        Like ``neighborhood``, a prefix of the key's ranking: it changes
+        only when an agent joins. An offline holder gets the record by
+        gossip once it is back (see ``_plan``).
         """
-        want = max(0, math.ceil(self.redundancy * self.backup_factor))
-        return list(itertools.islice((a for a in self._nearest(key, want) if a.online), want))
+        width = self.backup_width
+        return self._ranking(key, width)[:width]
 
     # -- reputation plumbing ------------------------------------------------
 
@@ -599,7 +604,9 @@ class Network:
         The author must be a member, and the record must already sit on its
         chain. Each online validator independently authenticates the channel
         with its own blueprint copy; storing yields a receipt, anything
-        invalid is rejected and scored against the author. The key then
+        invalid is rejected and scored against the author. The validators
+        are the first r of the key's holder set: its neighborhood for a
+        restricted type, its backup targets for any other. The key then
         joins the re-replication plan (see ``_plan``).
         """
         if author.chain.dna.network_id != self.network_id:
@@ -610,20 +617,21 @@ class Network:
         key = record_key(record)
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
+        if self.is_restricted(record.header.entry_type):
+            count, holders = self.redundancy, self.neighborhood(key)
+        else:
+            count, holders = self.backup_width, self.backup_targets(key)
         envelope = make_envelope(author.keys, self.network_id, record)
         receipts: list[Receipt] = []
-        for validator in self.neighborhood(key):
+        for validator in holders[: self.redundancy]:
             self.metrics.messages += 1
             if not validator.online:
                 continue
             receipt = self._deliver_publish(author, validator, envelope)
             if receipt is not None:
                 receipts.append(receipt)
-        if self.is_restricted(record.header.entry_type):
-            self._restricted.add(key)
-            self._plan(key)
-        else:
-            self._shared.add(key)
+        self._holder_counts[key] = count
+        self._plan(key, holders)
         return receipts
 
     def _deliver_publish(
@@ -722,68 +730,44 @@ class Network:
 
     def gossip_round(self, rng: random.Random) -> int:
         """One epidemic round: every online agent syncs with fanout random
-        online peers. Claims flow both ways; records flow to peers that
-        currently belong in their holder set. Returns the contact count.
-
-        The want-lists are built first; they draw no random numbers, so
-        each agent's contacts are drawn and exchanged with in one pass."""
+        online peers. Claims flow both ways; records flow only where the
+        plan says they are missing: each end of a contact is offered the
+        keys pending at it that the other end holds. Returns the contact
+        count."""
         online = [a for a in self.agents if a.online]
         others = len(online) - 1
         if others < 1:
             return 0
-        wants = self._want_lists()
         k = min(self.fanout, others)
         for me, agent in enumerate(online):
             # index j among the others, i.e. online without agent; the
             # draws are those of sampling that list itself
             for j in rng.sample(range(others), k):
                 self.metrics.messages += 1
-                self._exchange(agent, online[j + (j >= me)], wants)
+                self._exchange(agent, online[j + (j >= me)])
         return len(online) * k
 
-    def _plan(self, key: bytes) -> None:
-        """Make a restricted key pending at each member of its static
-        neighborhood whose shard lacks it, until it is stored there.
-        Pending sets follow shards, which only grow, not ``holds``: chain
-        holdings shrink on ``SourceChain.replace_at`` and ``truncate``."""
-        for member in self.neighborhood(key):
+    def _plan(self, key: bytes, holders: list[Agent]) -> None:
+        """Make key pending at each of its holders whose shard lacks it,
+        until it is stored there. holders is the key's static holder set,
+        the first ``_holder_counts[key]`` members of its ranking, online or
+        not: an offline holder keeps its entry and is served once it is
+        back. Pending sets follow shards, which only grow, not ``holds``:
+        chain holdings shrink on ``SourceChain.replace_at`` and
+        ``truncate``."""
+        for member in holders:
             if key not in member.shard:
                 self._pending.setdefault(member, set()).add(key)
 
-    def _want_lists(self) -> dict[Agent, set[bytes]]:
-        """For each online agent, the keys a gossip round may ship to it:
-        its pending restricted keys as they stand, and the non-restricted
-        keys whose current targets it is in and that it does not hold.
-
-        Built at the start of a round: presence does not change within a
-        round and gossip creates no key. A list may also name keys the
-        agent holds, or that no online peer can offer; ``_sync_records``
-        skips those by its own live checks. Non-restricted targets follow
-        presence, so they are worked out again every round.
-        """
-        shared: dict[Agent, set[bytes]] = {}
-        for key in self._shared:
-            for agent in self.backup_targets(key):
-                if not agent.holds(key):
-                    shared.setdefault(agent, set()).add(key)
-        pending = self._pending
-        wants: dict[Agent, set[bytes]] = {}
-        for agent in self.agents:
-            if agent.online:
-                mine = pending.get(agent) or set()
-                more = shared.get(agent)
-                wants[agent] = mine | more if more else mine
-        return wants
-
-    def _exchange(self, a: Agent, b: Agent, wants: dict[Agent, set[bytes]]) -> None:
+    def _exchange(self, a: Agent, b: Agent) -> None:
         if self._refused(b, a.public_key) or self._refused(a, b.public_key):
             return
         self._sync_claims(a, b)
         self._sync_claims(b, a)
-        if wants[b]:
-            self._sync_records(a, b, wants[b])
-        if wants[a]:
-            self._sync_records(b, a, wants[a])
+        if self._pending.get(b):
+            self._sync_records(a, b)
+        if self._pending.get(a):
+            self._sync_records(b, a)
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
         """Merge src's pool into dst's with one OR of the bits src holds
@@ -798,10 +782,10 @@ class Network:
         for claim in self._sorted_claims(missing & self._kind_bits.get(CLAIM_MISBEHAVIOR, 0)):
             self._score_misbehavior(dst, claim)
 
-    def _sync_records(self, src: Agent, dst: Agent, want: set[bytes]) -> None:
-        """Offer dst the keys of its want-list that src holds, lowest key
+    def _sync_records(self, src: Agent, dst: Agent) -> None:
+        """Offer dst the keys pending at it that src holds, lowest key
         first."""
-        for key in sorted(k for k in want if src.holds(k)):
+        for key in sorted(k for k in self._pending.get(dst, ()) if src.holds(k)):
             if dst.holds(key):
                 continue
             if self._store_if_valid(dst, src.lookup(key), key, src.public_key):

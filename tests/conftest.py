@@ -156,8 +156,13 @@ def assert_network_coherent(network) -> None:
     for key, ranking in network._rankings.items():
         assert ranking == ranked(key)[: len(ranking)]
     plan: dict = {}
-    for key in network._restricted:
-        for member in ranked(key)[: max(0, network.redundancy)]:
+    for key, count in network._holder_counts.items():
+        # r holders for a restricted type, backup_width for any other
+        record = next(filter(None, (a.lookup(key) for a in agents)), None)
+        if record is not None:
+            restricted = network.is_restricted(record.header.entry_type)
+            assert count == (network.redundancy if restricted else network.backup_width)
+        for member in ranked(key)[:count]:
             if key not in member.shard:
                 plan.setdefault(member, set()).add(key)
     assert {a: keys for a, keys in network._pending.items() if keys} == plan

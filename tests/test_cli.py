@@ -227,6 +227,20 @@ def test_failed_expectation_exits_1(tmp_path):
     assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 1
 
 
+def test_a_backup_factor_too_large_for_a_float_product_runs(tmp_path):
+    """The contract takes any finite backup_factor >= 1. r * 1e308 is
+    infinite as a float, so the holder count stops at 2**32; with 6 agents
+    that is every member, as ceil(4 * 2.0) = 8 already is."""
+    script = [{"tick": 0, "op": "report", "agent": 0}]
+    outputs = []
+    for factor in (1e308, 2.0):
+        scenario = _scenario(tmp_path, n_agents=6, ticks=2, backup_factor=factor, script=script)
+        out = tmp_path / f"out-{factor}"
+        assert main(["run", scenario, "--out", str(out)]) == 0
+        outputs.append(_read_artifacts(out))
+    assert outputs[0] == outputs[1]
+
+
 def test_a_blacklist_threshold_above_the_starting_confidence_exits_2(tmp_path, capsys):
     """An unavailability row keeps a peer at the confidence it starts at
     (0.5), so a higher threshold would make honest peers shun each other:

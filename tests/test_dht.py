@@ -131,9 +131,7 @@ def oracle_neighborhood(net, key, r=None):
 
 
 def oracle_backup_targets(net, key):
-    online = _xor_sorted([a for a in net.agents if a.online], key)
-    want = min(len(online), math.ceil(net.redundancy * net.backup_factor))
-    return online[:want]
+    return _xor_sorted(net.agents, key)[: net.backup_width]
 
 
 def oracle_fetch(net, requester, key, count_messages=True):
@@ -282,12 +280,15 @@ def test_a_walk_past_the_kept_prefix_doubles_it():
     ranked = _xor_sorted(net.agents, key)
     assert net.neighborhood(key, 3) == ranked[:3]
     assert len(net._rankings[key]) == 3
+    # the 8 backup targets are more than twice 3: the prefix grows to 8
+    assert net.backup_targets(key) == ranked[:8]
+    assert len(net._rankings[key]) == 8
     for agent in ranked[:20]:
         agent.online = False
-    # 8 online targets lie at ranks 20..27: the prefix grows 8, 16, 32
-    assert net.backup_targets(key) == ranked[20:28]
-    assert len(net._rankings[key]) == 32
+    # a missing key: fetch walks the whole ranking, growing the prefix to
+    # 16, 32, then all 40
     assert net.fetch(net.agents[0], key) is None
+    assert len(net._rankings[key]) == 40
     assert net._rankings[key] == ranked
 
 
@@ -302,9 +303,10 @@ def test_publishing_keeps_only_the_walked_prefix_of_each_ranking(monkeypatch):
     monkeypatch.setattr(bench, "Network", Recorded)
     bench.run_holochain_count(256, 1000, 4)
     (net,) = networks
-    # one ranked key per publish, each walked r deep, not all 256 members
+    # one ranked key per publish, each walked as deep as its 8 backup
+    # targets (the first r of which validate it), not all 256 members
     assert len(net._rankings) == 1000
-    assert sum(len(ranking) for ranking in net._rankings.values()) == 1000 * 4
+    assert sum(len(ranking) for ranking in net._rankings.values()) == 1000 * 8
 
 
 def test_neighborhood_ignores_presence():
@@ -315,20 +317,33 @@ def test_neighborhood_ignores_presence():
     assert net.neighborhood(key) == before
 
 
-def test_backup_targets_follow_presence_for_normal_types():
+def test_backup_targets_ignore_presence():
     net = _network(n=16)
     author = net.agents[0]
     record = author.append("report", {"text": "spread me"}, 10)
     key = record_key(record)
-    want = math.ceil(net.redundancy * net.backup_factor)
     targets = net.backup_targets(key)
-    assert len(targets) == want
-    assert all(t.online for t in targets)
-    # knock the nearest target offline: the set re-forms around the living
-    targets[0].online = False
-    retargeted = net.backup_targets(key)
-    assert targets[0] not in retargeted
-    assert len(retargeted) == want
+    assert len(targets) == math.ceil(net.redundancy * 2.0) == 8
+    assert targets == _xor_sorted(net.agents, key)[:8]
+    assert targets[: net.redundancy] == net.neighborhood(key)
+    # knock the nearest targets offline: the set stays as it is
+    for target in targets[:3]:
+        target.online = False
+    assert net.backup_targets(key) == targets
+
+
+@pytest.mark.parametrize(
+    "factor, width",
+    [(1.0, 4), (1.5, 6), (2.0, 8), (2.01, 9), (0.5, 4), (1e9, 4 * 10**9), (1e308, 2**32),
+     (math.inf, 2**32)],
+)
+def test_the_backup_width_is_at_least_r_and_never_overflows(factor, width):
+    """ceil(r * backup_factor), never fewer than the r validators a publish
+    delivers to, and capped at 2**32, past any member count."""
+    net = _network(n=6, backup_factor=factor)
+    assert net.backup_width == width
+    key = b"\x11" * 32
+    assert net.backup_targets(key) == _xor_sorted(net.agents, key)[:width]
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -562,7 +577,7 @@ def test_only_the_member_at_its_key_s_position_publishes():
         with pytest.raises(DhtError, match="not a member"):
             net.publish(author, record)
         assert net.metrics.snapshot() == before
-        assert not net._shared and not net._restricted and not net._pending
+        assert not net._holder_counts and not net._pending
         assert holders_of(net, record_key(record)) == []
     # the blueprint is checked first: a forked agent is refused for it
     forked = make_agent(98, agent_seed(2, 98), healthcare_dna(redundancy=5))
@@ -637,12 +652,8 @@ def test_records_for_sibling_networks_are_refused_even_when_registered():
 GATED_DELIVERIES = {
     "publish": lambda net, sender, receiver, record, claim: net.publish(sender, record),
     "send_claim": lambda net, sender, receiver, record, claim: net.send_claim(sender, receiver, claim),
-    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(
-        sender, receiver, net._want_lists()
-    ),
-    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(
-        receiver, sender, net._want_lists()
-    ),
+    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(sender, receiver),
+    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(receiver, sender),
 }
 
 
@@ -661,7 +672,7 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
         receiver.online = False
         net.publish(sender, record)
         receiver.online = True
-        assert key in net._want_lists()[receiver]
+        assert key in net._pending[receiver]
     for _ in range(3):
         update_experience(receiver.experience, sender.public_key, ObservationKind.INVALID_DATA)
     assert is_blacklisted(receiver.experience, sender.public_key)
@@ -739,7 +750,7 @@ def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
     src = next(a for a in net.agents if key in a.shard)
     dst = next(a for a in net.backup_targets(key) if not a.holds(key))
     verify_calls.clear()
-    net._sync_records(src, dst, net._want_lists()[dst])
+    net._sync_records(src, dst)
     assert dst.shard[key] is src.shard[key]
     assert net.metrics.backup_transfers == 1
     assert net.metrics.validations == 5
@@ -788,7 +799,7 @@ def oracle_gossip_contacts(net, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
 def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
     contacts = []
-    monkeypatch.setattr(Network, "_exchange", lambda net, a, b, wants: contacts.append((a, b)))
+    monkeypatch.setattr(Network, "_exchange", lambda net, a, b: contacts.append((a, b)))
     for fanout in (1, 2, 3, 70):
         net = _network(n=n, seed=n, fanout=fanout)
         flips = random.Random(n * 100 + fanout)
@@ -807,21 +818,21 @@ def published_by(net, agent):
     """The keys agent published and still holds on its chain, read off the
     network's published index: one member per key, so only the author's
     chain holds a record it published."""
-    return {key for key in net._shared | net._restricted if key in agent.chain.keys}
+    return {key for key in net._holder_counts if key in agent.chain.keys}
 
 
 def oracle_targets(net, key, record):
-    """Who should hold record: the static neighborhood of a restricted
-    type, the backup targets of any other."""
+    """Who should hold record, online or not: the r members nearest its key
+    for a restricted type, the backup_width nearest for any other."""
     if net.is_restricted(record.header.entry_type):
-        return net.neighborhood(key)
-    return net.backup_targets(key)
+        return oracle_neighborhood(net, key)
+    return oracle_backup_targets(net, key)
 
 
-def oracle_sync_records(net, src, dst, want=None):
-    """The per-contact loop the want-lists replace: every key src holds or
-    has published, lowest first, re-deriving dst's membership of the key's
-    holder set each time. Ignores want."""
+def oracle_sync_records(net, src, dst):
+    """The per-contact loop the plan replaces: every key src holds or has
+    published, lowest first, re-deriving dst's membership of the key's
+    holder set each time."""
     for key in sorted(set(src.shard) | published_by(net, src)):
         if dst.holds(key):
             continue
@@ -859,10 +870,10 @@ def _gossip_state(net):
 
 
 def oracle_want_lists(net):
-    """The want-lists re-derived from every online agent's holdings: each
-    key some online agent holds in its shard, or has published and can
-    still look up, goes to the online agents among its backup targets that
-    do not hold it."""
+    """What gossip may ship to each online agent, re-derived from every
+    online agent's holdings: each key some online agent holds in its shard,
+    or has published and can still look up, goes to the online agents of
+    its holder set that do not hold it."""
     online = [a for a in net.agents if a.online]
     records = {}
     for agent in online:
@@ -879,14 +890,14 @@ def oracle_want_lists(net):
     return wants
 
 
-def _assert_plan_matches_the_oracle(net, wants):
-    """wants, as planned, equals the oracle's want-lists on every key that
-    can move. The plan may also name keys the agent holds (on its chain:
-    its pending set follows its shard) and keys no online agent can offer
-    (held offline, or published and since rewritten). Those are inert:
-    _sync_records offers only keys its sender holds, and only to a receiver
-    that does not hold them, so neither kind ships a record, counts or
-    draws anything."""
+def _assert_plan_matches_the_oracle(net):
+    """The pending sets of online agents equal the oracle's want-lists on
+    every key that can move. A pending set may also name keys the agent
+    holds (on its chain: its pending set follows its shard) and keys no
+    online agent can offer (held offline, or published and since
+    rewritten). Those are inert: _sync_records offers only keys its sender
+    holds, and only to a receiver that does not hold them, so neither kind
+    ships a record, counts or draws anything."""
     online = [a for a in net.agents if a.online]
     offerable = {
         key
@@ -894,8 +905,10 @@ def _assert_plan_matches_the_oracle(net, wants):
         for key in itertools.chain(agent.shard, published_by(net, agent))
         if agent.lookup(key) is not None
     }
-    assert list(wants) == online
-    live = {a: {k for k in want if k in offerable and not a.holds(k)} for a, want in wants.items()}
+    live = {
+        a: {k for k in net._pending.get(a, ()) if k in offerable and not a.holds(k)}
+        for a in online
+    }
     assert live == oracle_want_lists(net)
 
 
@@ -903,7 +916,7 @@ def _gossip_matches_the_oracle(net, rng):
     """One gossip round of net, and of a fork of it that ships by the
     per-contact oracle from the same rng state: the same contacts, state
     and draws. The plan matches the oracle's before and after the round."""
-    _assert_plan_matches_the_oracle(net, net._want_lists())
+    _assert_plan_matches_the_oracle(net)
     oracle = _fork(net)
     oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
     oracle_rng = random.Random()
@@ -912,7 +925,7 @@ def _gossip_matches_the_oracle(net, rng):
     assert oracle.gossip_round(oracle_rng) == contacts
     assert _gossip_state(oracle) == _gossip_state(net)
     assert oracle_rng.getstate() == rng.getstate()
-    _assert_plan_matches_the_oracle(net, net._want_lists())
+    _assert_plan_matches_the_oracle(net)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
@@ -1044,6 +1057,92 @@ def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossi
     assert late.shard[key].payload == record.payload
     assert not pushed.holds(key)
     assert net.metrics.backup_transfers == 1
+
+
+def _report_with_its_author_outside_its_targets(net, author, text):
+    """A report of author's and its key, with author outside the key's
+    backup targets."""
+    for clock in itertools.count(1):
+        record = author.append("report", {"text": f"{text} {clock}"}, clock)
+        if author not in net.backup_targets(record_key(record)):
+            return record, record_key(record)
+
+
+def test_a_report_s_offline_backup_target_receives_it_once_back_online():
+    """Presence does not move a report's holder set: a backup target away
+    at the publish keeps the key pending while it is away, the next member
+    out never gets it, and gossip serves the target once it is back."""
+    net = _network(n=12, seed=8)
+    rng = random.Random(8)
+    author = net.agents[0]
+    record, key = _report_with_its_author_outside_its_targets(net, author, "while you were out")
+    targets = net.backup_targets(key)
+    away = targets[-1]
+    outsider = next(a for a in _xor_sorted(net.agents, key)[len(targets):] if a is not author)
+    away.online = False
+    net.publish(author, record)
+    for tick in range(6):
+        net.begin_tick(tick)
+        _gossip_matches_the_oracle(net, rng)
+    assert set(holders_of(net, key)) == set(targets) - {away} | {author}
+    assert key in net._pending[away]
+    away.online = True
+    for tick in range(6, 12):
+        net.begin_tick(tick)
+        _gossip_matches_the_oracle(net, rng)
+    assert away.shard[key].payload == record.payload
+    assert not net._pending[away] and not outsider.holds(key)
+    assert net.metrics.backup_transfers == len(targets) - net.redundancy
+
+
+def test_a_member_that_joins_a_report_s_backup_targets_receives_it_by_gossip():
+    """The joiner takes the place of the report's farthest backup target,
+    which was offline at the publish and so still lacked the key: the
+    joiner must receive it, and the member it pushed out must not."""
+    net = _network(n=12, seed=6)
+    rng = random.Random(6)
+    record, key = _report_with_its_author_outside_its_targets(net, net.agents[0], "join in")
+    k = int.from_bytes(key, "big")
+    pushed = net.backup_targets(key)[-1]
+    pushed.online = False
+    net.publish(net.agents[0], record)
+    for _ in range(6):
+        _gossip_matches_the_oracle(net, rng)
+    late = next(
+        agent
+        for agent in (make_agent(100 + i, agent_seed(6, 100 + i), net.dna) for i in range(64))
+        if agent.node_id ^ k < pushed.node_id ^ k
+    )
+    net.join(late)
+    pushed.online = True
+    assert late in net.backup_targets(key) and pushed not in net.backup_targets(key)
+    assert key in net._pending[late] and pushed not in net._pending
+    for _ in range(8):
+        _gossip_matches_the_oracle(net, rng)
+    assert late.shard[key].payload == record.payload
+    assert not pushed.holds(key)
+
+
+def test_reports_never_leave_their_backup_targets_under_churn():
+    """Under churn of every member, holders and all, a report is copied
+    only to its static backup targets, never to whoever is online."""
+    net = _network(n=16, seed=4)
+    author = net.agents[0]
+    rng = random.Random(4)
+    keys = []
+    for i in range(4):
+        record = author.append("report", {"text": f"churned {i}"}, i + 1)
+        net.publish(author, record)
+        keys.append(record_key(record))
+    for tick in range(16):
+        net.begin_tick(tick)
+        for agent in net.agents:
+            agent.online = rng.random() > 0.4
+        net.gossip_round(rng)
+    for key in keys:
+        targets = set(net.backup_targets(key))
+        assert set(holders_of(net, key)) <= targets | {author}
+    assert net.metrics.backup_transfers > 0
 
 
 @st.composite
@@ -1179,14 +1278,13 @@ def churn_scenarios(draw):
 @given(churn_scenarios())
 @settings(max_examples=25, deadline=None)
 def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
-    planned = Network._want_lists
+    planned = Network.gossip_round
     invariants = Simulation._check_invariants
     checked_ticks = []
 
-    def checked(net):
-        wants = planned(net)
-        _assert_plan_matches_the_oracle(net, wants)
-        return wants
+    def checked(net, rng):
+        _assert_plan_matches_the_oracle(net)
+        return planned(net, rng)
 
     def coherent(self, tick):
         invariants(self, tick)
@@ -1194,7 +1292,7 @@ def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
         checked_ticks.append(tick)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Network, "_want_lists", checked)
+        patch.setattr(Network, "gossip_round", checked)
         patch.setattr(Simulation, "_check_invariants", coherent)
         production = run_scenario(config_from_dict(doc))
     assert checked_ticks == list(range(doc["ticks"]))
@@ -1440,9 +1538,9 @@ _MEMBER_STATE = {"agents", "_positions"}
 _MEMBER_WRITERS = {"Network.__init__", "Network.join"}
 
 
-# the re-replication plan: the published keys by kind and the pending
-# sets; and the only functions that may write them
-_PLAN_STATE = {"_restricted", "_shared", "_pending"}
+# the re-replication plan: the published keys with their holder counts,
+# and the pending sets; and the only functions that may write them
+_PLAN_STATE = {"_holder_counts", "_pending"}
 _PLAN_WRITERS = {
     "Network.__init__", "Network.join", "Network.publish", "Network._plan",
     "Network._store_if_valid",
@@ -1527,8 +1625,8 @@ def test_only_the_planners_write_the_re_replication_plan():
     assert _writers_and_offenders(_PLAN_STATE, _PLAN_WRITERS) == (_PLAN_WRITERS, [])
     probe = ast.parse(
         "n._pending[a].discard(k)\nn._pending.setdefault(a, set()).add(k)\n"
-        "n._restricted |= {k}\nn._shared.add(k)\nx = n._pending.get(a)\n"
-        "n._restricted[k].append(1)\nclass Network:\n    def join(self, a):\n"
+        "n._holder_counts |= {k: 4}\nn._holder_counts[k] = 8\nx = n._pending.get(a)\n"
+        "y = n._holder_counts[k]\nclass Network:\n    def join(self, a):\n"
         "        self._pending.clear()\n"
     )
     assert _claim_state_writes(probe, _PLAN_STATE) == [

@@ -308,7 +308,7 @@ def test_scenario_corpus_is_present():
 CORPUS_ANCHORS = {
     "churn_availability": dict(
         attempted=0, granted=0, denied=0, availability=(118, 118),
-        digest="6204dadc79de3c4805c2e36bd2b954c0dc3f0eaaef299c1635f7d044224c6b39",
+        digest="0c4540402ffff03ad98af9307b95b0d9234fd4efaf831e7dff2abd863192f0f8",
     ),
     "dos_flood": dict(
         attempted=4, blacklist_events=9,
@@ -324,7 +324,7 @@ CORPUS_ANCHORS = {
     ),
     "holder_serve": dict(
         attempted=0, granted=2, denied=1,
-        digest="a426f203aa94169212ecb73b93b95105960e6485ccf8cdc437e4404ca6f8cc9a",
+        digest="2bf67ceaed1069a888fb382ee33460c58ccb28445d79d556eec5db751f836044",
     ),
     "mitm_wire": dict(
         attempted=3,

@@ -48,12 +48,22 @@ def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents):
     assert (report["agents"], report["ticks"], report["seed"]) == (agents, ticks, 5)
     held = report["records_held_per_agent"]
     # a shard holds each key once, and every key comes from one publish
-    publishes = ticks * (agents // 10 + agents // 20)
-    assert 0 < held["mean"] <= held["max"] <= publishes
+    vitals, reports = ticks * (agents // 10), ticks * (agents // 20)
+    assert 0 < held["mean"] <= held["max"] <= vitals + reports
+    # a shard holds only keys planned to it: at most r = 4 copies of each
+    # restricted vitals reading and ceil(r * 2.0) = 8 of each report
+    shards = report["shard_records"]
+    assert shards["total"] == round(held["mean"] * agents)
+    assert shards["total"] <= 4 * vitals + 8 * reports
+    # the run has no late join, so no holder set changed after its plan
+    assert shards["outside_holder_sets"] == 0
+    pending = report["pending_after_last_round"]
+    assert 0 <= pending["servable"] <= pending["entries"]
     assert report["messages_per_agent_tick"] > 0
     assert report["cpu_ms_per_agent_tick"] > 0
     assert report["peak_rss_mb"] > 0
     if agents == 64:
+        assert shards["total"] == 907
         assert report["metrics_csv_sha256"] == (
-            "7836bcb5ba7f255b1a5d5afa4b58725355c74c76c5a18e111059ed099e09d797"
+            "48144ab98665f17d79210a19e815957e96cbf83df5768673380d19114d85b80c"
         )

@@ -11,10 +11,13 @@ as --ticks grows whether it grows with the run's history.
 
 Prints one JSON line: wall seconds and CPU ms per agent per tick (both over
 the whole run, set-up included), records held per agent in its DHT shard
-(mean and max), counted messages per agent per tick, the process's peak RSS
-in MB, and the SHA-256 of the run's ``metrics.csv`` so that two source trees
-can be checked for identical outputs. This is a measurement script, not a
-gated benchmark workload.
+(mean and max), the shard records in total and how many of them lie outside
+their key's holder set, counted messages per agent per tick, the process's
+peak RSS in MB, and the SHA-256 of the run's ``metrics.csv`` so that two
+source trees can be checked for identical outputs. It also reports the plan's
+health after the last round: the pending entries of online agents for keys
+they do not hold, and how many of those some other online agent could
+serve. This is a measurement script, not a gated benchmark workload.
 """
 
 from __future__ import annotations
@@ -57,6 +60,38 @@ def scenario(agents: int, ticks: int, seed: int) -> dict:
             "script": script}
 
 
+def shard_records(network) -> dict:
+    """Shard records in total, and those held by a member outside the
+    holder set of their key: its neighborhood for a restricted type, its
+    backup targets for any other."""
+    total = outside = 0
+    for agent in network.agents:
+        for key, record in agent.shard.items():
+            if network.is_restricted(record.header.entry_type):
+                holders = network.neighborhood(key)
+            else:
+                holders = network.backup_targets(key)
+            total += 1
+            outside += agent not in holders
+    return {"total": total, "outside_holder_sets": outside}
+
+
+def pending_health(network) -> dict:
+    """The pending entries of online agents for keys they do not hold, and
+    how many of them some online agent holds, so could serve."""
+    online = [agent for agent in network.agents if agent.online]
+    held = set()
+    for agent in online:
+        held.update(agent.shard, agent.chain.keys)
+    entries = servable = 0
+    for agent in online:
+        for key in network._pending.get(agent, ()):
+            if not agent.holds(key):
+                entries += 1
+                servable += key in held
+    return {"entries": entries, "servable": servable}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--agents", type=int, default=1024)
@@ -77,6 +112,8 @@ def main() -> None:
         "wall_s": round(wall_s, 3),
         "cpu_ms_per_agent_tick": round(1000 * cpu_s / agent_ticks, 4),
         "records_held_per_agent": {"mean": round(sum(held) / len(held), 3), "max": max(held)},
+        "shard_records": shard_records(result.network),
+        "pending_after_last_round": pending_health(result.network),
         "messages_per_agent_tick": round(result.metrics.messages / agent_ticks, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "metrics_csv_sha256": hashlib.sha256(result.metrics_log.to_csv().encode()).hexdigest(),
