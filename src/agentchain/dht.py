@@ -340,11 +340,10 @@ class Network:
         self._positions: dict[bytes, int] = {}
         self.redundancy = dna.dht_redundancy
         # how many of its nearest members hold a key of a type that is not
-        # restricted: ceil(r * backup_factor), at least r, and capped at
-        # 2**32, past any member count (a member index is a u32), so that no
-        # factor overflows it
-        width = self.redundancy * backup_factor
-        self.backup_width = max(self.redundancy, math.ceil(width)) if width < 2**32 else 2**32
+        # restricted: ceil(r * backup_factor), capped at 2**32, past any
+        # member count (a member index is a u32), so that no finite factor
+        # overflows it
+        self.backup_width = math.ceil(min(self.redundancy * backup_factor, 2**32))
         # hooks see (sender, receiver, payload) of each publish; may mutate it
         self.wire_hooks: list[Callable[[Agent, Agent, bytes], bytes]] = []
         self.current_tick = 0
@@ -491,12 +490,11 @@ class Network:
         while some of its holders are away. (A restricted key is held by its
         neighborhood of r.)
 
-        Like ``neighborhood``, a prefix of the key's ranking: it changes
-        only when an agent joins. An offline holder gets the record by
-        gossip once it is back (see ``_plan``).
+        The neighborhood of backup_width: it changes only when an agent
+        joins. An offline holder gets the record by gossip once it is back
+        (see ``_plan``).
         """
-        width = self.backup_width
-        return self._ranking(key, width)[:width]
+        return self.neighborhood(key, self.backup_width)
 
     # -- reputation plumbing ------------------------------------------------
 
@@ -605,9 +603,10 @@ class Network:
         chain. Each online validator independently authenticates the channel
         with its own blueprint copy; storing yields a receipt, anything
         invalid is rejected and scored against the author. The validators
-        are the first r of the key's holder set: its neighborhood for a
-        restricted type, its backup targets for any other. The key then
-        joins the re-replication plan (see ``_plan``).
+        are the first r of the key's holder set: its r nearest members for
+        a restricted type, its backup_width nearest (its backup targets) for
+        any other, found in one walk. The key then joins the re-replication
+        plan (see ``_plan``).
         """
         if author.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("author does not belong to this network")
@@ -617,10 +616,9 @@ class Network:
         key = record_key(record)
         if key not in author.chain.keys:
             raise DhtError("record is not on the author's chain")
-        if self.is_restricted(record.header.entry_type):
-            count, holders = self.redundancy, self.neighborhood(key)
-        else:
-            count, holders = self.backup_width, self.backup_targets(key)
+        restricted = self.is_restricted(record.header.entry_type)
+        count = self.redundancy if restricted else self.backup_width
+        holders = self.neighborhood(key, count)
         envelope = make_envelope(author.keys, self.network_id, record)
         receipts: list[Receipt] = []
         for validator in holders[: self.redundancy]:
