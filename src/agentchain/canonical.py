@@ -15,11 +15,12 @@ fancier belongs in its own record type.
 Byte layouts of the hot encodings. ``lp(x)`` is x's byte length as a
 big-endian u32, then x; a string is lp of its UTF-8 bytes. These are written
 with precompiled ``struct`` packers joined once, one writer per layout, and
-the three record types and the publish payload (GossipMessage.publish_body)
-read with ``unpack_from`` at offsets. A claim's encoding and an agent seed's
-are only hashed (into NewsClaim.claim_id and the member's key seed), never
-decoded; genesis is read through Reader. Only the DNA, the rate-limit event
-digest (dht) and the bench blocks still go through Writer.
+the three record types, genesis and the publish payload
+(GossipMessage.publish_body) read with ``unpack_from`` at offsets. A claim's
+encoding and an agent seed's are only hashed (into NewsClaim.claim_id and
+the member's key seed), never decoded. Only the DNA, the rate-limit event
+digest (dht) and the bench blocks still go through Writer, and are never
+decoded by the program.
 
   field map (encode_fields)     header (chain.encode_header)
     u8   'F' (0x46)               u8   'H' (0x48)
@@ -151,51 +152,6 @@ class Writer:
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
-
-
-class Reader:
-    """Strict mirror of Writer."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = bytes(data)
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise EncodingError(TRUNCATED)
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
-    def raw(self, size: int) -> bytes:
-        return self._take(size)
-
-    def digest(self) -> bytes:
-        return self._take(DIGEST_SIZE)
-
-    def lp_bytes(self) -> bytes:
-        return self._take(self.u32())
-
-    def string(self) -> str:
-        try:
-            return self.lp_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"bad utf-8 in string field: {exc}") from exc
-
-    def finish(self) -> None:
-        check_end(self._data, self._pos)
 
 
 FieldValue = Any  # int | str | bytes; 32-byte values round-trip as digests

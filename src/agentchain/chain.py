@@ -26,7 +26,6 @@ from .canonical import (
     U32_MAX,
     U64_MAX,
     EncodingError,
-    Reader,
     Writer,
     check_end,
     check_tag,
@@ -220,16 +219,31 @@ def encode_genesis(gen: GenesisRecord) -> bytes:
 
 
 def decode_genesis(data: bytes) -> GenesisRecord:
-    r = Reader(data)
-    if r.u8() != ord("G"):
-        raise EncodingError("not a genesis encoding")
-    dna_hash = r.digest()
-    agent_id = r.lp_bytes()
-    flag = r.u8()
-    if flag not in (0, 1):
-        raise EncodingError(f"membrane proof flag must be 0 or 1, got {flag}")
-    proof = r.lp_bytes() if flag else None
-    r.finish()
+    """Inverse of encode_genesis; strict like decode_header."""
+    data = bytes(data)
+    size = len(data)
+    check_tag(data, 0x47, "not a genesis encoding")
+    try:
+        _, dna_hash, n = _GENESIS_HEAD.unpack_from(data)
+        pos = _GENESIS_HEAD.size + n
+        if pos >= size:  # the agent id, or the flag byte after it, is cut
+            raise EncodingError(TRUNCATED)
+        agent_id = data[_GENESIS_HEAD.size:pos]
+        flag = data[pos]
+        if flag not in (0, 1):
+            raise EncodingError(f"membrane proof flag must be 0 or 1, got {flag}")
+        end = pos + 1
+        proof = None
+        if flag:
+            (n,) = LEN_PREFIX.unpack_from(data, end)
+            pos = end + LEN_PREFIX.size
+            end = pos + n
+            if end > size:
+                raise EncodingError(TRUNCATED)
+            proof = data[pos:end]
+    except struct.error:
+        raise EncodingError(TRUNCATED) from None
+    check_end(data, end)
     return GenesisRecord(dna_hash, agent_id, proof)
 
 

@@ -348,12 +348,9 @@ class Network:
         self.wire_hooks: list[Callable[[Agent, Agent, bytes], bytes]] = []
         self.current_tick = 0
         # the members by node id, and their ids, for the walk; built on the
-        # first ranking after a join
+        # first walk after a join
         self._by_id: list[Agent] = []
         self._ids: list[int] = []
-        # key -> the members nearest it, as far as readers have walked; see
-        # _ranking
-        self._rankings: dict[bytes, list[Agent]] = {}
         # (sender, sender_prev_tx) -> {claim id: tx_id} for every transfer
         # claim some agent holds, one entry per distinct claim; written by
         # _accept_claim when a claim enters the table
@@ -374,6 +371,10 @@ class Network:
         self._pending: dict[Agent, set[bytes]] = {}
 
     def join(self, agent: Agent) -> None:
+        """Admit agent, a member of this network's blueprint whose public
+        key is not a member's yet. The sorted members are dropped, to be
+        rebuilt by the next walk, and every published key is planned again
+        onto its holder set under the new membership."""
         if agent.chain.dna.network_id != self.network_id:
             raise CrossNetworkError("agent bootstrapped under a different blueprint")
         if agent.public_key in self._positions:
@@ -382,7 +383,6 @@ class Network:
         self.agents.append(agent)
         self._by_id.clear()
         self._ids.clear()
-        self._rankings.clear()
         # holder sets change with membership: plan every published key again
         self._pending.clear()
         for key, count in self._holder_counts.items():
@@ -413,72 +413,46 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def _ranking(self, key: bytes, want: int) -> list[Agent]:
-        """At least the min(want, n) members nearest to key by XOR over
-        node ids, nearest first.
+    def _nearest(self, key: bytes, first: int) -> Iterator[Agent]:
+        """The members nearest to key by XOR over node ids, nearest first,
+        online or not, walked lazily: a reader pays only for what it takes.
 
-        The ranking depends on the key and on membership only, so the
-        walked prefix is kept per key and dropped when an agent joins. A
-        reader that needs more than is kept gets at least twice as much.
-        Presence is not part of it: readers skip offline agents as they
-        walk it, which is why flipping ``agent.online`` needs no
-        invalidation.
-        """
-        ranking = self._rankings.get(key)
-        if ranking is None or len(ranking) < want and len(ranking) < len(self.agents):
-            if ranking is not None:
-                want = max(want, 2 * len(ranking))
-            ranking = self._rankings[key] = self._walk(int.from_bytes(key, "big"), want)
-        return ranking
+        The walk descends the binary trie over the members sorted by node id
+        (Kademlia's XOR order). A range of that order shares every id bit
+        above the highest bit in which its ends differ; the half whose bit
+        there matches the key's comes first. A range of at most first
+        members is ordered with one sort, and first is taken as at least 1.
+        Members have distinct keys, so distinct node ids: a range that does
+        not fit holds two ids, which differ in some bit.
 
-    def _walk(self, k: int, want: int) -> list[Agent]:
-        """The min(want, n) members nearest to k, by a walk of the binary
-        trie over the members sorted by node id (Kademlia's XOR order).
-
-        A range of that order shares every id bit above the highest bit in
-        which its ends differ; the half whose bit there matches k's comes
-        first. A range that fits in what is still wanted is ordered with
-        one sort. Members have distinct keys, so distinct node ids: a range
-        that does not fit holds two ids, which differ in some bit.
+        The order depends on the key and on membership only; nothing of it
+        is kept per key. Presence is not part of it: readers skip offline
+        agents as they go.
         """
         if not self._by_id:
             self._by_id = sorted(self.agents, key=lambda a: a.node_id)
             self._ids = [a.node_id for a in self._by_id]
         by_id, ids = self._by_id, self._ids
-        out: list[Agent] = []
+        k = int.from_bytes(key, "big")
+        first = max(first, 1)
         ranges = [(0, len(ids))]  # nearest range last
-        while ranges and len(out) < want:
+        while ranges:
             lo, hi = ranges.pop()
-            left = want - len(out)
-            if hi - lo <= left:
-                out.extend(sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k))
+            if hi - lo <= first:
+                yield from sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k)
                 continue
             bit = (ids[lo] ^ ids[hi - 1]).bit_length() - 1
             mid = bisect_left(ids, ids[hi - 1] >> bit << bit, lo, hi)
             near, far = ((mid, hi), (lo, mid)) if k >> bit & 1 else ((lo, mid), (mid, hi))
             ranges += (far, near)
-        return out
-
-    def _nearest(self, key: bytes, first: int) -> Iterator[Agent]:
-        """The members nearest to key, nearest first, online or not: the
-        kept ranking, at least first members of it, and grown (at least
-        doubled) each time the reader walks past its end."""
-        ranking = self._ranking(key, first)
-        for i in itertools.count():
-            if i == len(ranking):
-                ranking = self._ranking(key, i + 1)
-                if i == len(ranking):
-                    return
-            yield ranking[i]
 
     def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
-        """The min(r, n) agents nearest to key, online or not, nearest first.
-
-        A prefix of the key's memoized ranking: it changes only when an
-        agent joins, never with presence.
+        """The min(r, n) agents nearest to key, online or not, nearest first:
+        the first r of its walk. It changes only when an agent joins, never
+        with presence.
         """
         r = max(0, self.redundancy if r is None else r)
-        return self._ranking(key, r)[:r]
+        return list(itertools.islice(self._nearest(key, r), r))
 
     def is_restricted(self, entry_type: str) -> bool:
         return entry_type.startswith(self.dna.restricted_prefixes)
@@ -490,9 +464,9 @@ class Network:
         while some of its holders are away. (A restricted key is held by its
         neighborhood of r.)
 
-        The neighborhood of backup_width: it changes only when an agent
-        joins. An offline holder gets the record by gossip once it is back
-        (see ``_plan``).
+        The neighborhood of backup_width, walked afresh on each call: it
+        changes only when an agent joins. An offline holder gets the record
+        by gossip once it is back (see ``_plan``).
         """
         return self.neighborhood(key, self.backup_width)
 
@@ -590,7 +564,7 @@ class Network:
         """agent's verdict on record by its own blueprint copy; a rule's
         dependency is looked up by agent's fetch, counting no messages."""
         return authenticate_channel(
-            record, agent.chain.dna, self.marketplace, app_id=self.network_id,
+            record, agent.chain.dna, self.marketplace,
             resolve=lambda key: self.fetch(agent, key, count_messages=False),
         )
 
@@ -667,8 +641,11 @@ class Network:
         return Receipt(holder=validator.public_key, key=key)
 
     def fetch(self, requester: Agent, key: bytes, count_messages: bool = True) -> Record | None:
-        """Look a record up by key: own holdings first, then online holders
-        nearest the key. Returns None when no online peer has it."""
+        """Look a record up by key: own holdings first, then the members
+        nearest the key, walked lazily and probed one at a time until an
+        online one has it. Each probe, of an offline member too, counts one
+        message unless count_messages is off. Returns None when no online
+        peer has it, after probing every other member."""
         local = requester.lookup(key)
         if local is not None:
             return local

@@ -220,9 +220,10 @@ def authenticate_channel(
 ) -> Verdict:
     """Both gates together; the first failure wins.
 
-    app_id is the network id the sender claims; validators pass the one from
-    the envelope so a forked blueprint cannot ride on a registered one.
-    Defaults to the validator's own network id.
+    app_id is the network id the record is checked against the marketplace
+    for; it defaults to dna's own. The DHT's validators take the default:
+    their network admits only members of its blueprint, and it refuses an
+    envelope addressed to any other network id before asking for a verdict.
     """
     tx_verdict = validate_transaction(record, dna, resolve)
     if not tx_verdict.valid:

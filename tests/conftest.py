@@ -138,10 +138,10 @@ def assert_record_caches_coherent(record) -> None:
 
 def assert_network_coherent(network) -> None:
     """Every value the network and its members keep beside its source,
-    recomputed from that source: member positions, the node-id order and
-    the walked rankings, the re-replication plan, the claim table and the
-    transfer index, chain key indexes and running fuel ledgers, and the
-    caches kept on each chain and shard record."""
+    recomputed from that source: member positions, the node-id order, the
+    re-replication plan, the claim table and the transfer index, chain key
+    indexes and running fuel ledgers, and the caches kept on each chain and
+    shard record."""
     agents = network.agents
     assert network._positions == {a.public_key: i for i, a in enumerate(agents)}
     assert len(network._positions) == len(agents)
@@ -153,8 +153,6 @@ def assert_network_coherent(network) -> None:
         k = int.from_bytes(key, "big")
         return sorted(agents, key=lambda a: a.node_id ^ k)
 
-    for key, ranking in network._rankings.items():
-        assert ranking == ranked(key)[: len(ranking)]
     plan: dict = {}
     for key, count in network._holder_counts.items():
         # r holders for a restricted type, backup_width for any other

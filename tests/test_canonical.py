@@ -1,14 +1,17 @@
 """Encoding layer: hand-computed vectors, strictness, and round-trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentchain import canonical
 from agentchain.canonical import (
+    TRUNCATED,
     EncodingError,
-    Reader,
     Writer,
+    check_end,
     decode_fields,
     encode_fields,
 )
@@ -169,6 +172,56 @@ def test_field_map_injective(a, b):
         assert encode_fields(a) != encode_fields(b)
 
 
+# --- the struct-packed layouts against their spec ------------------------------
+#
+# The encoders below restate the byte-layout table of canonical.py's module
+# docstring with int.to_bytes; the decoders are Reader-based mirrors of the
+# same table, the reference for which inputs are rejected and with which
+# message.
+
+
+class Reader:
+    """Strict mirror of Writer: the reference decoders' primitive reads."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = bytes(data)
+        self._pos = 0
+
+    def _take(self, n: int) -> bytes:
+        if self._pos + n > len(self._data):
+            raise EncodingError(TRUNCATED)
+        out = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return out
+
+    def u8(self) -> int:
+        return self._take(1)[0]
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self._take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack(">Q", self._take(8))[0]
+
+    def i64(self) -> int:
+        return struct.unpack(">q", self._take(8))[0]
+
+    def digest(self) -> bytes:
+        return self._take(32)
+
+    def lp_bytes(self) -> bytes:
+        return self._take(self.u32())
+
+    def string(self) -> str:
+        try:
+            return self.lp_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"bad utf-8 in string field: {exc}") from exc
+
+    def finish(self) -> None:
+        check_end(self._data, self._pos)
+
+
 def test_reader_primitives_roundtrip():
     w = Writer()
     w.u8(7)
@@ -188,13 +241,6 @@ def test_reader_primitives_roundtrip():
     assert r.string() == "héllo"
     r.finish()
 
-
-# --- the struct-packed layouts against their spec ------------------------------
-#
-# The encoders below restate the byte-layout table of canonical.py's module
-# docstring with int.to_bytes; the decoders are Reader-based mirrors of the
-# same table, the reference for which inputs are rejected and with which
-# message.
 
 U64_MAX = 2**64 - 1
 
@@ -291,10 +337,25 @@ def _reader_record(data: bytes) -> Record:
     return Record(header, payload)
 
 
+def _reader_genesis(data: bytes) -> GenesisRecord:
+    r = Reader(data)
+    if r.u8() != ord("G"):
+        raise EncodingError("not a genesis encoding")
+    dna_hash = r.digest()
+    agent_id = r.lp_bytes()
+    flag = r.u8()
+    if flag not in (0, 1):
+        raise EncodingError(f"membrane proof flag must be 0 or 1, got {flag}")
+    proof = r.lp_bytes() if flag else None
+    r.finish()
+    return GenesisRecord(dna_hash, agent_id, proof)
+
+
 DECODERS = {
     "fields": (decode_fields, _reader_fields),
     "header": (decode_header, _reader_header),
     "record": (decode_record, _reader_record),
+    "genesis": (decode_genesis, _reader_genesis),
 }
 
 
@@ -336,6 +397,12 @@ _headers = st.builds(
     signature=st.binary(min_size=64, max_size=64),
 )
 _records = st.builds(Record, header=_headers, payload=st.binary(max_size=60))
+_genesis_records = st.builds(
+    GenesisRecord,
+    dna_hash=_digests,
+    agent_id=st.binary(max_size=40),
+    membrane_proof=st.none() | st.binary(max_size=20),
+)
 
 
 def _valid_encodings():
@@ -343,6 +410,7 @@ def _valid_encodings():
         _spec_maps.map(lambda f: ("fields", encode_fields(f))),
         _headers.map(lambda h: ("header", encode_header(h))),
         _records.map(lambda r: ("record", encode_record(r))),
+        _genesis_records.map(lambda g: ("genesis", encode_genesis(g))),
     )
 
 
@@ -574,6 +642,10 @@ MALFORMED = [
     ("header", b"R" + _VALID_HEADER[1:], "not a header encoding"),
     ("record", b"R" + _lp(b"H") + _lp(b""), "truncated encoding"),
     ("record", b"R" + _lp(_VALID_HEADER) + b"\x00\x00\x01\x00", "truncated encoding"),
+    ("genesis", b"G" + bytes(32) + _lp(b"") + b"\x02", "membrane proof flag must be 0 or 1"),
+    ("genesis", b"G" + bytes(32) + _lp(b"") + b"\x01\x00\x00\x00\x05ab", "truncated encoding"),
+    ("genesis", b"G" + bytes(32) + _lp(b"id"), "truncated encoding"),
+    ("genesis", b"H" + bytes(32) + _lp(b"") + b"\x00", "not a genesis encoding"),
 ]
 
 

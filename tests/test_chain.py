@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentchain import chain as chain_module
-from agentchain.canonical import EncodingError, Reader, Writer
+from agentchain.canonical import EncodingError, Writer
 from agentchain.chain import (
     COST_HEAVY,
     ChainError,
@@ -54,6 +54,7 @@ from agentchain.healthcare import healthcare_dna
 from agentchain.sim import _HEADER_MUTATIONS, mutate_record
 from agentchain.validation import _cosign_violation
 from conftest import assert_record_caches_coherent
+from test_canonical import Reader
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

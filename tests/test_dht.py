@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentchain import bench
 from agentchain import chain as chain_module
 from agentchain import dht as dht_module
 from agentchain.chain import (
@@ -152,9 +151,12 @@ def oracle_fetch(net, requester, key, count_messages=True):
 
 
 def _assert_lookups_match_oracle(net, rng, keys, records):
+    n = len(net.agents)
     for key in keys:
-        for r in (None, 0, 1, 4, 9, 70):
+        for r in (None, 0, 1, 4, 9, 70, n + 1):
             assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
+        # a walk asked to sort nothing still ranks every member, one alone too
+        assert list(net._nearest(key, 0)) == _xor_sorted(net.agents, key)
     for record in records:
         key = record_key(record)
         assert net.backup_targets(key) == oracle_backup_targets(net, key)
@@ -167,8 +169,8 @@ def _assert_lookups_match_oracle(net, rng, keys, records):
         assert net.metrics.messages - before == 2 * used
 
 
-@pytest.mark.parametrize("n", [1, 3, 17, 64])
-def test_memoized_lookups_match_the_sorting_oracle_under_churn_and_late_joins(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_walked_lookups_match_the_sorting_oracle_under_churn_and_late_joins(n):
     net = _network(n=n, seed=n)
     rng = random.Random(n)
     records = []
@@ -217,15 +219,15 @@ def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
     for step in range(data.draw(st.integers(1, 12), label="steps")):
         if len(net.agents) < 2 or data.draw(st.booleans(), label="join"):
             # few keypairs, so a member's key often tries to join again and
-            # is refused, keeping what readers walked; the index is drawn
-            # apart from the join order
+            # is refused, keeping the members and their node-id order; the
+            # index is drawn apart from the join order
             seed = agent_seed(0, data.draw(st.integers(0, 9), label="keypair"))
             agent = make_agent(data.draw(st.integers(0, 99), label="index"), seed, dna)
             if agent.public_key in net._positions:
-                kept = dict(net._rankings)
+                kept = (list(net.agents), dict(net._positions), list(net._by_id))
                 with pytest.raises(DhtError):
                     net.join(agent)
-                assert net._rankings == kept
+                assert (net.agents, net._positions, net._by_id) == kept
             else:
                 net.join(agent)
             continue
@@ -261,57 +263,49 @@ def test_a_member_s_key_cannot_join_again():
     member = net.agents[3]
     key = member.node_id.to_bytes(32, "big")
     assert net.neighborhood(key, 3)[0] is member
-    state = (list(net.agents), dict(net._positions), {k: list(v) for k, v in net._rankings.items()})
+    assert net._by_id  # sorted by the walk above
+    state = (list(net.agents), dict(net._positions), list(net._by_id))
     for agent in (member, make_agent(50, agent_seed(99, 3), net.dna)):
         with pytest.raises(DhtError, match="already a member"):
             net.join(agent)
-        assert (net.agents, net._positions, net._rankings) == state
+        assert (net.agents, net._positions, net._by_id) == state
     # a member's key under a foreign blueprint is refused for its blueprint
     forked = dataclasses.replace(net.dna, app_name=net.dna.app_name + "-fork")
     with pytest.raises(CrossNetworkError):
         net.join(make_agent(50, agent_seed(99, 3), forked))
-    assert (net.agents, net._positions, net._rankings) == state
+    assert (net.agents, net._positions, net._by_id) == state
 
 
-def test_a_walk_past_the_kept_prefix_doubles_it():
+def test_fetch_walks_only_as_deep_as_the_nearest_online_holder():
     net = _network(n=40)
     key = b"\x3c" * 32
     ranked = _xor_sorted(net.agents, key)
-    assert net.neighborhood(key, 3) == ranked[:3]
-    assert len(net._rankings[key]) == 3
-    # the 8 backup targets are more than twice 3: the prefix grows to 8
-    assert net.backup_targets(key) == ranked[:8]
-    assert len(net._rankings[key]) == 8
     for agent in ranked[:20]:
         agent.online = False
     requester = ranked[-1]
     record = requester.append("report", {"text": "far"}, 1)
     ranked[20].shard[key] = record
-    # the nearest online holder is at rank 20: fetch walks 21 deep and the
-    # prefix doubles 8, 16, 32 (growing it one member at a time stops at 21)
+    taken = []
+    walk = net._nearest
+
+    def counted(key, first):
+        for agent in walk(key, first):
+            taken.append(agent)
+            yield agent
+
+    net._nearest = counted
+    # one probe per member walked: the 20 offline ones, then the holder
+    before = net.metrics.messages
     assert net.fetch(requester, key) is record
-    assert net._rankings[key] == ranked[:32]
-    # a missing key: fetch walks the whole ranking
+    assert net.metrics.messages - before == 21
+    assert taken == ranked[:21]
+    # a missing key: fetch probes every member but the requester
     del ranked[20].shard[key]
+    taken.clear()
+    before = net.metrics.messages
     assert net.fetch(requester, key) is None
-    assert net._rankings[key] == ranked
-
-
-def test_publishing_keeps_only_the_walked_prefix_of_each_ranking(monkeypatch):
-    networks = []
-
-    class Recorded(Network):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            networks.append(self)
-
-    monkeypatch.setattr(bench, "Network", Recorded)
-    bench.run_holochain_count(256, 1000, 4)
-    (net,) = networks
-    # one ranked key per publish, each walked as deep as its 8 backup
-    # targets (the first r of which validate it), not all 256 members
-    assert len(net._rankings) == 1000
-    assert sum(len(ranking) for ranking in net._rankings.values()) == 1000 * 8
+    assert net.metrics.messages - before == 39
+    assert taken == ranked
 
 
 def test_neighborhood_ignores_presence():

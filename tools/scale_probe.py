@@ -62,18 +62,18 @@ def scenario(agents: int, ticks: int, seed: int) -> dict:
 
 def shard_records(network) -> dict:
     """Shard records in total, and those held by a member outside the
-    holder set of their key: its neighborhood for a restricted type, its
-    backup targets for any other."""
-    total = outside = 0
-    for agent in network.agents:
-        for key, record in agent.shard.items():
-            if network.is_restricted(record.header.entry_type):
-                holders = network.neighborhood(key)
-            else:
-                holders = network.backup_targets(key)
-            total += 1
-            outside += agent not in holders
-    return {"total": total, "outside_holder_sets": outside}
+    holder set of their key: the members it was planned onto at publish,
+    its neighborhood for a restricted type and its backup targets for any
+    other (tier-1's coherence oracle checks each planned count against the
+    record's type). Each published key's holder set is walked once; a
+    shard record whose key was never published counts as outside."""
+    total = sum(len(agent.shard) for agent in network.agents)
+    inside = sum(
+        key in member.shard
+        for key, count in network._holder_counts.items()
+        for member in network.neighborhood(key, count)
+    )
+    return {"total": total, "outside_holder_sets": total - inside}
 
 
 def pending_health(network) -> dict:
