@@ -246,7 +246,8 @@ class ScenarioConfig:
     # member indexes are u32 in each member's key seed (dht.agent_seed)
     n_agents: int = _key(12, _range(1, 2**32))
     ticks: int = _key(20, _range(1))
-    redundancy: int = _key(DEFAULT_REDUNDANCY, _range(1))
+    # the blueprint encodes it as a u32 (chain.encode_dna)
+    redundancy: int = _key(DEFAULT_REDUNDANCY, _range(1, 2**32 - 1))
     fanout: int = _key(DEFAULT_FANOUT, _range(1))
     witnesses: int = _key(DEFAULT_WITNESS_COUNT, _range(1))
     audit_samples: int = _key(DEFAULT_AUDIT_SAMPLES, _range(0))

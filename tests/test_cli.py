@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from agentchain.bench import SWEEP_HEADER
 from agentchain.chain import Record, export_records, parse_chain_text
 from agentchain.cli import SEED_ENV, main
 from agentchain.metrics import CSV_HEADER
+
+SCENARIO_FILES = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
 
 
 def _scenario(tmp_path, **overrides) -> str:
@@ -503,6 +506,23 @@ def test_verify_rejects_unparseable_input(tmp_path):
     assert main(["verify", str(tmp_path / "missing.chain")]) == 2
 
 
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_every_scenario_runs_and_its_exported_chains_verify(path, tmp_path, capsys):
+    """Every verify exits 0 but tamper_blacklist's, which exits 1 on the one
+    chain that scenario rewrites."""
+    out = tmp_path / path.stem
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    chains = sorted(str(chain) for chain in (out / "chains").glob("*.chain"))
+    assert chains
+    capsys.readouterr()
+    code = main(["verify", *chains])
+    failing = [line for line in capsys.readouterr().out.splitlines() if ": OK (" not in line]
+    if path.stem == "tamper_blacklist":
+        assert (code, failing) == (1, [f"{out}/chains/agent_005.chain: FAIL at seq 2 (entry_hash)"])
+    else:
+        assert (code, failing) == (0, [])
+
+
 def test_an_unusable_out_path_exits_2_naming_it_and_leaves_no_temp_file(tmp_path, capsys):
     a_file, a_dir = tmp_path / "taken", tmp_path / "dir"
     a_file.write_text("x")
@@ -579,7 +599,7 @@ def test_malformed_attack_and_bench_flags_exit_2_naming_the_flag(capsys):
         (["attack", "--kind", "double_spend", "--trials", "-1"], "error: --trials must be an integer >= 0"),
         (["bench", "--sizes", "abc"], "argument --sizes: must be comma separated integers, got 'abc'"),
         (["bench", "--sizes", "1"], "error: --sizes must be an integer in [5, 4294967296]"),
-        (["bench", "--redundancy", "0"], "error: --redundancy must be an integer >= 1"),
+        (["bench", "--redundancy", "0"], "error: --redundancy must be an integer in [1, 4294967295]"),
         (["bench", "--entries", "-1"], "error: --entries must be an integer >= 0"),
         (["bench", "--sizes", "4", "--redundancy", "4"],
          "error: --sizes must be an integer in [5, 4294967296]"),
@@ -607,6 +627,29 @@ def test_member_counts_past_the_u32_index_range_exit_2(monkeypatch, capsys):
         (["attack", "--kind", "double_spend", "--agents", too_many],
          "error: --agents must be an integer in [1, 4294967296]"),
         (["bench", "--sizes", f"8,{too_many}"], "error: --sizes must be an integer in [5, 4294967296]"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert problem in capsys.readouterr().err
+
+
+def test_a_redundancy_past_the_blueprint_u32_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    """The blueprint encodes redundancy as a u32, so a scenario's redundancy
+    and the bench flag, which shares its check, stop at 2**32 - 1 before
+    any build."""
+
+    def build(*_args, **_kwargs):
+        raise AssertionError("a refused redundancy started a build")
+
+    monkeypatch.setattr("agentchain.cli.run_scenario", build)
+    monkeypatch.setattr("agentchain.cli.compare_sweep", build)
+    too_many = 2**32
+    scenario = _scenario(tmp_path, n_agents=too_many, redundancy=too_many, ticks=1, script=[])
+    for argv, problem in (
+        (["run", scenario, "--out", str(tmp_path / "out")],
+         "error: redundancy must be an integer in [1, 4294967295]"),
+        (["bench", "--redundancy", str(too_many), "--sizes", "8"],
+         "error: --redundancy must be an integer in [1, 4294967295]"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

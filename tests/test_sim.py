@@ -1,14 +1,14 @@
 """Scenario engine: config handling, determinism, the shipped scenario
 corpus, and the standalone attack experiments.
 
-The per-scenario numbers pinned here are regression anchors: they were
-observed on the first verified-clean runs and must stay byte-stable because
-every source of randomness derives from the scenario seed.
+The per-scenario counts pinned here are regression anchors: they were
+observed on the first verified-clean runs and must stay stable because
+every source of randomness derives from the scenario seed. The bytes of
+each run are pinned in tests/fixtures/pins.json.
 """
 
 import ast
 import dataclasses
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -302,52 +302,17 @@ def test_scenario_corpus_is_present():
     }
 
 
-# observed on the first clean runs; deterministic thereafter. digest pins
-# the bytes of a run (see _artifact_digest), so a refactor that claims to
-# keep behaviour can be checked against the commit before it.
+# observed on the first clean runs; deterministic thereafter
 CORPUS_ANCHORS = {
-    "churn_availability": dict(
-        attempted=0, granted=0, denied=0, availability=(118, 118),
-        digest="0c4540402ffff03ad98af9307b95b0d9234fd4efaf831e7dff2abd863192f0f8",
-    ),
-    "dos_flood": dict(
-        attempted=4, blacklist_events=9,
-        digest="f698391a47a31027d4cea01d0dbe24d9fbb367c8f2c5ca42b0e947af2cfe28dd",
-    ),
-    "fork_probe": dict(
-        attempted=2,
-        digest="aca59ad4d6f719fe3a86091e8686abc83a86c9424111115f3bf7fa8cf4aacf48",
-    ),
-    "fuel_roundtrip": dict(
-        attempted=2,
-        digest="dfb2b2ef82063299f48ccf1e318fb85efacc23996f7de56539b137c2fdcdb810",
-    ),
-    "holder_serve": dict(
-        attempted=0, granted=2, denied=1,
-        digest="2bf67ceaed1069a888fb382ee33460c58ccb28445d79d556eec5db751f836044",
-    ),
-    "mitm_wire": dict(
-        attempted=3,
-        digest="c3c5f5cd2a7cd5680ea04d84ed023a3640cfede5396fe0e6511d7e775eb524ba",
-    ),
-    "patient_doctor": dict(
-        attempted=301, granted=1, denied=4,
-        digest="b2e42f693f39d052010065231e7e49f19d018bab0134db735d0cd95c2b2c9bf0",
-    ),
-    "tamper_blacklist": dict(
-        attempted=3, blacklist_events=11,
-        digest="82935823ba26c865ec04cb27d46b999bdace6315a90b5e7b028d40869b018ff6",
-    ),
+    "churn_availability": dict(attempted=0, granted=0, denied=0, availability=(118, 118)),
+    "dos_flood": dict(attempted=4, blacklist_events=9),
+    "fork_probe": dict(attempted=2),
+    "fuel_roundtrip": dict(attempted=2),
+    "holder_serve": dict(attempted=0, granted=2, denied=1),
+    "mitm_wire": dict(attempted=3),
+    "patient_doctor": dict(attempted=301, granted=1, denied=4),
+    "tamper_blacklist": dict(attempted=3, blacklist_events=11),
 }
-
-
-def _artifact_digest(result) -> str:
-    """SHA-256 over metrics.csv, then each chain export in name order."""
-    h = hashlib.sha256(result.metrics_log.to_csv().encode())
-    for name, text in sorted(export_all_chains(result).items()):
-        h.update(name.encode())
-        h.update(text.encode())
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
@@ -370,7 +335,6 @@ def test_scenario_runs_clean(path):
         assert m.blacklist_events == anchor["blacklist_events"]
     if "availability" in anchor:
         assert (result.availability_hits, result.availability_slots) == anchor["availability"]
-    assert _artifact_digest(result) == anchor["digest"]
 
 
 def test_tampering_agent_ends_up_shunned_everywhere():

@@ -1,4 +1,6 @@
-"""The measurement scripts under tools/ run end to end at a small size."""
+"""The scripts under tools/: the measurement probes run end to end at a
+small size, and every pinned run output of tests/fixtures/pins.json holds
+when tools/pins.py recomputes it."""
 
 import json
 import os
@@ -9,6 +11,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import pins  # noqa: E402
+
+PINS = json.loads(pins.MANIFEST.read_text())
 
 
 def _probe(*args: str, tool: str = "news_pool_probe.py") -> dict:
@@ -31,19 +37,8 @@ def test_news_pool_probe_prints_one_json_line_of_a_whole_run():
     assert counters["conservation_violations"] == 0
 
 
-def test_news_pool_probe_output_is_pinned_above_the_sample_cutoff():
-    """At 96 agents the audit and witness pools hold more than 85 peers,
-    where random.sample draws 7 or 8 of them by set rejection instead of
-    from a copy: the draws, and so the whole run, must not move."""
-    report = _probe("--agents", "96", "--ticks", "10", "--transfers", "6", "--seed", "1")
-    assert report["metrics_csv_sha256"] == (
-        "80a120863ef8147f2482464231842592a87fb5010023f48e0108d67a17698840"
-    )
-
-
-@pytest.mark.parametrize("agents", [32, 64])
-def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents):
-    ticks = 20
+@pytest.mark.parametrize("agents, ticks", [(32, 20), (64, 20), (256, 30)])
+def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents, ticks):
     report = _probe("--agents", str(agents), "--ticks", str(ticks), tool="scale_probe.py")
     assert (report["agents"], report["ticks"], report["seed"]) == (agents, ticks, 5)
     held = report["records_held_per_agent"]
@@ -64,6 +59,14 @@ def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents):
     assert report["peak_rss_mb"] > 0
     if agents == 64:
         assert shards["total"] == 907
-        assert report["metrics_csv_sha256"] == (
-            "48144ab98665f17d79210a19e815957e96cbf83df5768673380d19114d85b80c"
-        )
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_pinned_output_holds(name):
+    new = pins.compute(name)
+    assert new == PINS[name], f"{name}: {PINS[name]} -> {new}"
+
+
+def test_every_scenario_file_is_pinned():
+    scenarios = {name.split()[1] for name in PINS if name.startswith("scenario ")}
+    assert scenarios == {path.stem for path in (ROOT / "scenarios").glob("*.json")}
