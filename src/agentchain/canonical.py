@@ -16,7 +16,10 @@ Byte layouts of the hot encodings. ``lp(x)`` is x's byte length as a
 big-endian u32, then x; a string is lp of its UTF-8 bytes. These are written
 with precompiled ``struct`` packers joined once, one writer per layout, and
 the three record types, genesis and the publish payload
-(GossipMessage.publish_body) read with ``unpack_from`` at offsets. A claim's
+(GossipMessage.publish_body) read with ``unpack_from`` at offsets. The
+publish payload's validators share the author's record, which
+make_envelope hands to its envelope; a copy is decoded only when a wire
+hook changes the bytes or the header sizes do not decode. A claim's
 encoding and an agent seed's are only hashed (into NewsClaim.claim_id and
 the member's key seed), never decoded. Only the DNA, the rate-limit event
 digest (dht) and the bench blocks still go through Writer, and are never

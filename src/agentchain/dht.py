@@ -47,7 +47,16 @@ from .chain import (
     init_chain,
     record_key,
 )
-from .crypto import DIGEST_SIZE, KeyPair, generate_keypair, hash_bytes, sign, verify
+from .crypto import (
+    DIGEST_SIZE,
+    PUBLIC_KEY_SIZE,
+    SIGNATURE_SIZE,
+    KeyPair,
+    generate_keypair,
+    hash_bytes,
+    sign,
+    verify,
+)
 from .metrics import Metrics
 from .reputation import (
     ExperienceMatrix,
@@ -179,9 +188,14 @@ class GossipMessage:
     @cached_property
     def publish_body(self) -> tuple[bytes, Record]:
         """The payload as (app_id, record); its holders share the one
-        record, and so its key. Raises EncodingError, and caches nothing,
-        if the payload is not a publish encoding: the 32-byte app id, then
-        the record's encoding, length-prefixed."""
+        record, and so its key, payload hash, field map and signature
+        check. make_envelope sets it to the record it encoded, so the
+        validators of a publish share the author's own record. A copy is
+        decoded only when a wire hook changed the payload, or when the
+        header's author or signature size does not decode. Raises
+        EncodingError, and caches nothing, if the payload is not a
+        publish encoding: the 32-byte app id, then the record's encoding,
+        length-prefixed."""
         data = bytes(self.payload)
         try:
             app_id, n = DIGEST_AND_LEN.unpack_from(data)
@@ -205,11 +219,17 @@ def make_envelope(keys: KeyPair, app_id: bytes, record: Record) -> GossipMessage
     if len(encoded) > U32_MAX:
         raise u32_out_of_range(len(encoded))
     payload = b"".join((DIGEST_AND_LEN.pack(app_id, len(encoded)), encoded))
-    return GossipMessage(
+    envelope = GossipMessage(
         sender=keys.public_key,
         payload=payload,
         signature=sign(keys, _PUBLISH_TAG + payload),
     )
+    # the payload decodes to record, unless a header size fails the strict
+    # decode that the encoder does not enforce
+    h = record.header
+    if len(h.author) == PUBLIC_KEY_SIZE and len(h.signature) == SIGNATURE_SIZE:
+        envelope.__dict__["publish_body"] = (app_id, record)
+    return envelope
 
 
 # ---------------------------------------------------------------------------

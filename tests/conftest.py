@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from agentchain import canonical, crypto, fuel, validation
+from agentchain import canonical, chain, crypto, fuel, validation
 from agentchain.chain import Record, encode_header, encode_record, record_key
 from agentchain.dht import CLAIM_TRANSFER
 
@@ -71,6 +71,13 @@ def verify_calls(monkeypatch):
 def decode_calls(monkeypatch):
     """Arguments of every canonical.decode_fields call."""
     return _record_calls(monkeypatch, canonical.decode_fields)
+
+
+@pytest.fixture
+def decode_record_calls(monkeypatch):
+    """Arguments of every chain.decode_record call: every record decoded
+    from bytes."""
+    return _record_calls(monkeypatch, chain.decode_record)
 
 
 @pytest.fixture

@@ -51,6 +51,7 @@ from agentchain.dht import (
     transfer_claim,
 )
 from agentchain.healthcare import healthcare_dna
+from agentchain.metrics import Metrics
 from agentchain.reputation import ObservationKind, is_blacklisted, update_experience
 from agentchain.sim import (
     Simulation,
@@ -61,7 +62,7 @@ from agentchain.sim import (
     run_scenario,
 )
 from agentchain.validation import Marketplace
-from conftest import assert_network_coherent, holders_of
+from conftest import assert_network_coherent, assert_record_caches_coherent, holders_of
 
 
 def _network(n=12, seed=99, **kw):
@@ -776,6 +777,105 @@ def test_wire_hook_corrupting_one_validators_copy_fails_that_validator_only(veri
     assert author.public_key not in target.experience.rows
     # the shared envelope and its record once each, the tampered envelope once
     assert len(verify_calls) == 3
+
+
+# --- validators share the author's record ---------------------------------
+
+def test_an_honest_publish_decodes_nothing_and_its_holders_share_the_author_s_record(
+    decode_record_calls,
+):
+    net = _network()
+    author = net.agents[0]
+    for record in (
+        author.append("report", {"text": "shared"}, 10),
+        author.append("vitals_pulse", _vitals_fields(author), 11),
+    ):
+        key = record_key(record)
+        assert len(net.publish(author, record)) == net.redundancy
+        holders = [a for a in net.agents if key in a.shard]
+        assert len(holders) == net.redundancy
+        assert all(a.shard[key] is author.chain.lookup(key) for a in holders)
+        assert_record_caches_coherent(record)
+    assert decode_record_calls == []
+
+
+def test_the_author_s_own_copy_shipped_to_a_pending_holder_verifies_nothing(verify_calls):
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "from the author"}, 10)
+    key = record_key(record)
+    net.publish(author, record)
+    dst = next(
+        a for a in net.backup_targets(key)
+        if a is not author and key in net._pending.get(a, ())
+    )
+    verify_calls.clear()
+    net._sync_records(author, dst)
+    assert dst.shard[key] is record
+    assert net.metrics.backup_transfers == 1
+    assert verify_calls == []
+
+
+@pytest.mark.parametrize("change", ["corrupt", "copy"])
+def test_only_a_validator_whose_bytes_a_hook_replaced_decodes_its_own_record(
+    change, decode_record_calls
+):
+    """A corrupted payload fails the envelope signature before any decode
+    and is rejected without scoring the author; an equal copy of the bytes
+    is decoded afresh and stored. Either way the other validators hold the
+    author's object."""
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "mostly shared"}, 10)
+    key = record_key(record)
+    target = next(v for v in net.neighborhood(key) if v is not author)
+
+    def replace(sender, receiver, payload):
+        if receiver is not target:
+            return payload
+        if change == "corrupt":
+            return payload[:-1] + bytes([payload[-1] ^ 0x01])
+        return bytes(bytearray(payload))
+
+    net.wire_hooks.append(replace)
+    net.publish(author, record)
+    assert all(v.shard[key] is record for v in net.neighborhood(key) if v is not target)
+    if change == "corrupt":
+        assert author.public_key not in target.experience.rows
+        assert decode_record_calls == []
+        assert not target.holds(key)
+        assert net.metrics.rejections == 1
+    else:
+        assert len(decode_record_calls) == 1
+        copy = target.shard[key]
+        assert copy == record and copy is not record
+        assert_record_caches_coherent(copy)
+        assert net.metrics.rejections == 0
+
+
+@pytest.mark.parametrize("field, size", [("author", 31), ("signature", 63)])
+def test_a_header_size_the_decoder_refuses_still_fails_the_decode(field, size):
+    """The encoder writes an author or signature of any length, and the
+    strict decode refuses all but 32 and 64 bytes. Such a record reaches no
+    validator's rules: each rejects it as an encoding, with no claim."""
+    net = _network()
+    author = net.agents[0]
+    record = author.append("report", {"text": "odd sizes"}, 10)
+    header = record.header
+    odd = Record(
+        dataclasses.replace(header, **{field: getattr(header, field)[:size]}), record.payload
+    )
+    author.chain.replace_at(header.seq, odd)
+    assert net.publish(author, odd) == []
+    assert net.metrics.snapshot() == {
+        **Metrics().snapshot(),
+        "messages": net.redundancy,
+        "rejections": net.redundancy,
+    }
+    for agent in net.agents:
+        assert net.claims_of(agent, CLAIM_MISBEHAVIOR) == []
+        assert author.public_key not in agent.experience.rows
+    assert holders_of(net, record_key(odd)) == [author]
 
 
 def oracle_gossip_contacts(net, rng):

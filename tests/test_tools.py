@@ -3,8 +3,6 @@ small size, and every pinned run output of tests/fixtures/pins.json holds
 when tools/pins.py recomputes it."""
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -17,17 +15,10 @@ import pins  # noqa: E402
 PINS = json.loads(pins.MANIFEST.read_text())
 
 
-def _probe(*args: str, tool: str = "news_pool_probe.py") -> dict:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / tool), *args],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
-
-
 def test_news_pool_probe_prints_one_json_line_of_a_whole_run():
-    report = _probe("--agents", "8", "--ticks", "10", "--transfers", "3", "--seed", "1")
+    report = pins.probe(
+        "news_pool_probe.py", "--agents", "8", "--ticks", "10", "--transfers", "3", "--seed", "1"
+    )
     assert (report["agents"], report["ticks"], report["transfers_per_tick"]) == (8, 10, 3)
     counters = report["counters"]
     # one double spend at tick 9, and every transfer announced to witnesses
@@ -39,7 +30,10 @@ def test_news_pool_probe_prints_one_json_line_of_a_whole_run():
 
 @pytest.mark.parametrize("agents, ticks", [(32, 20), (64, 20), (256, 30)])
 def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents, ticks):
-    report = _probe("--agents", str(agents), "--ticks", str(ticks), tool="scale_probe.py")
+    # the arguments of the tool pins, so the 64- and 256-agent runs serve both
+    report = pins.probe(
+        "scale_probe.py", "--agents", str(agents), "--ticks", str(ticks), "--seed", "5"
+    )
     assert (report["agents"], report["ticks"], report["seed"]) == (agents, ticks, 5)
     held = report["records_held_per_agent"]
     # a shard holds each key once, and every key comes from one publish

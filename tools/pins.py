@@ -25,6 +25,7 @@ and name the pin and the reason in CHANGES.md.
 - ``scenario NAME``: ``_artifact_digest`` of a run of ``scenarios/NAME.json``.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -64,6 +65,13 @@ def _perfbench(workload: str, seed: str, *prefix: str, trace: str = "0") -> str:
     return hashlib.sha256("".join(counts).encode()).hexdigest()
 
 
+@functools.cache
+def probe(tool: str, *args: str) -> dict:
+    """The JSON report of ``tools/TOOL ARGS``, run once per process for each
+    argument list: the ``tool`` pin and the probe's own tests read one run."""
+    return json.loads(_run(f"tools/{tool}", *args))
+
+
 def _cli(*args: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -84,7 +92,7 @@ KINDS = {
     "perfbench": _perfbench,
     "perfbench-one-cpu": lambda workload, seed: _perfbench(workload, seed, "-c", ONE_CPU),
     "perfbench-traced": lambda workload, seed: _perfbench(workload, seed, trace="1"),
-    "tool": lambda tool, *args: json.loads(_run(f"tools/{tool}", *args))["metrics_csv_sha256"],
+    "tool": lambda tool, *args: probe(tool, *args)["metrics_csv_sha256"],
     "cli": _cli,
     "scenario": lambda name: _artifact_digest(run_scenario(load_scenario(f"{ROOT}/scenarios/{name}.json"))),
 }
