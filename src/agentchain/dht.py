@@ -322,6 +322,39 @@ def agent_seed(run_seed: int, index: int) -> bytes:
     return hash_bytes(_AGENT_SEED.pack(run_seed & U64_MAX, index))
 
 
+def _draw(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct indices in [0, n), 0 <= k <= n: the result and the
+    ``getrandbits`` draws of CPython's ``rng.sample(range(n), k)``, without
+    its per-call overhead. Each index below m takes m's bit length in bits,
+    drawn again while it is m or more, as ``Random._randbelow`` does.
+
+    Like ``sample``, it swaps and shrinks a pool of the n indices when that
+    list is smaller than a set of k, and otherwise draws below n, again
+    while the index is already taken."""
+    getrandbits = rng.getrandbits
+    drawn: list[int] = []
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            drawn.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in drawn:
+                j = getrandbits(bits)
+            drawn.append(j)
+    return drawn
+
+
 # ---------------------------------------------------------------------------
 # the network
 
@@ -415,21 +448,23 @@ class Network:
 
     # -- peer pools -----------------------------------------------------------
 
-    def strangers(self, *keys: bytes) -> list[Agent]:
-        """The members whose public key is none of keys, in join order: the
-        members list sliced around the positions of those keys."""
+    def draw_strangers(self, rng: random.Random, k: int, *keys: bytes) -> list[Agent]:
+        """min(k, pool size) members drawn from the pool of those whose
+        public key is none of keys, in join order: the peers and the draws
+        of ``rng.sample(pool, min(k, len(pool)))``. No pool is built: an
+        index into it steps past each excluded position at or below it."""
         positions = self._positions
-        return self._cut(sorted(positions[key] for key in set(keys) if key in positions))
-
-    def _cut(self, positions: list[int]) -> list[Agent]:
-        """The members list without the given ascending positions."""
+        cut = sorted(positions[key] for key in set(keys) if key in positions)
         agents = self.agents
-        pool, start = [], 0
-        for end in positions:
-            pool += agents[start:end]
-            start = end + 1
-        pool += agents[start:]
-        return pool
+        size = len(agents) - len(cut)
+        drawn = []
+        for i in _draw(rng, size, min(k, size)):
+            for p in cut:
+                if p > i:
+                    break
+                i += 1
+            drawn.append(agents[i])
+        return drawn
 
     # -- topology ----------------------------------------------------------
 
@@ -725,10 +760,11 @@ class Network:
 
     def gossip_round(self, rng: random.Random) -> int:
         """One epidemic round: every online agent syncs with fanout random
-        online peers. Claims flow both ways; records flow only where the
-        plan says they are missing: each end of a contact is offered the
-        keys pending at it that the other end holds. Returns the contact
-        count."""
+        online peers, drawn by ``_draw`` as ``rng.sample`` would draw them
+        from the other online agents, with no list of those built. Claims
+        flow both ways; records flow only where the plan says they are
+        missing: each end of a contact is offered the keys pending at it
+        that the other end holds. Returns the contact count."""
         online = [a for a in self.agents if a.online]
         others = len(online) - 1
         if others < 1:
@@ -737,7 +773,7 @@ class Network:
         for me, agent in enumerate(online):
             # index j among the others, i.e. online without agent; the
             # draws are those of sampling that list itself
-            for j in rng.sample(range(others), k):
+            for j in _draw(rng, others, k):
                 self.metrics.messages += 1
                 self._exchange(agent, online[j + (j >= me)])
         return len(online) * k

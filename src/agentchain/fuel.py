@@ -285,6 +285,8 @@ def accept_fuel_tx(
 ) -> tuple[FuelTransaction | None, FuelVerdict]:
     """Receiver's half: audit, countersign, append, announce to witnesses.
 
+    The audit asks the receiver and up to audit_samples other members,
+    drawn by ``Network.draw_strangers`` with ``rng.sample``'s draws.
     Returns (tx, verdict); tx is None when the audit rejected the transfer.
     The sender's own append is the sender's job (see complete_transfer) --
     an honest one does it in the same tick.
@@ -298,9 +300,7 @@ def accept_fuel_tx(
     if has_transfer(receiver.chain, pending.tx_id):
         raise FuelError("transfer already recorded on the receiver chain")
     if audit:
-        pool = network.strangers(receiver.public_key)
-        k = min(network.audit_samples, len(pool))
-        sampled = rng.sample(pool, k) if k else []
+        sampled = network.draw_strangers(rng, network.audit_samples, receiver.public_key)
         network.metrics.messages += len(sampled)
         verdict = audit_double_spend(pending, [receiver] + sampled, network)
         if not verdict.ok:
@@ -321,14 +321,12 @@ def accept_fuel_tx(
 
 def announce_transfer(network: Network, receiver: Agent, tx: FuelTransaction, rng: random.Random) -> None:
     """Seed the witness set: the receiver itself plus witness_count-1 peers
-    who are not party to the transfer."""
+    who are not party to the transfer, drawn by ``Network.draw_strangers``
+    with ``rng.sample``'s draws."""
     claim = transfer_claim(tx.tx_id, tx.sender, tx.sender_prev_tx)
     network._accept_claim(receiver, claim)
-    pool = network.strangers(tx.sender, tx.receiver)
-    count = min(max(network.witness_count - 1, 0), len(pool))
-    if count:
-        for witness in rng.sample(pool, count):
-            network.send_claim(receiver, witness, claim)
+    for witness in network.draw_strangers(rng, max(network.witness_count - 1, 0), tx.sender, tx.receiver):
+        network.send_claim(receiver, witness, claim)
 
 
 def complete_transfer(sender: Agent, tx: FuelTransaction, network: Network, clock: int,

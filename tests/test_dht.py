@@ -911,6 +911,16 @@ def test_gossip_peer_choice_matches_the_filtering_oracle(n, monkeypatch):
             assert rng.getstate() == oracle_rng.getstate()
 
 
+def test_draw_takes_the_draws_of_sampling_a_range():
+    # n crosses sample's pool/set cutoff at 21 and its growth for k > 5:
+    # to 85 for k of 6 to 21, to 277 for k of 22 to 85
+    for n in range(301):
+        for k in [*range(min(n, 9) + 1), *(k for k in (22, 70) if k <= n)]:
+            rng, oracle = random.Random(n * 100 + k), random.Random(n * 100 + k)
+            assert dht_module._draw(rng, n, k) == oracle.sample(range(n), k), (n, k)
+            assert rng.getstate() == oracle.getstate(), (n, k)
+
+
 def published_by(net, agent):
     """The keys agent published and still holds on its chain, read off the
     network's published index: one member per key, so only the author's

@@ -724,11 +724,12 @@ def test_clear_news_empties_every_bitmap_and_restarts_the_numbering():
     assert_news_bits_match(net)
 
 
-# --- peer pools by slices, and one field map per transfer ------------------------
+# --- peer pools drawn in place, and one field map per transfer -----------------
 
 # random.sample copies a population of at most this many into a list and
 # draws by pops from the copy; above it, it draws indices into the
-# population and rejects repeats by a set (for k = 7 or 8)
+# population and rejects repeats by a set (for k = 7 or 8). _draw takes
+# the same draws in both branches.
 SAMPLE_CUTOFF = 21 + 4 ** 3
 _POOL_KEYPAIRS = SAMPLE_CUTOFF + 35
 
@@ -772,20 +773,22 @@ def memberships(draw, agents):
 
 @given(st.data(), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
-def test_pools_by_slices_equal_the_scans_and_draw_the_same_peers(pool_agents, data, seed):
+def test_drawn_strangers_are_the_samples_of_the_scanned_pools(pool_agents, data, seed):
     network, sender, receiver = data.draw(memberships(pool_agents))
-    # the scans accept_fuel_tx and announce_transfer ran before the slices
-    audit_pool = [a for a in network.agents if a is not receiver]
-    witness_pool = [a for a in network.agents if a.public_key not in (sender, receiver.public_key)]
+    # the excluded keys of accept_fuel_tx's audit and announce_transfer's
+    # witnesses, and the pools their scans once built and sampled
     pools = [
-        (network.strangers(receiver.public_key), audit_pool),
-        (network.strangers(sender, receiver.public_key), witness_pool),
+        ((receiver.public_key,), [a for a in network.agents if a is not receiver]),
+        ((sender, receiver.public_key),
+         [a for a in network.agents if a.public_key not in (sender, receiver.public_key)]),
     ]
-    for sliced, scanned in pools:
-        assert sliced == scanned  # Agent compares by identity
-        for k in (7, 8):
-            k = min(k, len(scanned))
-            assert random.Random(seed).sample(sliced, k) == random.Random(seed).sample(scanned, k)
+    for keys, scanned in pools:
+        # the whole pool too: every member of the scan, each drawn once
+        for k in (0, 7, 8, 70, len(scanned)):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            drawn = network.draw_strangers(rng, k, *keys)
+            assert drawn == oracle.sample(scanned, min(k, len(scanned)))  # Agent compares by identity
+            assert rng.getstate() == oracle.getstate()
 
 
 def test_a_transfer_decodes_no_field_map(decode_calls):

@@ -1,6 +1,7 @@
-"""Every module uses each name it imports, and program code reads every
-function and class the package defines: static checks over the package,
-the tools and the tests, since no linter runs over them."""
+"""Every module uses each name it imports, program code reads every
+function and class the package defines, and no package module calls
+``sample``: static checks over the package, the tools and the tests, since
+no linter runs over them."""
 
 import ast
 from collections import Counter
@@ -95,3 +96,26 @@ def test_program_code_reads_every_function_and_class_the_package_defines():
         "named()\nx.attr\n"
     )
     assert unread_definitions({"p": probe}, [probe], {"Exported"}) == ["p.Unread", "p.recursive"]
+
+
+def sample_calls(tree: ast.Module) -> list[int]:
+    """The line of each call of a name or attribute ``sample``, such as
+    ``rng.sample(pool, k)``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "sample" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    )
+
+
+def test_no_package_module_calls_sample():
+    # every peer choice goes through dht._draw: Random.sample's draws,
+    # without its per-call overhead or a copy of the pool
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src" / "agentchain").glob("*.py"))
+        for line in sample_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []
+    probe = ast.parse("rng.sample(pool, 2)\nrandom.sample(x, k=1)\nsample(x, 1)\nx.sample\nsampled(x)\n")
+    assert sample_calls(probe) == [1, 2, 3]

@@ -3,6 +3,7 @@ small size, and every pinned run output of tests/fixtures/pins.json holds
 when tools/pins.py recomputes it."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -59,6 +60,28 @@ def test_scale_probe_prints_per_agent_figures_of_a_whole_run(agents, ticks):
 def test_pinned_output_holds(name):
     new = pins.compute(name)
     assert new == PINS[name], f"{name}: {PINS[name]} -> {new}"
+
+
+def test_a_traced_pin_leaves_the_checkout_as_it_found_it(tmp_path, monkeypatch):
+    # a checkout of the harness and the program, where the run writes its spans
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    monkeypatch.setattr(pins, "ROOT", tmp_path)
+    name, spans = "perfbench-traced ward_churn 1", tmp_path / ".perfbench" / "spans-ward_churn-1.csv"
+
+    def listing():
+        return sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if "__pycache__" not in p.parts)
+
+    before = listing()
+    assert pins.compute(name) == PINS[name]
+    assert listing() == before
+    # a span file that was there before stays, as does the rest of its directory
+    spans.parent.mkdir()
+    spans.write_text("kept")
+    (spans.parent / "other.csv").write_text("kept")
+    before = listing()
+    assert pins.compute(name) == PINS[name]
+    assert listing() == before
 
 
 def test_every_scenario_file_is_pinned():

@@ -14,17 +14,21 @@ and name the pin and the reason in CHANGES.md.
   is imported (or failing), so ``verify_records`` starts no helper thread.
 - ``perfbench-traced W S``: the SHA-256 of the sorted ``name value`` lines
   of every ``*.calls`` and ``counters.*`` metric of one traced episode.
-  Every span wrapper runs, so a changed wrapped signature fails too.
+  Every span wrapper runs, so a changed wrapped signature fails too. The
+  span file the run writes under ``.perfbench/`` is removed again, unless
+  it was there before.
 - ``tool T ARGS``: ``metrics_csv_sha256`` of ``tools/T ARGS``. The 256 x 30
   scale probe covers re-replication under churn. The news pool probe's 96
   agents put more than 85 peers in the audit and witness pools, where
-  ``random.sample`` draws by set rejection instead of from a copy.
+  ``dht._draw``, like ``random.sample``, draws by set rejection instead of
+  from a pool of indices: its end-to-end guard of that branch for pools.
 - ``cli ARGS``: the SHA-256 of the file ``agentchain ARGS --out FILE``
   writes; it must exit 0. The double spends settle through the fuel path,
   which no workload fingerprint covers.
 - ``scenario NAME``: ``_artifact_digest`` of a run of ``scenarios/NAME.json``.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -54,11 +58,31 @@ def _run(*argv: str) -> str:
     return proc.stdout
 
 
+@contextlib.contextmanager
+def _left_as_found(path: Path):
+    """Remove path, a file, and its directory once the block ends, each
+    unless it was there when the block began; a directory only if empty."""
+    made = [p for p in (path, path.parent) if not p.exists()]
+    try:
+        yield
+    finally:
+        for p in made:
+            if p.is_dir():
+                with contextlib.suppress(OSError):
+                    p.rmdir()
+            else:
+                p.unlink(missing_ok=True)
+
+
 def _perfbench(workload: str, seed: str, *prefix: str, trace: str = "0") -> str:
-    out = _run(*prefix, "perfbench/run.py", "--workload", workload, "--seed", seed,
-               "--seconds", "0", "--trace", trace).splitlines()
+    argv = (*prefix, "perfbench/run.py", "--workload", workload, "--seed", seed,
+            "--seconds", "0", "--trace", trace)
     if trace == "0":
+        out = _run(*argv).splitlines()
         return next(line.split()[-1] for line in out if line.startswith("fingerprint sha256 "))
+    # a traced run writes the spans of one episode into the checkout
+    with _left_as_found(ROOT / ".perfbench" / f"spans-{workload}-{seed}.csv"):
+        out = _run(*argv).splitlines()
     metrics = json.loads(out[-1])["metrics"]
     counts = sorted("%s %s\n" % (name, metric["value"]) for name, metric in metrics.items()
                     if name.endswith(".calls") or name.startswith("counters."))
