@@ -3,10 +3,10 @@
 Records an agent chooses to share are pushed to the peers closest to the
 record key (XOR distance over hashed public keys). Every receiving peer
 re-validates against its own blueprint copy before storing anything, and
-issues a receipt when it does. Gossip rounds then keep redundancy up
-as peers drop on and off, spread news claims (transfer announcements and
-misbehavior reports), and never move privacy-restricted payloads beyond
-their assigned neighborhood.
+issues a receipt when it does. Gossip rounds spread news claims (transfer
+announcements and misbehavior reports) on random contacts, and keep
+redundancy up as peers drop on and off: a holder lacking a record pulls it
+from the key's other holders or its author, so no payload leaves them.
 
 Reputation lives here too: validators score authors on every delivery, and
 misbehavior reports are deduplicated by event so one offense costs the
@@ -15,7 +15,6 @@ offender exactly one penalty at every honest peer.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import struct
@@ -23,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .canonical import (
     DIGEST_AND_LEN,
@@ -416,11 +415,12 @@ class Network:
         self._claim_bit: dict[bytes, int] = {}
         self._kind_bits: dict[str, int] = {}
         # the re-replication plan: every key that reached the network by
-        # publish -> how many of its nearest members hold it; and member ->
-        # the keys whose holder set it is in and its shard lacked when
-        # planned (at publish, and at each join), less those stored there
-        # since. Written by join, publish, _plan and _store_if_valid only
-        self._holder_counts: dict[bytes, int] = {}
+        # publish -> how many of its nearest members hold it, and its
+        # author's public key; and member -> the keys whose holder set it is
+        # in and its shard lacked when planned (at publish, and at each
+        # join), less those stored there since. Written by join, publish,
+        # _plan and _store_if_valid only
+        self._holder_sets: dict[bytes, tuple[int, bytes]] = {}
         self._pending: dict[Agent, set[bytes]] = {}
 
     def join(self, agent: Agent) -> None:
@@ -438,7 +438,7 @@ class Network:
         self._ids.clear()
         # holder sets change with membership: plan every published key again
         self._pending.clear()
-        for key, count in self._holder_counts.items():
+        for key, (count, _author) in self._holder_sets.items():
             self._plan(key, self.neighborhood(key, count))
 
     def begin_tick(self, tick: int) -> None:
@@ -468,46 +468,49 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def _nearest(self, key: bytes, first: int) -> Iterator[Agent]:
-        """The members nearest to key by XOR over node ids, nearest first,
-        online or not, walked lazily: a reader pays only for what it takes.
+    def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
+        """The min(r, n) members nearest to key by XOR over node ids,
+        nearest first, online or not. It changes only when an agent joins,
+        never with presence.
 
         The walk descends the binary trie over the members sorted by node id
-        (Kademlia's XOR order). A range of that order shares every id bit
-        above the highest bit in which its ends differ; the half whose bit
-        there matches the key's comes first. A range of at most first
-        members is ordered with one sort, and first is taken as at least 1.
-        Members have distinct keys, so distinct node ids: a range that does
-        not fit holds two ids, which differ in some bit.
-
-        The order depends on the key and on membership only; nothing of it
-        is kept per key. Presence is not part of it: readers skip offline
-        agents as they go.
+        (Kademlia's XOR order) and stops once it has r. A range of that order
+        shares every id bit above the highest bit in which its ends differ;
+        the half whose bit there matches the key's comes first. A range of at
+        most r members is ordered with one sort. Members have distinct keys,
+        so distinct node ids: a range that does not fit holds two ids, which
+        differ in some bit. Nothing of the order is kept per key.
         """
+        r = max(0, self.redundancy if r is None else r)
         if not self._by_id:
             self._by_id = sorted(self.agents, key=lambda a: a.node_id)
             self._ids = [a.node_id for a in self._by_id]
         by_id, ids = self._by_id, self._ids
         k = int.from_bytes(key, "big")
-        first = max(first, 1)
+        nearest: list[Agent] = []
         ranges = [(0, len(ids))]  # nearest range last
-        while ranges:
+        while ranges and len(nearest) < r:
             lo, hi = ranges.pop()
-            if hi - lo <= first:
-                yield from sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k)
+            if hi - lo <= r:
+                nearest += sorted(by_id[lo:hi], key=lambda a: a.node_id ^ k)
                 continue
             bit = (ids[lo] ^ ids[hi - 1]).bit_length() - 1
             mid = bisect_left(ids, ids[hi - 1] >> bit << bit, lo, hi)
             near, far = ((mid, hi), (lo, mid)) if k >> bit & 1 else ((lo, mid), (mid, hi))
             ranges += (far, near)
+        return nearest[:r]
 
-    def neighborhood(self, key: bytes, r: int | None = None) -> list[Agent]:
-        """The min(r, n) agents nearest to key, online or not, nearest first:
-        the first r of its walk. It changes only when an agent joins, never
-        with presence.
-        """
-        r = max(0, self.redundancy if r is None else r)
-        return list(itertools.islice(self._nearest(key, r), r))
+    def _sources(self, key: bytes, author: bytes) -> list[Agent]:
+        """Every member that can hold key's record, online or not: its
+        holder set, the first holder-count members of its neighborhood (r
+        for a key never published), then the member whose public key is
+        author if it lies outside them. Shard copies lie in holder sets, and
+        a chain key is its author's alone."""
+        sources = self.neighborhood(key, self._holder_sets.get(key, (self.redundancy,))[0])
+        position = self._positions.get(author)
+        if position is not None and self.agents[position] not in sources:
+            sources.append(self.agents[position])
+        return sources
 
     def is_restricted(self, entry_type: str) -> bool:
         return entry_type.startswith(self.dna.restricted_prefixes)
@@ -520,8 +523,8 @@ class Network:
         neighborhood of r.)
 
         The neighborhood of backup_width, walked afresh on each call: it
-        changes only when an agent joins. An offline holder gets the record
-        by gossip once it is back (see ``_plan``).
+        changes only when an agent joins. An offline holder pulls the record
+        once it is back (see ``_plan``).
         """
         return self.neighborhood(key, self.backup_width)
 
@@ -617,10 +620,11 @@ class Network:
 
     def _verdict(self, agent: Agent, record: Record) -> Verdict:
         """agent's verdict on record by its own blueprint copy; a rule's
-        dependency is looked up by agent's fetch, counting no messages."""
+        dependency, authored by record's author, is fetched by agent
+        without counting messages."""
         return authenticate_channel(
             record, agent.chain.dna, self.marketplace,
-            resolve=lambda key: self.fetch(agent, key, count_messages=False),
+            resolve=lambda key: self.fetch(agent, key, record.header.author, count_messages=False),
         )
 
     # -- publish / fetch -----------------------------------------------------
@@ -657,7 +661,7 @@ class Network:
             receipt = self._deliver_publish(author, validator, envelope)
             if receipt is not None:
                 receipts.append(receipt)
-        self._holder_counts[key] = count
+        self._holder_sets[key] = (count, author.public_key)
         self._plan(key, holders)
         return receipts
 
@@ -695,16 +699,19 @@ class Network:
             return None
         return Receipt(holder=validator.public_key, key=key)
 
-    def fetch(self, requester: Agent, key: bytes, count_messages: bool = True) -> Record | None:
+    def fetch(
+        self, requester: Agent, key: bytes, author: bytes, count_messages: bool = True
+    ) -> Record | None:
         """Look a record up by key: own holdings first, then the members
-        nearest the key, walked lazily and probed one at a time until an
-        online one has it. Each probe, of an offline member too, counts one
-        message unless count_messages is off. Returns None when no online
-        peer has it, after probing every other member."""
+        that can hold it, ``_sources(key, author)``, probed one at a time
+        until an online one has it. Each probe, of an offline member too,
+        counts one message unless count_messages is off. Returns None when
+        no online source has it, after at most the key's holder count + 1
+        probes."""
         local = requester.lookup(key)
         if local is not None:
             return local
-        for holder in self._nearest(key, self.redundancy):
+        for holder in self._sources(key, author):
             if holder is requester:
                 continue
             if count_messages:
@@ -759,12 +766,12 @@ class Network:
     # -- gossip ---------------------------------------------------------------
 
     def gossip_round(self, rng: random.Random) -> int:
-        """One epidemic round: every online agent syncs with fanout random
-        online peers, drawn by ``_draw`` as ``rng.sample`` would draw them
-        from the other online agents, with no list of those built. Claims
-        flow both ways; records flow only where the plan says they are
-        missing: each end of a contact is offered the keys pending at it
-        that the other end holds. Returns the contact count."""
+        """One epidemic round. Claims flow both ways on random contacts:
+        every online agent syncs with fanout random online peers, drawn by
+        ``_draw`` as ``rng.sample`` would draw them from the other online
+        agents, with no list of those built. Records move only by pull:
+        after the contacts, every online agent pulls the keys pending at it
+        (see ``_pull``). Returns the contact count."""
         online = [a for a in self.agents if a.online]
         others = len(online) - 1
         if others < 1:
@@ -776,13 +783,15 @@ class Network:
             for j in _draw(rng, others, k):
                 self.metrics.messages += 1
                 self._exchange(agent, online[j + (j >= me)])
+        for agent in online:
+            self._pull(agent)
         return len(online) * k
 
     def _plan(self, key: bytes, holders: list[Agent]) -> None:
         """Make key pending at each of its holders whose shard lacks it,
         until it is stored there. holders is the key's static holder set,
-        the first ``_holder_counts[key]`` members of its ranking, online or
-        not: an offline holder keeps its entry and is served once it is
+        the first holder-count members of its neighborhood, online or not:
+        an offline holder keeps its entry and pulls the record once it is
         back. Pending sets follow shards, which only grow, not ``holds``:
         chain holdings shrink on ``SourceChain.replace_at`` and
         ``truncate``."""
@@ -790,15 +799,36 @@ class Network:
             if key not in member.shard:
                 self._pending.setdefault(member, set()).add(key)
 
+    def _pull(self, agent: Agent) -> None:
+        """Pull each key pending at agent that it does not hold, lowest
+        first, from its sources in order (see ``_sources``): the first
+        online one that holds it, that agent does not shun and that has not
+        shipped agent an invalid copy of it (the misbehavior claim agent
+        keeps, looked up only while agent's pool holds any). Each ask counts
+        one message and passes both ends' receiver gates; a refused or
+        invalid ship moves on to the next source."""
+        for key in sorted(k for k in self._pending.get(agent, ()) if not agent.holds(k)):
+            for source in self._sources(key, self._holder_sets[key][1]):
+                if not source.online or not source.holds(key):
+                    continue
+                if is_blacklisted(agent.experience, source.public_key):
+                    continue
+                if agent.news_bits & self._kind_bits.get(CLAIM_MISBEHAVIOR, 0):
+                    blame = misbehavior_claim(source.public_key, ObservationKind.INVALID_DATA, key)
+                    if self.has_claim(agent, blame.claim_id):
+                        continue
+                self.metrics.messages += 1
+                if self._refused(source, agent.public_key) or self._refused(agent, source.public_key):
+                    continue
+                if self._store_if_valid(agent, source.lookup(key), key, source.public_key):
+                    self.metrics.backup_transfers += 1
+                    break
+
     def _exchange(self, a: Agent, b: Agent) -> None:
         if self._refused(b, a.public_key) or self._refused(a, b.public_key):
             return
         self._sync_claims(a, b)
         self._sync_claims(b, a)
-        if self._pending.get(b):
-            self._sync_records(a, b)
-        if self._pending.get(a):
-            self._sync_records(b, a)
 
     def _sync_claims(self, src: Agent, dst: Agent) -> None:
         """Merge src's pool into dst's with one OR of the bits src holds
@@ -812,15 +842,6 @@ class Network:
         self.metrics.news_claims += missing.bit_count()
         for claim in self._sorted_claims(missing & self._kind_bits.get(CLAIM_MISBEHAVIOR, 0)):
             self._score_misbehavior(dst, claim)
-
-    def _sync_records(self, src: Agent, dst: Agent) -> None:
-        """Offer dst the keys pending at it that src holds, lowest key
-        first."""
-        for key in sorted(k for k in self._pending.get(dst, ()) if src.holds(k)):
-            if dst.holds(key):
-                continue
-            if self._store_if_valid(dst, src.lookup(key), key, src.public_key):
-                self.metrics.backup_transfers += 1
 
     # -- integrity sweeps -------------------------------------------------------
 

@@ -384,7 +384,7 @@ def _holder_sees_revocation(
             continue
         if claim.agent != patient_key:
             continue
-        if _revokes(network.fetch(holder, claim.subject), patient_key, token):
+        if _revokes(network.fetch(holder, claim.subject, claim.agent), patient_key, token):
             return True
     return False
 

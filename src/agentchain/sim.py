@@ -358,7 +358,7 @@ class Simulation:
         self.metrics_log = MetricsLog()
         self.slots: dict[str, bytes] = {}
         self.access_log: list[dict] = []
-        self.tracked_keys: list[bytes] = []
+        self.tracked_keys: list[tuple[bytes, bytes]] = []  # (key, author)
         self.revoke_published: dict[bytes, int] = {}
         self.availability_hits = 0
         self.availability_slots = 0
@@ -443,9 +443,9 @@ class Simulation:
                 f"attempted vs {m.attacks_detected}+{m.attacks_missed}"
             )
         if self.tracked_keys:
-            for key in self.tracked_keys:
+            for key, author in self.tracked_keys:
                 self.availability_slots += 1
-                if any(a.online and a.holds(key) for a in self.network.agents):
+                if any(a.online and a.holds(key) for a in self.network._sources(key, author)):
                     self.availability_hits += 1
 
     # -- script ops ---------------------------------------------------------------
@@ -459,7 +459,7 @@ class Simulation:
             network=self.network if op["share"] else None,
         )
         if op["track"]:
-            self.tracked_keys.append(record_key(record))
+            self.tracked_keys.append((record_key(record), patient.public_key))
 
     def _op_report(self, tick: int, op: dict) -> None:
         agent = self.agent(op["agent"])
@@ -467,7 +467,7 @@ class Simulation:
         if op["share"]:
             self.network.publish(agent, record)
             if op["track"]:
-                self.tracked_keys.append(record_key(record))
+                self.tracked_keys.append((record_key(record), agent.public_key))
 
     def _op_grant(self, tick: int, op: dict) -> None:
         patient = self.agent(op["patient"])
@@ -525,10 +525,12 @@ class Simulation:
             result = request_access(patient, requester_key, token, tick)
             served_by = "patient"
         elif self.config.holder_serve:
-            # the first online holder in join order, which is index order
-            holder = next((
-                a for a in self.network.agents if a.online and a is not patient and a.holds(token)
-            ), None)
+            # the online holder first in join order, which is index order,
+            # among the members that can hold the token
+            holder = min((
+                a for a in self.network._sources(token, patient.public_key)
+                if a.online and a is not patient and a.holds(token)
+            ), key=lambda a: a.index, default=None)
             if holder is None:
                 self.metrics.accesses_denied += 1
                 return "unreachable", 0, "none"
@@ -586,7 +588,7 @@ class Simulation:
         record = _record_at(tick, op, agent, op["seq"])
         self.network.publish(agent, record)
         if op["track"]:
-            self.tracked_keys.append(record_key(record))
+            self.tracked_keys.append((record_key(record), agent.public_key))
 
     # -- attacks -----------------------------------------------------------------
 

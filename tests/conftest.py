@@ -161,12 +161,16 @@ def assert_network_coherent(network) -> None:
         return sorted(agents, key=lambda a: a.node_id ^ k)
 
     plan: dict = {}
-    for key, count in network._holder_counts.items():
+    for key, (count, author) in network._holder_sets.items():
         # r holders for a restricted type, backup_width for any other
         record = next(filter(None, (a.lookup(key) for a in agents)), None)
         if record is not None:
             restricted = network.is_restricted(record.header.entry_type)
             assert count == (network.redundancy if restricted else network.backup_width)
+        # the planned author is the member whose chain holds the key, while
+        # one does (a rewrite or a truncation drops it)
+        assert author in network._positions
+        assert [a.public_key for a in agents if key in a.chain.keys] in ([], [author])
         for member in ranked(key)[:count]:
             if key not in member.shard:
                 plan.setdefault(member, set()).add(key)

@@ -381,11 +381,12 @@ _OPS = {
         "sender": _AGENT, "receiver": _AGENT, "amount": _AMOUNT, "publish": _BOOL,
         "expect_ok": _BOOL}),
     "presence": ({"agent": 0, "online": False}, {"agent": _AGENT, "online": _BOOL}),
-    # agent 0's chain holds 3 records at tick 1, and agent 2's holds 2
+    # at tick 1 agent 0's chain holds 4 records (genesis, agent key, seed
+    # grant and the prelude's grant), and agent 2's holds 3
     "publish_seq": ({"agent": 0, "seq": 1}, {
-        "agent": _AGENT, "seq": (int, _below(0) | _above(2), False), "track": _BOOL}),
+        "agent": _AGENT, "seq": (int, _below(0) | _above(3), False), "track": _BOOL}),
     "attack:tamper_own_history": ({"agent": 2}, {
-        "agent": _AGENT, "seq": (int, _below(0) | _above(1), True)}),
+        "agent": _AGENT, "seq": (int, _below(0) | _above(2), True)}),
     "attack:mitm_mutation": ({"victim": 1}, {"victim": _AGENT, "text": _TEXT}),
     "attack:double_spend": ({"agent": 3}, {"agent": _AGENT, "amount": _AMOUNT}),
     "attack:forged_token": ({"agent": 2, "patient": 0}, {

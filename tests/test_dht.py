@@ -8,15 +8,14 @@ lists in the same order.
 """
 
 import ast
-import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
 import os
 import random
 import threading
-import types
 from pathlib import Path
 
 import pytest
@@ -134,11 +133,22 @@ def oracle_backup_targets(net, key):
     return _xor_sorted(net.agents, key)[: net.backup_width]
 
 
-def oracle_fetch(net, requester, key, count_messages=True):
+def oracle_sources(net, key, author):
+    """The members that can hold key's record: the first holder-count
+    members of its sorted ranking (r for a key never published), then the
+    member with author's key if it lies outside them."""
+    count = net._holder_sets[key][0] if key in net._holder_sets else net.redundancy
+    ranked = _xor_sorted(net.agents, key)
+    sources = ranked[:count]
+    sources += [a for a in ranked[count:] if a.public_key == author]
+    return sources
+
+
+def oracle_fetch(net, requester, key, author, count_messages=True):
     local = requester.lookup(key)
     if local is not None:
         return local
-    for holder in _xor_sorted(net.agents, key):
+    for holder in oracle_sources(net, key, author):
         if holder is requester:
             continue
         if count_messages:
@@ -154,19 +164,20 @@ def oracle_fetch(net, requester, key, count_messages=True):
 def _assert_lookups_match_oracle(net, rng, keys, records):
     n = len(net.agents)
     for key in keys:
-        for r in (None, 0, 1, 4, 9, 70, n + 1):
+        for r in (None, 0, 1, 4, 9, 70, n, n + 1):
             assert net.neighborhood(key, r) == oracle_neighborhood(net, key, r)
-        # a walk asked to sort nothing still ranks every member, one alone too
-        assert list(net._nearest(key, 0)) == _xor_sorted(net.agents, key)
     for record in records:
         key = record_key(record)
         assert net.backup_targets(key) == oracle_backup_targets(net, key)
-    for key in keys + [record_key(r) for r in records]:
+    lookups = [(key, rng.choice(net.agents).public_key) for key in keys]
+    lookups += [(record_key(r), r.header.author) for r in records]
+    for key, author in lookups:
         requester = rng.choice(net.agents)
         before = net.metrics.messages
-        found = net.fetch(requester, key)
+        found = net.fetch(requester, key, author)
         used = net.metrics.messages - before
-        assert oracle_fetch(net, requester, key) is found
+        assert used <= len(oracle_sources(net, key, author))
+        assert oracle_fetch(net, requester, key, author) is found
         assert net.metrics.messages - before == 2 * used
 
 
@@ -250,9 +261,10 @@ def test_walked_rankings_match_the_sorting_oracle_as_members_join(data):
                 wanted = record_key(record) if reader == "fetch held" else key
                 requester = rng.choice(net.agents)
                 before = net.metrics.messages
-                found = net.fetch(requester, wanted)
+                found = net.fetch(requester, wanted, author.public_key)
                 used = net.metrics.messages - before
-                assert oracle_fetch(net, requester, wanted) is found
+                assert used <= len(oracle_sources(net, wanted, author.public_key))
+                assert oracle_fetch(net, requester, wanted, author.public_key) is found
                 assert net.metrics.messages - before == 2 * used
             else:
                 r = {"r0": 0, "r1": 1, "r": None, "r9": 9, "past n": n + 1}[reader]
@@ -281,32 +293,70 @@ def test_fetch_walks_only_as_deep_as_the_nearest_online_holder():
     net = _network(n=40)
     key = b"\x3c" * 32
     ranked = _xor_sorted(net.agents, key)
-    for agent in ranked[:20]:
+    for agent in ranked[:2]:
         agent.online = False
-    requester = ranked[-1]
+    requester, author = ranked[-1], ranked[30]
     record = requester.append("report", {"text": "far"}, 1)
-    ranked[20].shard[key] = record
-    taken = []
-    walk = net._nearest
+    ranked[2].shard[key] = record
+    walked = []
+    walk = net.neighborhood
 
-    def counted(key, first):
-        for agent in walk(key, first):
-            taken.append(agent)
-            yield agent
+    def counted(key, r=None):
+        walked.append(r)
+        return walk(key, r)
 
-    net._nearest = counted
-    # one probe per member walked: the 20 offline ones, then the holder
+    net.neighborhood = counted
+    # one probe per member asked: the 2 offline ones, then the holder
     before = net.metrics.messages
-    assert net.fetch(requester, key) is record
-    assert net.metrics.messages - before == 21
-    assert taken == ranked[:21]
-    # a missing key: fetch probes every member but the requester
-    del ranked[20].shard[key]
-    taken.clear()
+    assert net.fetch(requester, key, author.public_key) is record
+    assert net.metrics.messages - before == 3
+    # a missing key: fetch probes the r = 4 nearest, never published, then
+    # the author named, and no member past them
+    del ranked[2].shard[key]
     before = net.metrics.messages
-    assert net.fetch(requester, key) is None
-    assert net.metrics.messages - before == 39
-    assert taken == ranked
+    assert net.fetch(requester, key, author.public_key) is None
+    assert net.metrics.messages - before == net.redundancy + 1
+    assert walked == [net.redundancy] * 2
+    # a published report's holder set is its backup_width nearest: with
+    # them and its author offline, a miss costs backup_width + 1 probes
+    writer = ranked[0]
+    report = writer.append("report", {"text": "planned"}, 2)
+    held = record_key(report)
+    net.publish(writer, report)
+    sources = net._sources(held, writer.public_key)
+    assert sources[: net.backup_width] == net.backup_targets(held) and writer in sources
+    asker = next(a for a in net.agents if a not in sources)
+    for agent in sources:
+        agent.online = False
+    before = net.metrics.messages
+    assert net.fetch(asker, held, writer.public_key) is None
+    assert net.metrics.messages - before == len(sources) <= net.backup_width + 1
+
+
+def test_a_member_pushed_out_of_a_holder_set_keeps_a_copy_fetch_no_longer_finds():
+    """A late join can push a member out of a key's holder set. Its shard
+    copy stays, but no lookup asks it: fetch, the pull and holder-served
+    access look only at the key's sources. No scenario joins late."""
+    net = _network(n=12, seed=6)
+    record, key = _report_with_its_author_outside_its_targets(net, net.agents[0], "pushed")
+    net.publish(net.agents[0], record)
+    net.gossip_round(random.Random(6))
+    k = int.from_bytes(key, "big")
+    pushed = net.backup_targets(key)[-1]
+    assert key in pushed.shard
+    late = next(
+        agent
+        for agent in (make_agent(100 + i, agent_seed(6, 100 + i), net.dna) for i in range(64))
+        if agent.node_id ^ k < pushed.node_id ^ k
+    )
+    net.join(late)
+    assert pushed not in net._sources(key, net.agents[0].public_key)
+    for agent in net.agents:
+        agent.online = agent is pushed or agent is late
+    assert key in pushed.shard
+    assert net.fetch(late, key, net.agents[0].public_key) is None
+    net.gossip_round(random.Random(7))
+    assert not late.holds(key)
 
 
 def test_neighborhood_ignores_presence():
@@ -575,7 +625,7 @@ def test_only_the_member_at_its_key_s_position_publishes():
         with pytest.raises(DhtError, match="not a member"):
             net.publish(author, record)
         assert net.metrics.snapshot() == before
-        assert not net._holder_counts and not net._pending
+        assert not net._holder_sets and not net._pending
         assert holders_of(net, record_key(record)) == []
     # the blueprint is checked first: a forked agent is refused for it
     forked = make_agent(98, agent_seed(2, 98), healthcare_dna(redundancy=5))
@@ -650,8 +700,11 @@ def test_records_for_sibling_networks_are_refused_even_when_registered():
 GATED_DELIVERIES = {
     "publish": lambda net, sender, receiver, record, claim: net.publish(sender, record),
     "send_claim": lambda net, sender, receiver, record, claim: net.send_claim(sender, receiver, claim),
-    "gossip_from_sender": lambda net, sender, receiver, record, claim: net._exchange(sender, receiver),
-    "gossip_from_receiver": lambda net, sender, receiver, record, claim: net._exchange(receiver, sender),
+    "gossip": lambda net, sender, receiver, record, claim: net._exchange(sender, receiver),
+    # the receiver never asks a source it shuns, so nothing is refused
+    "pull_by_receiver": lambda net, sender, receiver, record, claim: net._pull(receiver),
+    # the sender asks the receiver for a key pending at the sender
+    "pull_by_sender": lambda net, sender, receiver, record, claim: net._pull(sender),
 }
 
 
@@ -666,11 +719,26 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
     receiver = next(v for v in net.neighborhood(key) if v is not sender)
     assert receiver in net.backup_targets(key)
     if path != "publish":
-        # published while the receiver was away, so gossip offers it
+        # published while the receiver was away, so it is pending there
         receiver.online = False
         net.publish(sender, record)
         receiver.online = True
         assert key in net._pending[receiver]
+    if path == "pull_by_sender":
+        # a record of the receiver's, published while the sender was away
+        # into a holder set the sender is in, with its author the one
+        # online source
+        sender.online = False
+        for clock in itertools.count(11):
+            theirs = receiver.append("report", {"text": f"back {clock}"}, clock)
+            if sender in net.backup_targets(record_key(theirs)):
+                break
+        net.publish(receiver, theirs)
+        sender.online = True
+        assert record_key(theirs) in net._pending[sender]
+    if path.startswith("pull"):
+        for agent in net.agents:
+            agent.online = agent in (sender, receiver)
     for _ in range(3):
         update_experience(receiver.experience, sender.public_key, ObservationKind.INVALID_DATA)
     assert is_blacklisted(receiver.experience, sender.public_key)
@@ -680,7 +748,9 @@ def test_blacklist_gate_runs_before_rate_accounting(path):
 
     if path == "publish":
         assert all(r.holder != receiver.public_key for r in outcome)
-    assert net.metrics.rejections == rejections + 1
+    if path == "pull_by_sender":
+        assert not sender.holds(record_key(theirs))
+    assert net.metrics.rejections == rejections + (path != "pull_by_receiver")
     assert not receiver.holds(key)
     assert _pool_ids(net, receiver) == news
     # dropped before the rate window ever saw the sender
@@ -696,13 +766,13 @@ def test_fetch_prefers_local_then_walks_holders():
     key = record_key(record)
     net.publish(author, record)
 
-    assert net.fetch(author, key) == record  # own chain, no network traffic
+    assert net.fetch(author, key, author.public_key) == record  # own chain, no network traffic
     msgs = net.metrics.messages
-    assert net.fetch(author, key) == record
+    assert net.fetch(author, key, author.public_key) == record
     assert net.metrics.messages == msgs
 
     outsider = next(a for a in net.agents if not a.holds(key))
-    assert net.fetch(outsider, key) == record
+    assert net.fetch(outsider, key, author.public_key) == record
     assert net.metrics.messages > msgs
 
 
@@ -716,8 +786,8 @@ def test_fetch_survives_offline_holders_and_misses_cleanly():
         holder.online = False
     author.online = True
     outsider = next(a for a in net.agents if not a.holds(key) and a.online)
-    assert net.fetch(outsider, key) == record  # author still serves it
-    assert net.fetch(outsider, b"\x00" * 32) is None
+    assert net.fetch(outsider, key, author.public_key) == record  # author still serves it
+    assert net.fetch(outsider, b"\x00" * 32, author.public_key) is None
 
 
 # --- gossip ------------------------------------------------------------------
@@ -739,16 +809,16 @@ def test_one_publish_verifies_two_signatures_for_all_r_validators(verify_calls):
     assert len({id(a.shard[key]) for a in holders}) == 1
 
 
-def test_gossip_backup_of_a_validated_record_verifies_nothing(verify_calls):
+def test_a_pulled_backup_of_a_validated_record_verifies_nothing(verify_calls):
     net = _network()
     author = net.agents[0]
     record = author.append("report", {"text": "backed up"}, 10)
     key = record_key(record)
     net.publish(author, record)
-    src = next(a for a in net.agents if key in a.shard)
+    src = next(a for a in net._sources(key, author.public_key) if key in a.shard)
     dst = next(a for a in net.backup_targets(key) if not a.holds(key))
     verify_calls.clear()
-    net._sync_records(src, dst)
+    net._pull(dst)
     assert dst.shard[key] is src.shard[key]
     assert net.metrics.backup_transfers == 1
     assert net.metrics.validations == 5
@@ -799,7 +869,7 @@ def test_an_honest_publish_decodes_nothing_and_its_holders_share_the_author_s_re
     assert decode_record_calls == []
 
 
-def test_the_author_s_own_copy_shipped_to_a_pending_holder_verifies_nothing(verify_calls):
+def test_the_author_s_own_copy_pulled_by_a_pending_holder_verifies_nothing(verify_calls):
     net = _network()
     author = net.agents[0]
     record = author.append("report", {"text": "from the author"}, 10)
@@ -809,8 +879,11 @@ def test_the_author_s_own_copy_shipped_to_a_pending_holder_verifies_nothing(veri
         a for a in net.backup_targets(key)
         if a is not author and key in net._pending.get(a, ())
     )
+    # the author is the one online source
+    for agent in net.agents:
+        agent.online = agent in (author, dst)
     verify_calls.clear()
-    net._sync_records(author, dst)
+    net._pull(dst)
     assert dst.shard[key] is record
     assert net.metrics.backup_transfers == 1
     assert verify_calls == []
@@ -925,7 +998,7 @@ def published_by(net, agent):
     """The keys agent published and still holds on its chain, read off the
     network's published index: one member per key, so only the author's
     chain holds a record it published."""
-    return {key for key in net._holder_counts if key in agent.chain.keys}
+    return {key for key in net._holder_sets if key in agent.chain.keys}
 
 
 def oracle_targets(net, key, record):
@@ -934,46 +1007,6 @@ def oracle_targets(net, key, record):
     if net.is_restricted(record.header.entry_type):
         return oracle_neighborhood(net, key)
     return oracle_backup_targets(net, key)
-
-
-def oracle_sync_records(net, src, dst):
-    """The per-contact loop the plan replaces: every key src holds or has
-    published, lowest first, re-deriving dst's membership of the key's
-    holder set each time."""
-    for key in sorted(set(src.shard) | published_by(net, src)):
-        if dst.holds(key):
-            continue
-        record = src.lookup(key)
-        if record is None:
-            continue
-        if dst not in oracle_targets(net, key, record):
-            continue
-        if net._store_if_valid(dst, record, key, src.public_key):
-            net.metrics.backup_transfers += 1
-
-
-def _fork(net):
-    """A deep copy of net that shares its records, key pairs and blueprint,
-    so the shards of two forks compare by record identity."""
-    memo = {id(net.dna): net.dna}
-    for agent in net.agents:
-        memo[id(agent.keys)] = agent.keys
-        for record in agent.chain.records:
-            memo[id(record)] = record
-        for record in agent.shard.values():
-            memo[id(record)] = record
-    return copy.deepcopy(net, memo)
-
-
-def _gossip_state(net):
-    return (
-        [[(key, id(record)) for key, record in a.shard.items()] for a in net.agents],
-        [_pool_ids(net, a) for a in net.agents],
-        [a.experience for a in net.agents],
-        [a.rate_window for a in net.agents],
-        net.transfer_index,
-        net.metrics.snapshot(),
-    )
 
 
 def oracle_want_lists(net):
@@ -1002,9 +1035,9 @@ def _assert_plan_matches_the_oracle(net):
     every key that can move. A pending set may also name keys the agent
     holds (on its chain: its pending set follows its shard) and keys no
     online agent can offer (held offline, or published and since
-    rewritten). Those are inert: _sync_records offers only keys its sender
-    holds, and only to a receiver that does not hold them, so neither kind
-    ships a record, counts or draws anything."""
+    rewritten). Those are inert: the pull asks only for keys its agent
+    does not hold, and only sources that hold them, so neither kind ships a
+    record, counts or draws anything."""
     online = [a for a in net.agents if a.online]
     offerable = {
         key
@@ -1019,24 +1052,53 @@ def _assert_plan_matches_the_oracle(net):
     assert live == oracle_want_lists(net)
 
 
-def _gossip_matches_the_oracle(net, rng):
-    """One gossip round of net, and of a fork of it that ships by the
-    per-contact oracle from the same rng state: the same contacts, state
-    and draws. The plan matches the oracle's before and after the round."""
+def _unserved(net, may_ship):
+    """(agent, key, member) for each key pending at an online agent that it
+    does not hold, and each other online member that holds the key (a full
+    scan) and that may_ship(key, member) admits: a ship a pull should have
+    made. Excused are a member the agent shuns or that shuns it, and one
+    the agent keeps a claim against for an invalid copy of that key."""
+    unserved = []
+    for agent in net.agents:
+        if not agent.online:
+            continue
+        for key in sorted(net._pending.get(agent, ())):
+            if agent.holds(key):
+                continue
+            for member in holders_of(net, key):
+                if not member.online or not may_ship(key, member):
+                    continue
+                blame = misbehavior_claim(member.public_key, ObservationKind.INVALID_DATA, key)
+                if (
+                    is_blacklisted(agent.experience, member.public_key)
+                    or is_blacklisted(member.experience, agent.public_key)
+                    or net.has_claim(agent, blame.claim_id)
+                ):
+                    continue
+                unserved.append((agent.index, key.hex()[:12], member.index))
+    return unserved
+
+
+def _in_holder_set_or_author(net, key, member):
+    """Whether member is one of key's sources by the sorting oracle, with
+    the author its copy names; a member a late join pushed out of the
+    holder set is not."""
+    return member in oracle_sources(net, key, member.lookup(key).header.author)
+
+
+def _checked_gossip_round(net, rng):
+    """One gossip round of net. The plan matches the oracle's before and
+    after it, and afterwards no pull is left unmade from the key's sources
+    by the sorting oracle. Returns the contact count."""
     _assert_plan_matches_the_oracle(net)
-    oracle = _fork(net)
-    oracle._sync_records = types.MethodType(oracle_sync_records, oracle)
-    oracle_rng = random.Random()
-    oracle_rng.setstate(rng.getstate())
     contacts = net.gossip_round(rng)
-    assert oracle.gossip_round(oracle_rng) == contacts
-    assert _gossip_state(oracle) == _gossip_state(net)
-    assert oracle_rng.getstate() == rng.getstate()
     _assert_plan_matches_the_oracle(net)
+    assert _unserved(net, functools.partial(_in_holder_set_or_author, net)) == []
+    return contacts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
-def test_want_list_gossip_matches_the_per_contact_oracle(n):
+def test_pulls_leave_nothing_servable_under_churn_and_tampered_copies(n):
     net = _network(n=n, seed=n)
     rng, flips = random.Random(n), random.Random(n + 1000)
     authors = net.agents[:6]
@@ -1051,17 +1113,18 @@ def test_want_list_gossip_matches_the_per_contact_oracle(n):
             net.publish(author, author.append("vitals_pulse", _vitals_fields(author, 60 + tick), tick))
         if tick == 0:
             # every validator keeps a corrupted copy of the first report, so
-            # their offers fail validation and only its author ships it intact
+            # pulls from them fail validation and only its author ships it
+            # intact
             report = authors[0].chain.records[-2]
             key = record_key(report)
             tampered = Record(report.header, report.payload[:-1] + b"\x00")
             for holder in holders_of(net, key):
                 if key in holder.shard:
                     holder.shard[key] = tampered
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     if n >= 17:
         assert net.metrics.backup_transfers > 0
-        # the corrupted copies were offered and refused
+        # the corrupted copies were pulled and refused
         assert net.metrics.rejections > 0
 
 
@@ -1073,9 +1136,8 @@ def _restricted_records(net):
 def test_a_restricted_record_its_author_rewrote_is_shipped_back_to_the_author():
     """The author sits in its record's neighborhood but is offline at the
     publish, so its shard lacks the key; it holds the key on its chain
-    until it rewrites the record. The per-contact oracle then ships the
-    original back into the author's shard, so a pending set must follow
-    the shard, not holds()."""
+    until it rewrites the record. The author then pulls the original back
+    into its shard, so a pending set must follow the shard, not holds()."""
     net = _network(n=8, seed=5)
     rng = random.Random(5)
     author, record = next(
@@ -1087,12 +1149,12 @@ def test_a_restricted_record_its_author_rewrote_is_shipped_back_to_the_author():
     net.publish(author, record)
     author.online = True
     assert author.holds(key) and key not in author.shard
-    _gossip_matches_the_oracle(net, rng)
+    _checked_gossip_round(net, rng)
     assert net.metrics.backup_transfers == 0
     author.chain.replace_at(record.header.seq, Record(record.header, record.payload + b" "))
     assert not author.holds(key)
     for _ in range(6):
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     assert author.shard[key].payload == record.payload
     assert net.metrics.backup_transfers == 1
 
@@ -1150,7 +1212,7 @@ def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossi
     pushed = max(net.neighborhood(key), key=lambda a: a.node_id ^ k)
     pushed.online = False
     net.publish(author, record)
-    _gossip_matches_the_oracle(net, rng)
+    _checked_gossip_round(net, rng)
     late = next(
         agent
         for agent in (make_agent(100 + i, agent_seed(6, 100 + i), net.dna) for i in range(64))
@@ -1160,7 +1222,7 @@ def test_a_member_that_joins_a_restricted_keys_neighborhood_receives_it_by_gossi
     pushed.online = True
     assert late in net.neighborhood(key) and pushed not in net.neighborhood(key)
     for _ in range(6):
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     assert late.shard[key].payload == record.payload
     assert not pushed.holds(key)
     assert net.metrics.backup_transfers == 1
@@ -1190,13 +1252,13 @@ def test_a_report_s_offline_backup_target_receives_it_once_back_online():
     net.publish(author, record)
     for tick in range(6):
         net.begin_tick(tick)
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     assert set(holders_of(net, key)) == set(targets) - {away} | {author}
     assert key in net._pending[away]
     away.online = True
     for tick in range(6, 12):
         net.begin_tick(tick)
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     assert away.shard[key].payload == record.payload
     assert not net._pending[away] and not outsider.holds(key)
     assert net.metrics.backup_transfers == len(targets) - net.redundancy
@@ -1214,7 +1276,7 @@ def test_a_member_that_joins_a_report_s_backup_targets_receives_it_by_gossip():
     pushed.online = False
     net.publish(net.agents[0], record)
     for _ in range(6):
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     late = next(
         agent
         for agent in (make_agent(100 + i, agent_seed(6, 100 + i), net.dna) for i in range(64))
@@ -1225,7 +1287,7 @@ def test_a_member_that_joins_a_report_s_backup_targets_receives_it_by_gossip():
     assert late in net.backup_targets(key) and pushed not in net.backup_targets(key)
     assert key in net._pending[late] and pushed not in net._pending
     for _ in range(8):
-        _gossip_matches_the_oracle(net, rng)
+        _checked_gossip_round(net, rng)
     assert late.shard[key].payload == record.payload
     assert not pushed.holds(key)
 
@@ -1274,20 +1336,21 @@ def plan_steps(draw):
     return n, draw(st.integers(1, 3)), draw(steps)
 
 
-@settings(max_examples=150, deadline=None)
-@given(plan_steps())
-def test_plans_follow_publishes_presence_joins_and_rewrites_as_the_oracle_does(case):
+def _play_plan_steps(case, joins=True):
+    """Play a plan_steps case on a fresh network, with a checked gossip
+    round where a step asks for one and after the last. Yields the network
+    and its (author, record) publishes, newest last, after each step. Join
+    steps are skipped unless joins."""
     n, redundancy, steps = case
     dna = healthcare_dna(redundancy=redundancy)
     net = Network(dna, Marketplace())
     for i in range(n):
         net.join(make_agent(i, agent_seed(n, i), dna))
-    # (author, record) of each publish, which rewrites and truncations pick
-    # from, counting back from the newest
+    # rewrites and truncations pick a publish counting back from the newest
     published = []
     for clock, (step, gossip) in enumerate(steps, start=1):
         kind = step[0]
-        if kind == "join":
+        if kind == "join" and joins:
             net.join(make_agent(len(net.agents), agent_seed(1000 + step[1], len(net.agents)), dna))
         elif kind in ("replace", "truncate") and published:
             author, record = published[-1 - step[1] % len(published)]
@@ -1313,7 +1376,34 @@ def test_plans_follow_publishes_presence_joins_and_rewrites_as_the_oracle_does(c
             published.append((agent, record))
         if gossip or clock == len(steps):
             net.begin_tick(clock)
-            _gossip_matches_the_oracle(net, random.Random(clock))
+            _checked_gossip_round(net, random.Random(clock))
+        yield net, published
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_steps())
+def test_plans_follow_publishes_presence_joins_and_rewrites_as_the_oracle_does(case):
+    for _ in _play_plan_steps(case):
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_steps())
+def test_a_key_s_sources_hold_every_copy_a_full_scan_finds(case):
+    """With no late join, the members of a key's sources that hold it are
+    every member that holds it, whatever publishes, presence flips, pulls,
+    rewrites and truncations did: the holder-served access and the
+    availability probe of the simulator look there only. Checked for each
+    published key, each member's newest chain keys and a key of no record."""
+    for net, published in _play_plan_steps(case, joins=False):
+        lookups = {record_key(record): author.public_key for author, record in published}
+        for agent in net.agents:
+            for record in agent.chain.records[-2:]:
+                lookups.setdefault(record_key(record), agent.public_key)
+        lookups[b"\x00" * 32] = net.agents[0].public_key
+        for key, author in lookups.items():
+            found = [a for a in net._sources(key, author) if a.holds(key)]
+            assert sorted(found, key=lambda a: a.index) == holders_of(net, key)
 
 
 @st.composite
@@ -1384,14 +1474,19 @@ def churn_scenarios(draw):
 
 @given(churn_scenarios())
 @settings(max_examples=25, deadline=None)
-def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
+def test_generated_churn_scenarios_leave_no_servable_key_unpulled(doc):
+    """After every round, no online agent lacks a pending key that an
+    online member found by a full scan holds, save the excused sources of
+    _unserved: the scenarios join no one late, so every holder may ship."""
     planned = Network.gossip_round
     invariants = Simulation._check_invariants
-    checked_ticks = []
+    checked_rounds, checked_ticks = [], []
 
     def checked(net, rng):
-        _assert_plan_matches_the_oracle(net)
-        return planned(net, rng)
+        contacts = planned(net, rng)
+        assert _unserved(net, lambda key, member: True) == []
+        checked_rounds.append(contacts)
+        return contacts
 
     def coherent(self, tick):
         invariants(self, tick)
@@ -1401,22 +1496,49 @@ def test_generated_churn_scenarios_match_the_per_contact_oracle(doc):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Network, "gossip_round", checked)
         patch.setattr(Simulation, "_check_invariants", coherent)
-        production = run_scenario(config_from_dict(doc))
+        result = run_scenario(config_from_dict(doc))
+    assert len(checked_rounds) == doc["ticks"]
     assert checked_ticks == list(range(doc["ticks"]))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Network, "_sync_records", oracle_sync_records)
-        oracle = run_scenario(config_from_dict(doc))
-    assert production.metrics_log.to_csv() == oracle.metrics_log.to_csv()
-    assert export_all_chains(production) == export_all_chains(oracle)
-    assert production.access_log == oracle.access_log
-    for result in (production, oracle):
-        assert audit_access_log(result) == []
-        # grant-exists resolves through online peers only, so a revocation
-        # of an unpublished grant reads invalid while its patient is
-        # offline; stored bytes are judged with every chain reachable
-        for agent in result.network.agents:
-            agent.online = True
-        result.network.assert_shards_validated()
+    assert audit_access_log(result) == []
+    # grant-exists resolves through online peers only, so a revocation of an
+    # unpublished grant reads invalid while its patient is offline; stored
+    # bytes are judged with every chain reachable
+    for agent in result.network.agents:
+        agent.online = True
+    result.network.assert_shards_validated()
+
+
+def test_an_invalid_record_is_validated_once_per_holder_and_source(monkeypatch):
+    """An author publishes one invalid record. A holder that validated it
+    keeps the claim against its shipper for that key, so in 10 rounds no
+    holder validates it from the same source twice; the holder away at the
+    publish validates it at most once after its return, or not at all once
+    gossip brought it the claim."""
+    net = _network(n=12, seed=3)
+    author = net.agents[0]
+    record = author.append("vitals_pulse", _vitals_fields(author, value=9999), 10)
+    key = record_key(record)
+    away = next(a for a in net.neighborhood(key) if a is not author)
+    away.online = False
+    checked = []
+    store = Network._store_if_valid
+
+    def counted(self, dst, record, key, shipper):
+        checked.append((dst.index, shipper))
+        return store(self, dst, record, key, shipper)
+
+    monkeypatch.setattr(Network, "_store_if_valid", counted)
+    assert net.publish(author, record) == []
+    validators = [a for a in net.neighborhood(key) if a is not away]
+    assert checked == [(a.index, author.public_key) for a in validators]
+    rng = random.Random(3)
+    for tick in range(10):
+        net.begin_tick(tick)
+        away.online = tick >= 3
+        net.gossip_round(rng)
+    assert len(checked) == len(set(checked))
+    assert set(checked) <= {(a.index, author.public_key) for a in (*validators, away)}
+    assert not any(a.holds(key) for a in net.agents if a is not author)
 
 
 def _converge(net, rng, rounds):
@@ -1645,9 +1767,9 @@ _MEMBER_STATE = {"agents", "_positions"}
 _MEMBER_WRITERS = {"Network.__init__", "Network.join"}
 
 
-# the re-replication plan: the published keys with their holder counts,
-# and the pending sets; and the only functions that may write them
-_PLAN_STATE = {"_holder_counts", "_pending"}
+# the re-replication plan: the published keys with their holder counts and
+# authors, and the pending sets; and the only functions that may write them
+_PLAN_STATE = {"_holder_sets", "_pending"}
 _PLAN_WRITERS = {
     "Network.__init__", "Network.join", "Network.publish", "Network._plan",
     "Network._store_if_valid",
@@ -1732,8 +1854,8 @@ def test_only_the_planners_write_the_re_replication_plan():
     assert _writers_and_offenders(_PLAN_STATE, _PLAN_WRITERS) == (_PLAN_WRITERS, [])
     probe = ast.parse(
         "n._pending[a].discard(k)\nn._pending.setdefault(a, set()).add(k)\n"
-        "n._holder_counts |= {k: 4}\nn._holder_counts[k] = 8\nx = n._pending.get(a)\n"
-        "y = n._holder_counts[k]\nclass Network:\n    def join(self, a):\n"
+        "n._holder_sets |= {k: (4, a)}\nn._holder_sets[k] = (8, a)\nx = n._pending.get(a)\n"
+        "y = n._holder_sets[k]\nclass Network:\n    def join(self, a):\n"
         "        self._pending.clear()\n"
     )
     assert _claim_state_writes(probe, _PLAN_STATE) == [
